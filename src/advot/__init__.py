@@ -20,8 +20,6 @@ from .dynamic_game import (
     StageState,
     belief_update,
     run_dynamic_game,
-    stage_adversary_best_response,
-    threshold_phi,
 )
 from .errors import (
     AdvotError,
@@ -71,6 +69,8 @@ from .static_game import (
     minimize_node_cost,
     node_cost_aggregates,
     solve_bayesian_equilibrium,
+    stage_adversary_best_response,
+    threshold_phi,
 )
 from .transport import (
     SolveReport,

@@ -1,6 +1,7 @@
 """Multistage play: thresholded adversary actions and Bayesian belief updates.
 
-Each stage solves a static-style fixed point, except the adversary's action
+Each stage runs the shared equilibrium engine
+(:func:`advot.static_game.stage_equilibrium`), except the adversary's action
 passes through an inertial thresholding map anchored at the previous stage's
 action, and between stages the dispatcher reweights its per-target belief
 using the revealed actions as likelihoods.
@@ -14,69 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, PerturbationBelowFloor, StageNotConverged, ValidationError
-from .network import PERTURBATION_FLOOR, BipartiteNetwork, check_belief, check_strategy
+from .network import PERTURBATION_FLOOR, check_belief
 from .static_game import (
+    MAX_ROUNDS,
     EquilibriumProfile,
     GameSpec,
     adversary_cost,
     dispatcher_expected_utility,
-    effective_weights,
-    node_cost_aggregates,
+    stage_adversary_best_response,  # re-exported: part of this module's API
+    stage_equilibrium,
+    threshold_phi,
 )
 from .transport import solve_regularized_ot
 
 logger = logging.getLogger(__name__)
-
-
-def threshold_phi(xi_t, xi_prev, tau: float):
-    """Inertial thresholding of an action against the previous stage's.
-
-    Flat at ``xi_prev`` while ``xi_t < xi_prev + tau``, then shifted-linear
-    ``xi_t - tau``; the knee itself belongs to the linear branch, where both
-    branches agree, so the map is continuous, nondecreasing and 1-Lipschitz.
-    """
-    xi_t = np.asarray(xi_t, dtype=float)
-    xi_prev = np.asarray(xi_prev, dtype=float)
-    out = np.where(xi_t < xi_prev + tau, xi_prev, xi_t - tau)
-    return float(out) if out.ndim == 0 else out
-
-
-def stage_adversary_best_response(
-    network: BipartiteNetwork,
-    plan: np.ndarray,
-    params,
-    caps: np.ndarray,
-    type_value: int,
-    xi_prev: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    """Per-target stage action minimizing the thresholded cost.
-
-    Substituting ``z = phi(xi)`` turns the problem into the static one on
-    ``z in [xi_prev, max(xi_prev, cap - tau)]``; the clipped stationary point
-    maps back through ``xi = z + tau``, except that minimizers stuck at the
-    interval's lower end stay at the previous action (no incentive to move
-    inside the flat region).
-    """
-    if type_value not in (1, 2):
-        raise ValidationError("type_value must be 1 (minor) or 2 (major)")
-    if tau < 0:
-        raise ValidationError("tau must be >= 0")
-    scale, flow = node_cost_aggregates(network, plan, params)
-    caps = np.asarray(caps, dtype=float)
-    xi_prev = np.asarray(xi_prev, dtype=float)
-    z_lo = xi_prev
-    z_hi = np.maximum(xi_prev, caps - tau)
-    flow_term = type_value * flow
-    z = np.empty_like(z_lo)
-    no_flow = flow_term <= 0
-    z[no_flow] = z_hi[no_flow]
-    active = ~no_flow
-    stationary = (params.beta2 * scale[active] / flow_term[active]) ** (
-        1.0 / (1.0 + params.beta2)
-    )
-    z[active] = np.clip(stationary, z_lo[active], z_hi[active])
-    return np.where(z > xi_prev, z + tau, xi_prev)
 
 
 def belief_update(belief: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -100,12 +52,11 @@ def belief_update(belief: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StageState:
-    """What the stage sees before play: index, belief, inertia anchor, history."""
+    """What the stage sees before play: index, belief and inertia anchor."""
 
     stage: int
     belief: np.ndarray
     previous_action: np.ndarray  # (n_targets, 2)
-    history: tuple[tuple[np.ndarray, np.ndarray], ...]  # (plan, action) pairs
 
 
 @dataclass
@@ -121,109 +72,18 @@ class StageOutcome:
     belief_after: np.ndarray
 
 
-def _stage_deviation_gap(
-    spec: GameSpec,
-    belief: np.ndarray,
-    plan: np.ndarray,
-    xi: np.ndarray,
-    xi_prev: np.ndarray,
-    tau: float,
-    grid_points: int,
-) -> float:
-    """Coordinate-wise certificate against the stage (thresholded) payoffs."""
-    effective = threshold_phi(xi, xi_prev, tau)
-    w_eff = effective_weights(spec.network, spec.weights, effective, belief)
-    rows = spec.network.row_sums(plan)
-    slack = spec.network.capacities - rows
-    lam = spec.settings.lam
-    best = -np.inf
-    for e in range(spec.network.n_edges):
-        hi = max(plan[e] + slack[spec.network.edge_source[e]], 0.0)
-        grid = np.linspace(0.0, hi, grid_points)
-        ent = np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0)
-        base = w_eff[e] * plan[e] - lam * (plan[e] * np.log(plan[e]) if plan[e] > 0 else 0.0)
-        best = max(best, float(np.max(w_eff[e] * grid - lam * ent - base)))
-    scale, flow = node_cost_aggregates(spec.network, plan, spec.cost_params)
-    beta2 = spec.cost_params.beta2
-    caps = spec.caps()
-    for q in range(spec.network.n_targets):
-        for t in (1, 2):
-            b = t * flow[q]
-            cost = lambda raw: (
-                scale[q] * threshold_phi(raw, xi_prev[q, t - 1], tau) ** (-beta2)
-                + b * threshold_phi(raw, xi_prev[q, t - 1], tau)
-            )
-            grid = np.linspace(PERTURBATION_FLOOR, caps[q, t - 1], grid_points)
-            best = max(best, float(np.max(cost(xi[q, t - 1]) - cost(grid))))
-    return best
-
-
-def _stage_equilibrium(
-    spec: GameSpec,
-    belief: np.ndarray,
-    xi_prev: np.ndarray,
-    tau: float,
-    plan0: np.ndarray | None,
-    deviation_tol: float,
-    max_rounds: int,
-    profile_tol: float,
-    grid_points: int,
-) -> EquilibriumProfile:
-    caps = spec.caps()
-    if plan0 is None:
-        base = solve_regularized_ot(spec.network, spec.weights, spec.settings)
-        plan, prices = base.plan, base.prices
-    else:
-        plan, prices = plan0, None
-    xi = caps.copy()
-    settled = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        effective = threshold_phi(xi, xi_prev, tau)
-        w_eff = effective_weights(spec.network, spec.weights, effective, belief)
-        report = solve_regularized_ot(spec.network, w_eff, spec.settings, prices0=prices)
-        plan_new, prices = report.plan, report.prices
-        xi_new = np.stack(
-            [
-                stage_adversary_best_response(
-                    spec.network, plan_new, spec.cost_params,
-                    caps[:, t - 1], t, xi_prev[:, t - 1], tau,
-                )
-                for t in (1, 2)
-            ],
-            axis=1,
-        )
-        change = max(
-            float(np.max(np.abs(plan_new - plan))), float(np.max(np.abs(xi_new - xi)))
-        )
-        plan, xi = plan_new, xi_new
-        if change <= profile_tol:
-            settled = True
-            break
-    gap = _stage_deviation_gap(spec, belief, plan, xi, xi_prev, tau, grid_points)
-    return EquilibriumProfile(
-        plan=plan,
-        strategy=xi,
-        iterations=rounds,
-        converged=settled and gap <= deviation_tol,
-        deviation_gap=gap,
-    )
-
-
 def run_dynamic_game(
     spec: GameSpec,
     stages: int,
     tau: float,
-    xi0: np.ndarray | None = None,
-    deviation_tol: float = 1e-4,
-    max_rounds: int = 500,
-    profile_tol: float = 1e-7,
-    grid_points: int = 21,
+    max_rounds: int = MAX_ROUNDS,
     abort_on_failure: bool = True,
 ) -> list[StageOutcome]:
     """Play the game for ``stages`` stages, updating beliefs between stages.
 
-    Each stage solves its fixed point against the belief it inherited; the
+    Play starts with the previous action at the floor.  Each stage solves its
+    fixed point against the belief it inherited, starting from the previous
+    stage's plan (stage 1 from the adversary-free plan and its prices); the
     dispatcher's weights use the thresholded action, the revealed (raw)
     action then drives the belief update.  A stage that fails to settle
     raises :class:`StageNotConverged` unless ``abort_on_failure`` is False,
@@ -234,22 +94,14 @@ def run_dynamic_game(
     if tau < 0:
         raise ValidationError("tau must be >= 0")
     n_targets = spec.network.n_targets
-    if xi0 is None:
-        xi_prev = np.full((n_targets, 2), PERTURBATION_FLOOR)
-    else:
-        xi_prev = check_strategy(xi0, spec.lower_caps, spec.upper_caps)
+    xi_prev = np.full((n_targets, 2), PERTURBATION_FLOOR)
     belief = spec.belief
-    history: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     outcomes: list[StageOutcome] = []
-    plan_prev: np.ndarray | None = None
+    base = solve_regularized_ot(spec.network, spec.weights, spec.settings)
+    plan, prices = base.plan, base.prices
     for stage in range(1, stages + 1):
-        state = StageState(
-            stage=stage, belief=belief, previous_action=xi_prev, history=history
-        )
-        profile = _stage_equilibrium(
-            spec, belief, xi_prev, tau, plan_prev,
-            deviation_tol, max_rounds, profile_tol, grid_points,
-        )
+        state = StageState(stage=stage, belief=belief, previous_action=xi_prev)
+        profile = stage_equilibrium(spec, belief, xi_prev, tau, plan, prices, max_rounds)
         if not profile.converged:
             logger.warning("stage %d failed to converge (gap %.3e)", stage, profile.deviation_gap)
             if abort_on_failure:
@@ -277,8 +129,8 @@ def run_dynamic_game(
                 belief_after=belief_after,
             )
         )
-        history = history + ((profile.plan, profile.strategy),)
+        # Later stages start from the previous plan with cold prices.
+        plan, prices = profile.plan, None
         xi_prev = profile.strategy
         belief = belief_after
-        plan_prev = profile.plan
     return outcomes

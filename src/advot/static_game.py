@@ -5,6 +5,11 @@ adversary's binary type; each adversary type minimizes its own cost, which is
 separable across target nodes and admits a closed-form per-node minimizer.
 The equilibrium is computed by alternating the two best responses and then
 certifying the fixed point with a coordinate-wise deviation search.
+
+One engine, :func:`stage_equilibrium`, serves both the static game and every
+stage of the multistage game: the static game is the stage game whose
+previous action sits at the floor and whose threshold ``tau`` is 0, where the
+thresholding map is the identity.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ from .transport import (
 )
 
 logger = logging.getLogger(__name__)
+
+GRID_POINTS = 21  # values per coordinate in the deviation certificate's grid
+DEVIATION_TOL = 1e-4  # largest located improvement a converged profile may leave
+PROFILE_TOL = 1e-7  # largest round-to-round profile change that counts as settled
+MAX_ROUNDS = 500  # default round limit of the best-response loop
 
 
 @dataclass(frozen=True)
@@ -62,8 +72,8 @@ class GameSpec:
             raise ValidationError("caps must cover every target node")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValidationError("caps must be finite")
-        if np.any(lower <= 0) or np.any(upper <= 0):
-            raise ValidationError("caps must be strictly positive")
+        if np.any(lower < PERTURBATION_FLOOR) or np.any(upper < PERTURBATION_FLOOR):
+            raise PerturbationBelowFloor(f"caps must be >= the action floor {PERTURBATION_FLOOR}")
         if np.any(lower > upper):
             raise ValidationError("lower caps must not exceed upper caps")
         if self.cost_params.punishment_coeff.shape != (self.network.n_edges,):
@@ -134,16 +144,11 @@ def dispatcher_expected_utility(
     return planner_objective(plan, effective_weights(network, weights, xi, belief), lam)
 
 
-def dispatcher_best_response(
-    spec: GameSpec,
-    xi: np.ndarray,
-    prices0: np.ndarray | None = None,
-    settings: SolverSettings | None = None,
-) -> SolveReport:
+def dispatcher_best_response(spec: GameSpec, xi: np.ndarray) -> SolveReport:
     """Solve the dispatcher's transport problem under belief-averaged weights."""
     xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
     w_eff = effective_weights(spec.network, spec.weights, xi, spec.belief)
-    return solve_regularized_ot(spec.network, w_eff, settings or spec.settings, prices0)
+    return solve_regularized_ot(spec.network, w_eff, spec.settings)
 
 
 def adversary_cost(
@@ -210,6 +215,48 @@ def minimize_node_cost(
     return out
 
 
+def threshold_phi(xi_t, xi_prev, tau: float):
+    """Inertial thresholding of an action against the previous stage's.
+
+    Flat at ``xi_prev`` while ``xi_t < xi_prev + tau``, then shifted-linear
+    ``xi_t - tau``; the knee itself belongs to the linear branch, where both
+    branches agree, so the map is continuous, nondecreasing and 1-Lipschitz.
+    """
+    xi_t = np.asarray(xi_t, dtype=float)
+    xi_prev = np.asarray(xi_prev, dtype=float)
+    out = np.where(xi_t < xi_prev + tau, xi_prev, xi_t - tau)
+    return float(out) if out.ndim == 0 else out
+
+
+def stage_adversary_best_response(
+    network: BipartiteNetwork,
+    plan: np.ndarray,
+    params: AdversaryCostParams,
+    caps: np.ndarray,
+    type_value: int,
+    xi_prev: np.ndarray,
+    tau: float,
+) -> np.ndarray:
+    """Per-target stage action minimizing the thresholded cost.
+
+    Substituting ``z = phi(xi)`` turns the problem into the static one on
+    ``z in [xi_prev, max(xi_prev, cap - tau)]``; by convexity its minimizer is
+    the static one on ``[floor, max(xi_prev, cap - tau)]`` raised to
+    ``xi_prev``.  It maps back through ``xi = z + tau``, except that
+    minimizers stuck at the interval's lower end stay at the previous action
+    (no incentive to move inside the flat region).
+    """
+    if type_value not in (1, 2):
+        raise ValidationError("type_value must be 1 (minor) or 2 (major)")
+    if tau < 0:
+        raise ValidationError("tau must be >= 0")
+    scale, flow = node_cost_aggregates(network, plan, params)
+    xi_prev = np.asarray(xi_prev, dtype=float)
+    z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
+    z = np.maximum(minimize_node_cost(scale, type_value * flow, params.beta2, z_hi), xi_prev)
+    return np.where(z > xi_prev, z + tau, xi_prev)
+
+
 def adversary_best_response(
     network: BipartiteNetwork,
     plan: np.ndarray,
@@ -222,85 +269,98 @@ def adversary_best_response(
     The cost separates across targets, so each node solves its scalar box
     problem with ``B_q = type_value * S_q`` independently.
     """
-    if type_value not in (1, 2):
-        raise ValidationError("type_value must be 1 (minor) or 2 (major)")
-    scale, flow = node_cost_aggregates(network, plan, params)
-    return minimize_node_cost(scale, type_value * flow, params.beta2, caps)
-
-
-def best_response_strategy(spec: GameSpec, plan: np.ndarray) -> np.ndarray:
-    """Both type branches' best responses, stacked as an (n_targets, 2) table."""
-    minor = adversary_best_response(
-        spec.network, plan, spec.cost_params, spec.lower_caps, 1
+    return stage_adversary_best_response(
+        network, plan, params, caps, type_value, PERTURBATION_FLOOR, 0.0
     )
-    major = adversary_best_response(
-        spec.network, plan, spec.cost_params, spec.upper_caps, 2
-    )
-    return np.stack([minor, major], axis=1)
 
 
-def _edge_utility_gaps(
-    network: BipartiteNetwork,
-    plan: np.ndarray,
-    w_eff: np.ndarray,
-    lam: float,
-    grid_points: int,
-) -> float:
-    """Best single-edge utility improvement over a feasible grid."""
-    rows = network.row_sums(plan)
-    slack = network.capacities - rows
-    best = -np.inf
-    for e in range(network.n_edges):
-        hi = max(plan[e] + slack[network.edge_source[e]], 0.0)
-        grid = np.linspace(0.0, hi, grid_points)
-        base = w_eff[e] * plan[e] - lam * (plan[e] * np.log(plan[e]) if plan[e] > 0 else 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent = np.where(grid > 0, grid * np.log(grid), 0.0)
-        gain = (w_eff[e] * grid - lam * ent) - base
-        best = max(best, float(gain.max()))
-    return best
+def best_response_strategy(
+    spec: GameSpec, plan: np.ndarray, xi_prev=PERTURBATION_FLOOR, tau: float = 0.0
+) -> np.ndarray:
+    """Both type branches' stage best responses, stacked as an (n_targets, 2) table.
 
-
-def _node_cost_gaps(
-    spec: GameSpec, plan: np.ndarray, xi: np.ndarray, grid_points: int
-) -> float:
-    """Best per-node, per-type cost reduction over a gridded action range."""
-    scale, flow = node_cost_aggregates(spec.network, plan, spec.cost_params)
-    beta2 = spec.cost_params.beta2
+    The defaults, previous action at the floor and ``tau = 0``, pose the
+    static game.
+    """
     caps = spec.caps()
-    best = -np.inf
-    for q in range(spec.network.n_targets):
-        for t in (1, 2):
-            b = t * flow[q]
-            cost = lambda z: scale[q] * z ** (-beta2) + b * z
-            grid = np.linspace(PERTURBATION_FLOOR, caps[q, t - 1], grid_points)
-            reduction = cost(xi[q, t - 1]) - cost(grid)
-            best = max(best, float(np.max(reduction)))
-    return best
+    xi_prev = np.broadcast_to(np.asarray(xi_prev, dtype=float), caps.shape)
+    return np.stack(
+        [
+            stage_adversary_best_response(
+                spec.network, plan, spec.cost_params,
+                caps[:, t - 1], t, xi_prev[:, t - 1], tau,
+            )
+            for t in (1, 2)
+        ],
+        axis=1,
+    )
+
+
+def _grid(lo: float, hi: np.ndarray) -> np.ndarray:
+    """``GRID_POINTS`` evenly spaced values from ``lo`` to ``hi`` on a new last axis.
+
+    Equal, bit for bit, to one ``np.linspace(lo, hi, GRID_POINTS)`` call per
+    element.  ``np.linspace`` on array endpoints is not: once any row is
+    empty (``hi == lo``) it rounds every row differently.
+    """
+    grid = lo + np.arange(GRID_POINTS) * ((hi - lo) / (GRID_POINTS - 1))[..., None]
+    grid[..., -1] = hi
+    return grid
 
 
 def deviation_check(
-    spec: GameSpec, plan: np.ndarray, xi: np.ndarray, grid_points: int = 21
+    spec: GameSpec,
+    plan: np.ndarray,
+    xi: np.ndarray,
+    belief: np.ndarray | None = None,
+    xi_prev=PERTURBATION_FLOOR,
+    tau: float = 0.0,
 ) -> float:
     """Largest unilateral improvement found by coordinate-wise grid sampling.
 
     Varies one plan coordinate at a time inside its remaining row slack for
-    the dispatcher, and one per-node action per type for the adversary.  A
-    result <= 0 means no profitable deviation was located.
+    the dispatcher, and one per-node action per type for the adversary, each
+    over ``GRID_POINTS`` evenly spaced values.  Payoffs are the stage's: both
+    players see the action thresholded against ``xi_prev``, and the
+    dispatcher weighs it under ``belief`` (default: the spec's prior).  The
+    defaults pose the static game.  A result <= 0 means no profitable
+    deviation was located.
     """
-    plan = check_plan(spec.network, plan)
+    network, lam = spec.network, spec.settings.lam
+    plan = check_plan(network, plan)
     xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
-    w_eff = effective_weights(spec.network, spec.weights, xi, spec.belief)
-    gap_plan = _edge_utility_gaps(
-        spec.network, plan, w_eff, spec.settings.lam, grid_points
-    )
-    gap_action = _node_cost_gaps(spec, plan, xi, grid_points)
-    return max(gap_plan, gap_action)
+    belief = spec.belief if belief is None else belief
+    xi_prev = np.asarray(xi_prev, dtype=float)
+
+    w_eff = effective_weights(network, spec.weights, threshold_phi(xi, xi_prev, tau), belief)
+    slack = network.capacities - network.row_sums(plan)
+    grid = _grid(0.0, np.maximum(plan + slack[network.edge_source], 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = np.where(grid > 0, grid * np.log(grid), 0.0)
+        base_entropy = np.where(plan > 0, plan * np.log(plan), 0.0)
+    base = w_eff * plan - lam * base_entropy
+    gain = w_eff[:, None] * grid - lam * entropy - base[:, None]
+
+    scale, flow = node_cost_aggregates(network, plan, spec.cost_params)
+    beta2 = spec.cost_params.beta2
+    flow_term = flow[:, None] * np.array([1.0, 2.0])  # B = type * S per target
+    z = threshold_phi(_grid(PERTURBATION_FLOOR, spec.caps()), xi_prev[..., None], tau)
+    grid_cost = scale[:, None, None] * z ** (-beta2) + flow_term[..., None] * z
+    z = threshold_phi(xi, xi_prev, tau)
+    # The played action's power is taken per element with libm's pow, as in
+    # the per-coordinate reference (tests/oracles.py); numpy's vectorized pow
+    # can differ from it in the last bit, and that bit can decide the gap.
+    power = (z.astype(object) ** (-beta2)).astype(float)
+    reduction = (scale[:, None] * power + flow_term * z)[..., None] - grid_cost
+    return max(float(gain.max()), float(reduction.max()))
 
 
-def _round_record(spec: GameSpec, rnd: int, plan: np.ndarray, xi: np.ndarray) -> dict:
+def _round_record(
+    spec: GameSpec, belief: np.ndarray, rnd: int, plan: np.ndarray,
+    xi: np.ndarray, effective: np.ndarray,
+) -> dict:
     utility = dispatcher_expected_utility(
-        spec.network, plan, spec.weights, xi, spec.belief, spec.settings.lam
+        spec.network, plan, spec.weights, effective, belief, spec.settings.lam
     )
     ones = np.ones(spec.network.n_targets, dtype=int)
     return {
@@ -310,54 +370,62 @@ def _round_record(spec: GameSpec, rnd: int, plan: np.ndarray, xi: np.ndarray) ->
         "xi_major": tuple(float(v) for v in xi[:, 1]),
         "dispatcher_utility": utility,
         "adversary_cost_minor": adversary_cost(
-            spec.network, plan, spec.weights, xi, ones, spec.cost_params
+            spec.network, plan, spec.weights, effective, ones, spec.cost_params
         ),
         "adversary_cost_major": adversary_cost(
-            spec.network, plan, spec.weights, xi, 2 * ones, spec.cost_params
+            spec.network, plan, spec.weights, effective, 2 * ones, spec.cost_params
         ),
     }
 
 
-def solve_bayesian_equilibrium(
+def stage_equilibrium(
     spec: GameSpec,
-    deviation_tol: float = 1e-4,
-    max_rounds: int = 500,
-    profile_tol: float = 1e-7,
-    grid_points: int = 21,
+    belief: np.ndarray,
+    xi_prev,
+    tau: float,
+    plan: np.ndarray,
+    prices: np.ndarray | None,
+    max_rounds: int = MAX_ROUNDS,
     record_trace: bool = False,
 ) -> EquilibriumProfile:
-    """Alternate both best responses until the profile stops moving.
+    """Alternate both best responses of one stage until the profile stops moving.
 
-    Starts from the adversary at its caps (worst case for the dispatcher) and
-    the adversary-free plan.  After the loop settles, the coordinate-wise
-    deviation search certifies the profile; ``converged`` requires both the
-    profile change and the located gap to be within tolerance.
+    The adversary starts at its caps (worst case for the dispatcher) and the
+    dispatcher at ``plan``; ``prices`` warm-starts the first transport solve
+    (None cold-starts it).  The dispatcher weighs the action thresholded
+    against ``xi_prev`` under ``belief``.  After the loop settles, the
+    coordinate-wise deviation search certifies the profile; ``converged``
+    requires the profile change, the last transport solve and the located
+    gap all to be within tolerance.
     """
-    base = solve_regularized_ot(spec.network, spec.weights, spec.settings)
-    plan, prices = base.plan, base.prices
     xi = spec.caps()
     trace: list[dict] = []
-    settled = False
+    settled = inner_converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        response = dispatcher_best_response(spec, xi, prices0=prices)
-        plan_new, prices = response.plan, response.prices
-        xi_new = best_response_strategy(spec, plan_new)
+        effective = threshold_phi(xi, xi_prev, tau)
+        w_eff = effective_weights(spec.network, spec.weights, effective, belief)
+        report = solve_regularized_ot(spec.network, w_eff, spec.settings, prices)
+        plan_new, prices, inner_converged = report.plan, report.prices, report.converged
+        xi_new = best_response_strategy(spec, plan_new, xi_prev, tau)
         change = max(
             float(np.max(np.abs(plan_new - plan))), float(np.max(np.abs(xi_new - xi)))
         )
         plan, xi = plan_new, xi_new
         if record_trace:
-            trace.append(_round_record(spec, rounds, plan, xi))
-        if change <= profile_tol:
+            trace.append(_round_record(
+                spec, belief, rounds, plan, xi, threshold_phi(xi, xi_prev, tau)
+            ))
+        if change <= PROFILE_TOL:
             settled = True
             break
-    gap = deviation_check(spec, plan, xi, grid_points)
-    converged = settled and gap <= deviation_tol
+    gap = deviation_check(spec, plan, xi, belief, xi_prev, tau)
+    converged = settled and inner_converged and gap <= DEVIATION_TOL
     if not converged:
         logger.info(
-            "equilibrium search stopped after %d rounds (settled=%s, gap=%.3e)",
-            rounds, settled, gap,
+            "equilibrium search stopped after %d rounds "
+            "(settled=%s, last inner solve converged=%s, gap=%.3e)",
+            rounds, settled, inner_converged, gap,
         )
     return EquilibriumProfile(
         plan=plan,
@@ -366,4 +434,18 @@ def solve_bayesian_equilibrium(
         converged=converged,
         deviation_gap=gap,
         trace=trace,
+    )
+
+
+def solve_bayesian_equilibrium(
+    spec: GameSpec, record_trace: bool = False
+) -> EquilibriumProfile:
+    """The static equilibrium: one stage with the previous action at the floor and ``tau = 0``.
+
+    The dispatcher starts from the adversary-free plan and its prices.
+    """
+    base = solve_regularized_ot(spec.network, spec.weights, spec.settings)
+    return stage_equilibrium(
+        spec, spec.belief, PERTURBATION_FLOOR, 0.0, base.plan, base.prices,
+        record_trace=record_trace,
     )

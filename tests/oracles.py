@@ -2,7 +2,8 @@
 
 Each oracle here deliberately takes a different route than the library:
 general-purpose NLP/LP solvers, dense grid search, bisection on composed
-maps, and brute-force enumeration of the joint type space.
+maps, brute-force enumeration of the joint type space, and per-coordinate
+loops over a grid certificate's rows.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from itertools import product
 
 import numpy as np
 from scipy import optimize
+
+from advot import PERTURBATION_FLOOR, effective_weights, node_cost_aggregates, threshold_phi
 
 
 @contextmanager
@@ -157,3 +160,37 @@ def enumerated_expected_utility(network, plan, weights, xi, belief, lam):
         total += prob * value
     entropy = float(np.sum(plan[plan > 0] * np.log(plan[plan > 0])))
     return total - lam * entropy
+
+
+def loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=21):
+    """Coordinate-wise grid certificate, one ``np.linspace`` row at a time.
+
+    The reference for ``deviation_check``: the same grids and stage payoffs,
+    looping in Python over every edge and every (target, type) pair, with
+    scalar arithmetic for the played action.
+    """
+    effective = threshold_phi(xi, xi_prev, tau)
+    w_eff = effective_weights(spec.network, spec.weights, effective, belief)
+    rows = spec.network.row_sums(plan)
+    slack = spec.network.capacities - rows
+    lam = spec.settings.lam
+    best = -np.inf
+    for e in range(spec.network.n_edges):
+        hi = max(plan[e] + slack[spec.network.edge_source[e]], 0.0)
+        grid = np.linspace(0.0, hi, grid_points)
+        ent = np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0)
+        base = w_eff[e] * plan[e] - lam * (plan[e] * np.log(plan[e]) if plan[e] > 0 else 0.0)
+        best = max(best, float(np.max(w_eff[e] * grid - lam * ent - base)))
+    scale, flow = node_cost_aggregates(spec.network, plan, spec.cost_params)
+    beta2 = spec.cost_params.beta2
+    caps = spec.caps()
+    for q in range(spec.network.n_targets):
+        for t in (1, 2):
+            b = t * flow[q]
+            cost = lambda raw: (
+                scale[q] * threshold_phi(raw, xi_prev[q, t - 1], tau) ** (-beta2)
+                + b * threshold_phi(raw, xi_prev[q, t - 1], tau)
+            )
+            grid = np.linspace(PERTURBATION_FLOOR, caps[q, t - 1], grid_points)
+            best = max(best, float(np.max(cost(xi[q, t - 1]) - cost(grid))))
+    return best
