@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateEdge,
     IsolatedNode,
+    NonFiniteIterate,
     NonpositiveCapacity,
     ParseError,
     PerturbationBelowFloor,
@@ -75,6 +76,7 @@ from .static_game import (
 from .transport import (
     SolveReport,
     SolverSettings,
+    capacity_prices,
     dual_update,
     planner_objective,
     primal_update,

@@ -26,7 +26,7 @@ from .static_game import (
     stage_equilibrium,
     threshold_phi,
 )
-from .transport import solve_regularized_ot
+from .transport import capacity_prices, solve_regularized_ot
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ def run_dynamic_game(
 
     Play starts with the previous action at the floor.  Each stage solves its
     fixed point against the belief it inherited, starting from the previous
-    stage's plan (stage 1 from the adversary-free plan and its prices); the
+    stage's plan (stage 1 from the adversary-free plan); the
     dispatcher's weights use the thresholded action, the revealed (raw)
     action then drives the belief update.  A stage that fails to settle
     raises :class:`StageNotConverged` unless ``abort_on_failure`` is False,
@@ -97,11 +97,11 @@ def run_dynamic_game(
     xi_prev = np.full((n_targets, 2), PERTURBATION_FLOOR)
     belief = spec.belief
     outcomes: list[StageOutcome] = []
-    base = solve_regularized_ot(spec.network, spec.weights, spec.settings)
-    plan, prices = base.plan, base.prices
+    prices = capacity_prices(spec.network, spec.weights, spec.settings.lam)
+    plan = solve_regularized_ot(spec.network, spec.weights, spec.settings, prices).plan
     for stage in range(1, stages + 1):
         state = StageState(stage=stage, belief=belief, previous_action=xi_prev)
-        profile = stage_equilibrium(spec, belief, xi_prev, tau, plan, prices, max_rounds)
+        profile = stage_equilibrium(spec, belief, xi_prev, tau, plan, max_rounds)
         if not profile.converged:
             logger.warning("stage %d failed to converge (gap %.3e)", stage, profile.deviation_gap)
             if abort_on_failure:
@@ -129,8 +129,7 @@ def run_dynamic_game(
                 belief_after=belief_after,
             )
         )
-        # Later stages start from the previous plan with cold prices.
-        plan, prices = profile.plan, None
+        plan = profile.plan
         xi_prev = profile.strategy
         belief = belief_after
     return outcomes

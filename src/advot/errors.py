@@ -54,6 +54,14 @@ class StageNotConverged(AdvotError):
         super().__init__(message or f"stage {stage} did not converge")
 
 
+class NonFiniteIterate(AdvotError):
+    """A price iterate left the finite range; carries the iteration it happened at."""
+
+    def __init__(self, iteration: int, message: str = ""):
+        self.iteration = iteration
+        super().__init__(message or f"prices became non-finite at iteration {iteration}")
+
+
 class ParseError(AdvotError):
     """A scenario file is not well formed; carries the offending position."""
 

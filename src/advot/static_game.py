@@ -31,6 +31,7 @@ from .network import (
 from .transport import (
     SolveReport,
     SolverSettings,
+    capacity_prices,
     planner_objective,
     solve_regularized_ot,
 )
@@ -144,11 +145,16 @@ def dispatcher_expected_utility(
     return planner_objective(plan, effective_weights(network, weights, xi, belief), lam)
 
 
+def _priced_solve(spec: GameSpec, weights: np.ndarray) -> SolveReport:
+    """The transport solve started from the exact prices, so one ascent step checks them."""
+    prices = capacity_prices(spec.network, weights, spec.settings.lam)
+    return solve_regularized_ot(spec.network, weights, spec.settings, prices)
+
+
 def dispatcher_best_response(spec: GameSpec, xi: np.ndarray) -> SolveReport:
     """Solve the dispatcher's transport problem under belief-averaged weights."""
     xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
-    w_eff = effective_weights(spec.network, spec.weights, xi, spec.belief)
-    return solve_regularized_ot(spec.network, w_eff, spec.settings)
+    return _priced_solve(spec, effective_weights(spec.network, spec.weights, xi, spec.belief))
 
 
 def adversary_cost(
@@ -384,19 +390,18 @@ def stage_equilibrium(
     xi_prev,
     tau: float,
     plan: np.ndarray,
-    prices: np.ndarray | None,
     max_rounds: int = MAX_ROUNDS,
     record_trace: bool = False,
 ) -> EquilibriumProfile:
     """Alternate both best responses of one stage until the profile stops moving.
 
     The adversary starts at its caps (worst case for the dispatcher) and the
-    dispatcher at ``plan``; ``prices`` warm-starts the first transport solve
-    (None cold-starts it).  The dispatcher weighs the action thresholded
-    against ``xi_prev`` under ``belief``.  After the loop settles, the
-    coordinate-wise deviation search certifies the profile; ``converged``
-    requires the profile change, the last transport solve and the located
-    gap all to be within tolerance.
+    dispatcher at ``plan``.  Every round's transport solve starts from the
+    exact capacity prices of its weights.  The dispatcher weighs the action
+    thresholded against ``xi_prev`` under ``belief``.  After the loop
+    settles, the coordinate-wise deviation search certifies the profile;
+    ``converged`` requires the profile change, the last transport solve and
+    the located gap all to be within tolerance.
     """
     xi = spec.caps()
     trace: list[dict] = []
@@ -405,8 +410,8 @@ def stage_equilibrium(
     for rounds in range(1, max_rounds + 1):
         effective = threshold_phi(xi, xi_prev, tau)
         w_eff = effective_weights(spec.network, spec.weights, effective, belief)
-        report = solve_regularized_ot(spec.network, w_eff, spec.settings, prices)
-        plan_new, prices, inner_converged = report.plan, report.prices, report.converged
+        report = _priced_solve(spec, w_eff)
+        plan_new, inner_converged = report.plan, report.converged
         xi_new = best_response_strategy(spec, plan_new, xi_prev, tau)
         change = max(
             float(np.max(np.abs(plan_new - plan))), float(np.max(np.abs(xi_new - xi)))
@@ -442,10 +447,9 @@ def solve_bayesian_equilibrium(
 ) -> EquilibriumProfile:
     """The static equilibrium: one stage with the previous action at the floor and ``tau = 0``.
 
-    The dispatcher starts from the adversary-free plan and its prices.
+    The dispatcher starts from the adversary-free plan.
     """
-    base = solve_regularized_ot(spec.network, spec.weights, spec.settings)
+    base = _priced_solve(spec, spec.weights)
     return stage_equilibrium(
-        spec, spec.belief, PERTURBATION_FLOOR, 0.0, base.plan, base.prices,
-        record_trace=record_trace,
+        spec, spec.belief, PERTURBATION_FLOOR, 0.0, base.plan, record_trace=record_trace
     )

@@ -2,9 +2,11 @@
 
 The dispatcher maximizes ``sum(m*x) - lam*sum(x*log x)`` subject to per-source
 capacities ``Bx <= c`` and ``x >= 0``.  With ``lam > 0`` the primal update has
-a closed form per edge and the capacity prices follow projected subgradient
-ascent; ``lam == 0`` degenerates to a linear program whose vertex solution is
-computed greedily.
+a closed form per edge.  The capacity constraints are per source, so the dual
+splits by source and each optimal price has a closed form too
+(:func:`capacity_prices`); :func:`solve_regularized_ot` runs projected
+subgradient ascent on the prices from any start.  ``lam == 0`` degenerates to
+a linear program whose vertex solution is computed greedily.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroLambda
+from .errors import DimensionMismatch, NonFiniteIterate, ValidationError, ZeroLambda
 from .network import BipartiteNetwork, check_plan
 
 logger = logging.getLogger(__name__)
@@ -121,6 +123,25 @@ def dual_update(
     return np.maximum(0.0, prices + gamma * (rows - network.capacities))
 
 
+def capacity_prices(network: BipartiteNetwork, weights: np.ndarray, lam: float) -> np.ndarray:
+    """Optimal capacity prices: ``p_j = max(0, lam*(logsumexp_e(m_e/lam - 1) - log c_j))``.
+
+    The logsumexp runs over the edges leaving source ``j``.  At that price
+    the closed-form plan ``exp((m - p_j)/lam - 1)`` fills the capacity
+    exactly, or the price is 0 because the unpriced plan already fits; either
+    way the KKT conditions hold.  Each source's exponents are shifted by
+    their maximum, so the prices stay finite when ``m/lam`` is large.  This
+    is the one-marginal case of Sinkhorn scaling.
+    """
+    if lam <= 0:
+        raise ZeroLambda("capacity prices need lam > 0; use unregularized_solve")
+    exponent = _check_weights(network, weights) / lam - 1.0
+    shift = np.full(network.n_sources, -np.inf)
+    np.maximum.at(shift, network.edge_source, exponent)
+    mass = network.row_sums(np.exp(exponent - shift[network.edge_source]))
+    return np.maximum(0.0, lam * (shift + np.log(mass) - np.log(network.capacities)))
+
+
 def solve_regularized_ot(
     network: BipartiteNetwork,
     weights: np.ndarray,
@@ -137,7 +158,8 @@ def solve_regularized_ot(
     settings : SolverSettings
         Requires ``settings.lam > 0``.
     prices0 : ndarray, optional
-        Warm-start prices; zeros when omitted.
+        Warm-start prices; zeros when omitted.  Started from
+        :func:`capacity_prices`, the ascent converges in one step.
 
     Returns
     -------
@@ -146,6 +168,12 @@ def solve_regularized_ot(
         is the worst complementary-slackness violation ``|min(p_j, slack_j)|``.
         When the iteration budget runs out the report comes back with
         ``converged=False`` rather than raising.
+
+    Raises
+    ------
+    NonFiniteIterate
+        At the first iteration whose prices are not finite (the step
+        overflowed), instead of returning them.
     """
     if settings.lam <= 0:
         raise ZeroLambda("solve_regularized_ot needs lam > 0; use unregularized_solve")
@@ -165,6 +193,8 @@ def solve_regularized_ot(
     for iteration in range(1, settings.max_iter + 1):
         x_new = primal_update(network, w, prices, settings.lam)
         prices = dual_update(network, prices, x_new, settings.gamma)
+        if not np.all(np.isfinite(prices)):
+            raise NonFiniteIterate(iteration)
         rows = network.row_sums(x_new)
         residual = float(np.max(np.abs(np.minimum(prices, network.capacities - rows))))
         primal_change = float(np.max(np.abs(x_new - x)))

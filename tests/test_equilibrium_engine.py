@@ -19,7 +19,9 @@ from advot import (
     StageNotConverged,
     best_response_strategy,
     deviation_check,
+    dispatcher_best_response,
     effective_weights,
+    parse_scenario,
     run_dynamic_game,
     solve_bayesian_equilibrium,
     solve_regularized_ot,
@@ -105,18 +107,27 @@ def test_certificate_defaults_pose_the_static_game(paper_spec):
 
 
 @pytest.fixture
-def starved_spec(paper_spec):
-    """The paper game with too few inner iterations for the transport solve."""
-    return dataclasses.replace(
-        paper_spec, settings=dataclasses.replace(paper_spec.settings, max_iter=20)
-    )
+def starved_spec(paper_spec, monkeypatch):
+    """The paper game, with every transport solve of the engine reported unconverged.
+
+    Started from exact prices, the solve converges in one step whatever its
+    budget, so the failure is injected: each report is the real one with
+    ``converged=False``.
+    """
+    solve = advot.static_game.solve_regularized_ot
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(advot.static_game, "solve_regularized_ot", unconverged)
+    return paper_spec
 
 
 def test_static_profile_reports_unconverged_inner_solve(starved_spec, caplog):
     with caplog.at_level(logging.INFO, logger="advot.static_game"):
         profile = solve_bayesian_equilibrium(starved_spec)
     # the outer loop settles and the located gap is tiny, but the last
-    # transport solve stopped at its iteration limit
+    # transport solve did not converge
     assert profile.deviation_gap <= 1e-4
     assert not profile.converged
     assert "last inner solve converged=False" in caplog.text
@@ -135,20 +146,66 @@ def test_caps_below_the_action_floor_are_rejected(paper_spec):
 
 
 # ---------------------------------------------------------------------------
-# the benchmark tracer can wrap every entry point it names
+# every transport solve of the engine is priced exactly: one ascent step
 
 
-def _load_tracer():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.fixture
+def engine_solves(monkeypatch):
+    """Reports of every transport solve the static and the multistage game make."""
+    reports = []
+    for module in (advot.static_game, advot.dynamic_game):
+
+        def recording(*args, _solve=module.solve_regularized_ot, **kwargs):
+            report = _solve(*args, **kwargs)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(module, "solve_regularized_ot", recording)
+    return reports
+
+
+def _play(config):
+    """Static rounds and per-stage rounds of a scenario at its own stage settings."""
+    spec = config.game_spec()
+    stages, tau, _ = config.dynamic_params()
+    static = solve_bayesian_equilibrium(spec)
+    outcomes = run_dynamic_game(spec, stages, tau)
+    assert static.converged and all(o.profile.converged for o in outcomes)
+    dispatcher_best_response(spec, spec.caps())
+    return static.iterations, [o.profile.iterations for o in outcomes]
+
+
+def test_paper_equilibrium_solves_take_one_ascent_step(engine_solves):
+    config = parse_scenario((SCENARIO_DIR / "paper_2x3.json").read_text())
+    assert _play(config) == (9, [9, 3, 3, 3, 3])
+    # a base solve per game, one solve per round, one best response
+    assert len(engine_solves) == (1 + 9) + (1 + 21) + 1
+    assert all(r.iterations == 1 and r.converged for r in engine_solves)
+
+
+def test_sparse_equilibrium_solves_take_one_ascent_step(engine_solves):
+    generate = _load_perfbench("generate")
+    config = parse_scenario(generate.scenario_text(generate.sparse_pool(1, 1)[0]))
+    assert max(np.bincount(config.network.edge_source)) == generate.SPARSE_MAX_DEGREE
+    _play(config)
+    assert all(r.iterations == 1 and r.converged for r in engine_solves)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark tracer can wrap every entry point it names
+
+
 def test_tracer_installs_on_every_entry_point(tmp_path):
-    tracer = _load_tracer().Tracer(advot, timed=False)
+    tracer = _load_perfbench("tracer").Tracer(advot, timed=False)
     original = advot.static_game.deviation_check
     config = str(SCENARIO_DIR / "paper_2x3.json")
     with tracer.installed(0):

@@ -249,6 +249,61 @@ def test_cli_exit_code_on_input_errors(tmp_path, capsys):
     assert "advot:" in err
 
 
+# Weights about 1000*lam: the unpriced plan exp(m/lam - 1) overflows.
+OVERFLOW = {
+    "network": {
+        "sources": ["j"],
+        "targets": ["a", "b"],
+        "edges": [["j", "a"], ["j", "b"]],
+        "capacities": [1],
+    },
+    "weights": [3000, 2990],
+    "adversary": {
+        "lower_caps": [4, 4],
+        "upper_caps": [6, 6],
+        "punishment_coeff": [1, 1],
+        "beta1": 0.5,
+        "beta2": 0.5,
+    },
+    "solver": {"lambda": 3.0},
+}
+
+
+@pytest.fixture
+def overflow_config(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW))
+    return path
+
+
+def test_cli_static_eq_solves_the_overflow_input(tmp_path, overflow_config):
+    out = tmp_path / "eq"
+    assert run_cli("static-eq", "--config", overflow_config, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["deviation_gap"] <= 1e-4
+    assert sum(report["plan"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_dynamic_sim_solves_the_overflow_input(tmp_path, overflow_config):
+    out = tmp_path / "dyn"
+    assert run_cli("dynamic-sim", "--config", overflow_config, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_stage"] is None
+    assert len(report["stages"]) == 5
+    for stage in report["stages"]:
+        assert stage["converged"] is True
+        assert stage["deviation_gap"] <= 1e-4
+        assert sum(stage["plan"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_solve_ot_refuses_non_finite_prices(tmp_path, overflow_config, capsys):
+    # the cold ascent starts at zero prices, where the plan overflows
+    with np.errstate(over="ignore"):
+        assert run_cli("solve-ot", "--config", overflow_config, "--out", tmp_path / "ot") == 1
+    assert "non-finite at iteration 1" in capsys.readouterr().err
+
+
 def test_cli_zero_lambda_rejected_for_games(tmp_path):
     out = tmp_path / "zl"
     assert run_cli("static-eq", "--config", PAPER, "--out", out, "--lambda", 0) == 1

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from advot import (
+    NonFiniteIterate,
     SolverSettings,
     ZeroLambda,
     build_network,
+    capacity_prices,
     dual_update,
     planner_objective,
     primal_update,
@@ -78,6 +82,58 @@ def test_dual_update_projection_active():
 
 
 # ---------------------------------------------------------------------------
+# exact capacity prices
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        # (edges leaving the source, level of m/lam on them)
+        st.tuples(st.integers(1, 400), st.floats(-10.0, 1000.0)), min_size=1, max_size=4
+    ),
+    spread=st.floats(0.0, 20.0),
+    lam=st.floats(0.05, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=[(1, 999.0)], spread=0.0, lam=3.0, seed=0)  # single edge, overflow range
+@example(rows=[(1, -5.0), (400, -10.0)], spread=0.0, lam=1.0, seed=0)  # slack sources
+@example(rows=[(400, 1000.0), (1, 0.0)], spread=20.0, lam=3.0, seed=1)  # mixed
+def test_capacity_prices_satisfy_kkt(rows, spread, lam, seed):
+    rng = np.random.default_rng(seed)
+    degrees = [degree for degree, _ in rows]
+    sources = [f"s{j}" for j in range(len(rows))]
+    targets = [f"t{q}" for q in range(max(degrees))]
+    edges = [(sources[j], targets[q]) for j, degree in enumerate(degrees) for q in range(degree)]
+    net = build_network(sources, targets, edges, 10.0 ** rng.uniform(-2.0, 2.0, len(rows)))
+    level = np.repeat([level for _, level in rows], degrees)
+    weights = lam * (level + spread * rng.uniform(-1.0, 1.0, net.n_edges))
+
+    prices = capacity_prices(net, weights, lam)
+    assert np.all(np.isfinite(prices))
+    assert np.all(prices >= 0)
+    plan = primal_update(net, weights, prices, lam)
+    slack = net.capacities - net.row_sums(plan)
+    assert np.all(slack >= -1e-12 * net.capacities)
+    # complementary slackness: a priced source ships its whole capacity
+    priced = prices > 0
+    assert np.all(np.abs(slack[priced]) <= 1e-12 * net.capacities[priced])
+
+
+def test_capacity_prices_single_edge_closed_form():
+    # exp(-p - 1) = 0.1  =>  p = -1 - ln(0.1); a capacity of 10 is slack
+    np.testing.assert_allclose(
+        capacity_prices(one_edge_network(0.1), np.zeros(1), 1.0), [1.3025850929940457],
+        rtol=1e-15,
+    )
+    assert capacity_prices(one_edge_network(10.0), np.zeros(1), 1.0)[0] == 0.0
+
+
+def test_capacity_prices_reject_zero_lambda():
+    with pytest.raises(ZeroLambda):
+        capacity_prices(one_edge_network(), np.zeros(1), 0.0)
+
+
+# ---------------------------------------------------------------------------
 # regularized solve
 
 
@@ -146,6 +202,14 @@ def test_solve_reports_not_converged_when_budget_exhausted(paper_network, paper_
     assert report.iterations == 3
 
 
+def test_solve_refuses_non_finite_prices():
+    # m/lam is about 1000: from zero prices the plan overflows at once
+    net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate) as excinfo:
+        solve_regularized_ot(net, np.array([3000.0, 2990.0]), SolverSettings(lam=3.0))
+    assert excinfo.value.iteration == 1
+
+
 def test_solve_warm_start_agrees(paper_network, paper_edge_weights):
     cold = solve_regularized_ot(paper_network, paper_edge_weights, SolverSettings())
     warm = solve_regularized_ot(
@@ -170,6 +234,8 @@ def test_solver_matches_oracle_on_random_instances():
             assert report.converged
             oracle = slsqp_regularized_plan(net, weights, lam)
             np.testing.assert_allclose(report.plan, oracle, atol=1e-4)
+            exact = primal_update(net, weights, capacity_prices(net, weights, lam), lam)
+            np.testing.assert_allclose(exact, oracle, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
