@@ -42,17 +42,14 @@ from .network import (
     PERTURBATION_FLOOR,
     AdversaryCostParams,
     BipartiteNetwork,
-    TypeSpace,
     build_network,
     check_belief,
     check_strategy,
     feasibility_check,
-    incidence,
     uniform_belief,
 )
 from .scenario import (
     ScenarioConfig,
-    TraceRecord,
     emit_trace,
     parse_scenario,
     run_command,

@@ -1,16 +1,15 @@
-"""Bipartite network model: validation, canonical edge ordering, incidence.
+"""Bipartite network model: validation and canonical edge ordering.
 
 Every solver in the package works on flat per-edge vectors.  The canonical
 edge order is row-major by (source index, target index) and is fixed here,
-at construction time, so plans, weights, incidence columns and trace columns
-all line up without further bookkeeping.
+at construction time, so plans, weights and trace columns all line up
+without further bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -163,17 +162,6 @@ def build_network(
     )
 
 
-def incidence(network: BipartiteNetwork) -> np.ndarray:
-    """0-1 source-by-edge matrix: entry (j, e) is 1 iff edge e leaves source j.
-
-    Each column holds exactly one 1; row j holds one 1 per edge leaving j.
-    """
-    mat = np.zeros((network.n_sources, network.n_edges))
-    mat[network.edge_source, np.arange(network.n_edges)] = 1.0
-    mat.setflags(write=False)
-    return mat
-
-
 def check_plan(network: BipartiteNetwork, plan: np.ndarray) -> np.ndarray:
     """Coerce to a per-edge float vector, raising on wrong dimensions."""
     arr = np.asarray(plan, dtype=float)
@@ -237,30 +225,6 @@ def check_strategy(
     if np.any(arr > caps * (1 + 1e-12)):
         raise ValidationError("an action exceeds its per-type cap")
     return arr
-
-
-@dataclass(frozen=True)
-class TypeSpace:
-    """Binary adversary types per target node: 1 = minor, 2 = major offender.
-
-    The joint type space is the Cartesian product over targets, so it has
-    2**n_targets elements; enumeration is mostly useful for brute-force
-    expectation checks on small networks.
-    """
-
-    n_targets: int
-
-    def __len__(self) -> int:
-        return 2 ** self.n_targets
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return product((1, 2), repeat=self.n_targets)
-
-    def joint_probability(self, theta: Sequence[int], belief: np.ndarray) -> float:
-        """Probability of a joint type under a per-target belief table."""
-        belief = check_belief(belief, self.n_targets)
-        probs = [belief[q, t - 1] for q, t in enumerate(theta)]
-        return float(np.prod(probs))
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,7 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
         edges.append(tuple(entry))
     capacities = _as_array(net_raw["capacities"], "network.capacities")
     network = build_network(net_raw["sources"], net_raw["targets"], edges, capacities)
+    _check_columns(network)
     data: dict = {
         "network": {
             "sources": list(network.source_ids),
@@ -327,128 +328,133 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Trace records and emission
+# Trace tables and emission
+
+#: Characters that would split or quote a CSV field if they reached a column name.
+_CSV_SEPARATORS = (",", '"', "\n", "\r")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One row of a run's trace; the value keys form the column schema."""
+def _columns(
+    network: BipartiteNetwork, source_prefixes=(), target_prefixes=(), scalars=()
+) -> list[str]:
+    """A run's trace column names, built once per run.
 
-    kind: str
-    step: int
-    values: dict
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".12g")
+    ``x_<s>_<t>`` per edge in canonical order, then one column per source for
+    each source group (``p_<s>``), one per target for each target group
+    (``xi1_<t>``), then the scalars.
+    """
+    names = [f"x_{sid}_{tid}" for sid, tid in network.edges]
+    names += [f"{prefix}_{sid}" for prefix in source_prefixes for sid in network.source_ids]
+    names += [f"{prefix}_{tid}" for prefix in target_prefixes for tid in network.target_ids]
+    return names + list(scalars)
 
 
-def emit_trace(records: list[TraceRecord], fmt: str, path: Path) -> Path:
-    """Write homogeneous records as CSV or JSON-lines with 12-digit floats.
+def _check_columns(network: BipartiteNetwork) -> None:
+    """Reject ids whose trace columns would clash or break a CSV row.
 
-    Every record must share the run kind and column schema; identical inputs
-    produce byte-identical files.
+    Each name starts with its group's prefix and an underscore (``x_``,
+    ``p_``, ``xi1_``, ...), so names of different groups never clash and one
+    check over every group covers each run kind's table.  The loop runs only
+    to name the first bad column.
+    """
+    names = _columns(network, ("p",), ("xi1", "xi2", "mu2"))
+    joined = "".join(names)
+    if len(set(names)) == len(names) and not any(sep in joined for sep in _CSV_SEPARATORS):
+        return
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValidationError(f"node ids give the trace column {name!r} twice")
+        if any(sep in name for sep in _CSV_SEPARATORS):
+            raise ValidationError(
+                f"trace column {name!r} contains a comma, a quote or a line break"
+            )
+        seen.add(name)
+
+
+def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) -> Path:
+    """Write a run's trace table as CSV or JSON-lines with 12-digit floats.
+
+    ``rows`` holds ``(step, values)`` pairs whose float ``values`` line up
+    with ``columns``; identical inputs produce byte-identical files.
     """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"unknown trace format {fmt!r}")
-    if records:
-        kind = records[0].kind
-        keys = list(records[0].values)
-        for record in records:
-            if record.kind != kind or list(record.values) != keys:
-                raise ValidationError("trace records must share one column schema")
-    else:
-        keys = []
+    for step, values in rows:
+        if len(values) != len(columns):
+            raise ValidationError(
+                f"trace row {step} has {len(values)} values for {len(columns)} columns"
+            )
     path = Path(path)
     if fmt == "csv":
-        lines = [",".join(["kind", "step", *keys])]
-        for record in records:
-            lines.append(
-                ",".join([record.kind, str(record.step), *(_fmt(record.values[k]) for k in keys)])
-            )
+        lines = [",".join(["kind", "step", *(columns if rows else ())])]
+        for step, values in rows:
+            lines.append(",".join([kind, str(step), *(format(v, ".12g") for v in values)]))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
-        lines = []
-        for record in records:
-            fields = [f'"kind": {json.dumps(record.kind)}', f'"step": {record.step}']
-            fields += [f"{json.dumps(k)}: {_fmt(record.values[k])}" for k in keys]
-            lines.append("{" + ", ".join(fields) + "}")
+        head = f'{{"kind": {json.dumps(kind)}, "step": '
+        keys = [f", {json.dumps(name)}: " for name in columns]
+        lines = [
+            head + str(step)
+            + "".join(key + format(v, ".12g") for key, v in zip(keys, values)) + "}"
+            for step, values in rows
+        ]
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return path
 
 
-def _edge_columns(network: BipartiteNetwork, plan) -> dict:
-    return {
-        f"x_{sid}_{tid}": float(v)
-        for (sid, tid), v in zip(network.edges, plan)
-    }
+def ot_trace_records(network: BipartiteNetwork, report: SolveReport) -> tuple[list[str], list]:
+    columns = _columns(network, ("p",), (), ("residual", "objective"))
+    rows = [
+        (row["iteration"],
+         np.hstack((row["plan"], row["prices"], row["residual"], row["objective"])).tolist())
+        for row in report.trace
+    ]
+    return columns, rows
 
 
-def _node_columns(prefix: str, ids, values) -> dict:
-    return {f"{prefix}_{nid}": float(v) for nid, v in zip(ids, values)}
-
-
-def ot_trace_records(network: BipartiteNetwork, report: SolveReport) -> list[TraceRecord]:
-    records = []
-    for row in report.trace:
-        values = {}
-        values.update(_edge_columns(network, row["plan"]))
-        values.update(_node_columns("p", network.source_ids, row["prices"]))
-        values["residual"] = row["residual"]
-        values["objective"] = row["objective"]
-        records.append(TraceRecord("solve-ot", row["iteration"], values))
-    return records
-
-
-def static_trace_records(network: BipartiteNetwork, trace: list[dict]) -> list[TraceRecord]:
-    records = []
-    for row in trace:
-        values = {}
-        values.update(_edge_columns(network, row["plan"]))
-        values.update(_node_columns("xi1", network.target_ids, row["xi_minor"]))
-        values.update(_node_columns("xi2", network.target_ids, row["xi_major"]))
-        values["dispatcher_utility"] = row["dispatcher_utility"]
-        values["adversary_cost_minor"] = row["adversary_cost_minor"]
-        values["adversary_cost_major"] = row["adversary_cost_major"]
-        records.append(TraceRecord("static-eq", row["round"], values))
-    return records
+def static_trace_records(network: BipartiteNetwork, trace: list[dict]) -> tuple[list[str], list]:
+    columns = _columns(
+        network, (), ("xi1", "xi2"),
+        ("dispatcher_utility", "adversary_cost_minor", "adversary_cost_major"),
+    )
+    rows = [
+        (row["round"],
+         np.hstack((row["plan"], row["xi_minor"], row["xi_major"], row["dispatcher_utility"],
+                    row["adversary_cost_minor"], row["adversary_cost_major"])).tolist())
+        for row in trace
+    ]
+    return columns, rows
 
 
 def dynamic_trace_records(
     network: BipartiteNetwork, outcomes: list[StageOutcome]
-) -> list[TraceRecord]:
-    records = []
-    for outcome in outcomes:
-        values = {}
-        values.update(_edge_columns(network, outcome.profile.plan))
-        values.update(_node_columns("xi1", network.target_ids, outcome.profile.strategy[:, 0]))
-        values.update(_node_columns("xi2", network.target_ids, outcome.profile.strategy[:, 1]))
-        values.update(_node_columns("mu2", network.target_ids, outcome.state.belief[:, 1]))
-        values["dispatcher_utility"] = outcome.dispatcher_utility
-        values["adversary_cost_minor"] = outcome.adversary_cost_minor
-        values["adversary_cost_major"] = outcome.adversary_cost_major
-        records.append(TraceRecord("dynamic-sim", outcome.state.stage, values))
-    return records
+) -> tuple[list[str], list]:
+    columns = _columns(
+        network, (), ("xi1", "xi2", "mu2"),
+        ("dispatcher_utility", "adversary_cost_minor", "adversary_cost_major"),
+    )
+    rows = [
+        (outcome.state.stage,
+         np.hstack((outcome.profile.plan, outcome.profile.strategy.T.ravel(),
+                    outcome.state.belief[:, 1], outcome.dispatcher_utility,
+                    outcome.adversary_cost_minor, outcome.adversary_cost_major)).tolist())
+        for outcome in outcomes
+    ]
+    return columns, rows
 
 
 def distributed_trace_records(
     network: BipartiteNetwork, report: SolveReport
-) -> list[TraceRecord]:
-    records = []
-    for row in report.trace:
-        values = {}
-        values.update(_edge_columns(network, row["plan"]))
-        values.update(_node_columns("p", network.source_ids, row["prices"]))
-        values.update(_node_columns("xi1", network.target_ids, row["xi_minor"]))
-        values.update(_node_columns("xi2", network.target_ids, row["xi_major"]))
-        values["residual"] = row["residual"]
-        values["objective"] = row["objective"]
-        records.append(TraceRecord("distributed-sim", row["tick"], values))
-    return records
+) -> tuple[list[str], list]:
+    columns = _columns(network, ("p",), ("xi1", "xi2"), ("residual", "objective"))
+    rows = [
+        (row["tick"],
+         np.hstack((row["plan"], row["prices"], row["xi_minor"], row["xi_major"],
+                    row["residual"], row["objective"])).tolist())
+        for row in report.trace
+    ]
+    return columns, rows
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +488,15 @@ def _run_solve_ot(config: ScenarioConfig, out_dir: Path, emit: str) -> int:
             converged=True,
             trace=[{
                 "iteration": 0,
-                "plan": tuple(float(v) for v in plan),
-                "prices": tuple(0.0 for _ in range(network.n_sources)),
+                "plan": plan,
+                "prices": np.zeros(network.n_sources),
                 "residual": 0.0,
                 "objective": objective,
             }],
         )
     else:
         report = solve_regularized_ot(network, weights, settings)
-    emit_trace(ot_trace_records(network, report), emit, _trace_path(out_dir, emit))
+    emit_trace("solve-ot", *ot_trace_records(network, report), emit, _trace_path(out_dir, emit))
     _write_json(
         out_dir / "report.json",
         {
@@ -511,7 +517,8 @@ def _run_static_eq(config: ScenarioConfig, out_dir: Path, emit: str) -> int:
     spec = config.game_spec()
     profile = solve_bayesian_equilibrium(spec, record_trace=True)
     emit_trace(
-        static_trace_records(spec.network, profile.trace), emit, _trace_path(out_dir, emit)
+        "static-eq", *static_trace_records(spec.network, profile.trace), emit,
+        _trace_path(out_dir, emit),
     )
     _write_json(
         out_dir / "report.json",
@@ -542,7 +549,8 @@ def _run_dynamic_sim(config: ScenarioConfig, out_dir: Path, emit: str) -> int:
         failed_stage = exc.stage
     all_converged = failed_stage is None and all(o.profile.converged for o in outcomes)
     emit_trace(
-        dynamic_trace_records(spec.network, outcomes), emit, _trace_path(out_dir, emit)
+        "dynamic-sim", *dynamic_trace_records(spec.network, outcomes), emit,
+        _trace_path(out_dir, emit),
     )
     _write_json(
         out_dir / "report.json",
@@ -578,7 +586,8 @@ def _run_distributed_sim(config: ScenarioConfig, out_dir: Path, emit: str) -> in
     report, log = run_distributed(spec, schedule)
     (out_dir / "messages.log").write_text(log.to_text(), encoding="utf-8")
     emit_trace(
-        distributed_trace_records(spec.network, report), emit, _trace_path(out_dir, emit)
+        "distributed-sim", *distributed_trace_records(spec.network, report), emit,
+        _trace_path(out_dir, emit),
     )
     _write_json(
         out_dir / "report.json",

@@ -371,9 +371,9 @@ def _round_record(
     ones = np.ones(spec.network.n_targets, dtype=int)
     return {
         "round": rnd,
-        "plan": tuple(float(v) for v in plan),
-        "xi_minor": tuple(float(v) for v in xi[:, 0]),
-        "xi_major": tuple(float(v) for v in xi[:, 1]),
+        "plan": plan,
+        "xi_minor": xi[:, 0],
+        "xi_major": xi[:, 1],
         "dispatcher_utility": utility,
         "adversary_cost_minor": adversary_cost(
             spec.network, plan, spec.weights, effective, ones, spec.cost_params

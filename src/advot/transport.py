@@ -203,8 +203,8 @@ def solve_regularized_ot(
             trace.append(
                 {
                     "iteration": iteration,
-                    "plan": tuple(float(v) for v in x),
-                    "prices": tuple(float(v) for v in prices),
+                    "plan": x,
+                    "prices": prices,
                     "residual": residual,
                     "objective": planner_objective(x, w, settings.lam),
                 }

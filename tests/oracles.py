@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import optimize
 
-from advot import PERTURBATION_FLOOR, effective_weights, node_cost_aggregates, threshold_phi
+from advot import (
+    PERTURBATION_FLOOR,
+    check_belief,
+    effective_weights,
+    node_cost_aggregates,
+    threshold_phi,
+)
 
 
 @contextmanager
@@ -194,3 +202,38 @@ def loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=21):
             grid = np.linspace(PERTURBATION_FLOOR, caps[q, t - 1], grid_points)
             best = max(best, float(np.max(cost(xi[q, t - 1]) - cost(grid))))
     return best
+
+
+def incidence(network) -> np.ndarray:
+    """0-1 source-by-edge matrix: entry (j, e) is 1 iff edge e leaves source j.
+
+    Each column holds exactly one 1; row j holds one 1 per edge leaving j.
+    """
+    mat = np.zeros((network.n_sources, network.n_edges))
+    mat[network.edge_source, np.arange(network.n_edges)] = 1.0
+    mat.setflags(write=False)
+    return mat
+
+
+@dataclass(frozen=True)
+class TypeSpace:
+    """Binary adversary types per target node: 1 = minor, 2 = major offender.
+
+    The joint type space is the Cartesian product over targets, so it has
+    2**n_targets elements; enumeration is mostly useful for brute-force
+    expectation checks on small networks.
+    """
+
+    n_targets: int
+
+    def __len__(self) -> int:
+        return 2 ** self.n_targets
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return product((1, 2), repeat=self.n_targets)
+
+    def joint_probability(self, theta: Sequence[int], belief: np.ndarray) -> float:
+        """Probability of a joint type under a per-target belief table."""
+        belief = check_belief(belief, self.n_targets)
+        probs = [belief[q, t - 1] for q, t in enumerate(theta)]
+        return float(np.prod(probs))

@@ -205,13 +205,24 @@ def test_sparse_equilibrium_solves_take_one_ascent_step(engine_solves):
 
 
 def test_tracer_installs_on_every_entry_point(tmp_path):
-    tracer = _load_perfbench("tracer").Tracer(advot, timed=False)
+    """Every op of the benchmark still calls the names the tracer wraps.
+
+    A refactor that bypassed them would zero their per-layer metrics
+    instead of failing.
+    """
+    tracer = _load_perfbench("tracer").Tracer(advot, timed=True)
     original = advot.static_game.deviation_check
     config = str(SCENARIO_DIR / "paper_2x3.json")
+    distributed = advot.distributed
     with tracer.installed(0):
-        for op in ("static-eq", "dynamic-sim"):
+        for op in ("solve-ot", "static-eq", "dynamic-sim", "distributed-sim"):
             assert advot.cli.main([op, "--config", config, "--out", str(tmp_path / op)]) == 0
+        log_text = (tmp_path / "distributed-sim" / "messages.log").read_text()
+        assert distributed.replay(distributed.MessageLog.from_text(log_text)).converged
     assert advot.static_game.deviation_check is original
     assert tracer.counts["static_game.rounds"] > 0
     assert tracer.counts["dynamic_game.stages"] > 0
     assert tracer.counts["transport.unconverged"] == 0
+    times = tracer.layer_times()
+    for name in ("scenario.trace_records_s", "scenario.emit_s", "distributed.replay_s"):
+        assert times[name] > 0, name

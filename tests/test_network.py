@@ -10,14 +10,13 @@ from advot import (
     DuplicateEdge,
     IsolatedNode,
     NonpositiveCapacity,
-    TypeSpace,
     ValidationError,
     build_network,
     feasibility_check,
-    incidence,
     uniform_belief,
 )
 from advot.network import check_belief
+from oracles import TypeSpace, incidence
 
 
 def test_paper_network_is_valid(paper_network):

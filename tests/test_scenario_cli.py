@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from advot import (
     ParseError,
-    TraceRecord,
     ValidationError,
     emit_trace,
     parse_scenario,
@@ -84,6 +84,59 @@ def test_echo_round_trip():
     assert parse_scenario(minimal.echo_text()) == minimal
 
 
+def _scenario_with_ids(sources, targets, edges) -> str:
+    return json.dumps({
+        "network": {
+            "sources": sources,
+            "targets": targets,
+            "edges": edges,
+            "capacities": [1.0] * len(sources),
+        },
+        "weights": [1.0] * len(edges),
+    })
+
+
+CLASHING_IDS = [
+    # 4 edges, but x_a_b_c names both (a, b_c) and (a_b, c)
+    (["a", "a_b"], ["c", "b_c"], [["a", "c"], ["a", "b_c"], ["a_b", "c"], ["a_b", "b_c"]], "x_a_b_c"),
+    # an integer id and its string spelling
+    ([1, "1"], ["t", "u"], [[1, "t"], ["1", "u"]], "p_1"),
+    (["s"], [0, "0"], [["s", 0], ["s", "0"]], "x_s_0"),
+    # separators would split or quote a CSV field
+    (["s,0"], ["t0"], [["s,0", "t0"]], "x_s,0_t0"),
+    (['s"0'], ["t0"], [['s"0', "t0"]], 'x_s"0_t0'),
+    (["s0"], ["t\n0"], [["s0", "t\n0"]], "x_s0_t\n0"),
+    (["s\r0"], ["t0"], [["s\r0", "t0"]], "x_s\r0_t0"),
+]
+
+
+@pytest.mark.parametrize(
+    "sources, targets, edges, column", CLASHING_IDS,
+    ids=["underscore", "int-source", "int-target", "comma", "quote", "newline", "return"],
+)
+def test_ids_with_clashing_trace_columns_are_rejected(sources, targets, edges, column):
+    with pytest.raises(ValidationError, match=re.escape(repr(column))):
+        parse_scenario(_scenario_with_ids(sources, targets, edges))
+
+
+def test_cli_rejects_clashing_ids_before_any_solve(tmp_path, capsys):
+    sources, targets, edges, column = CLASHING_IDS[0]
+    path = tmp_path / "clash.json"
+    path.write_text(_scenario_with_ids(sources, targets, edges))
+    out = tmp_path / "run"
+    assert run_cli("solve-ot", "--config", path, "--out", out) == 1
+    assert not out.exists()
+    assert repr(column) in capsys.readouterr().err
+
+
+def test_plain_ids_keep_their_column_names(tmp_path):
+    path = tmp_path / "plain.json"
+    path.write_text(_scenario_with_ids(["s0", "j1"], ["t0", "q1"], [["s0", "t0"], ["j1", "q1"]]))
+    assert run_cli("solve-ot", "--config", path, "--out", tmp_path / "run") == 0
+    header = (tmp_path / "run" / "trace.csv").read_text().splitlines()[0]
+    assert header == "kind,step,x_s0_t0,x_j1_q1,p_s0,p_j1,residual,objective"
+
+
 def test_overrides_apply_and_revalidate():
     config = parse_scenario(PAPER.read_text())
     changed = config.with_overrides(lam=1.0, stages=2, mode="synchronous", seed=7)
@@ -102,29 +155,26 @@ def test_overrides_apply_and_revalidate():
 
 
 def test_emit_trace_empty_is_header_only(tmp_path):
-    path = emit_trace([], "csv", tmp_path / "trace.csv")
+    path = emit_trace("solve-ot", ["x"], [], "csv", tmp_path / "trace.csv")
     assert path.read_text() == "kind,step\n"
 
 
 def test_emit_trace_single_record(tmp_path):
-    record = TraceRecord("solve-ot", 1, {"x": 0.125, "residual": 1e-9})
-    path = emit_trace([record], "csv", tmp_path / "trace.csv")
+    path = emit_trace(
+        "solve-ot", ["x", "residual"], [(1, [0.125, 1e-9])], "csv", tmp_path / "trace.csv"
+    )
     lines = path.read_text().splitlines()
     assert lines == ["kind,step,x,residual", "solve-ot,1,0.125,1e-09"]
 
 
 def test_emit_trace_twelve_significant_digits(tmp_path):
-    record = TraceRecord("solve-ot", 1, {"x": 0.3678794411714423215955})
-    path = emit_trace([record], "csv", tmp_path / "t.csv")
+    path = emit_trace("solve-ot", ["x"], [(1, [0.3678794411714423215955])], "csv", tmp_path / "t.csv")
     assert "0.367879441171" in path.read_text()
 
 
 def test_emit_trace_json_lines(tmp_path):
-    records = [
-        TraceRecord("static-eq", 1, {"u": 1.5}),
-        TraceRecord("static-eq", 2, {"u": 2.0}),
-    ]
-    path = emit_trace(records, "json", tmp_path / "trace.jsonl")
+    rows = [(1, [1.5]), (2, [2.0])]
+    path = emit_trace("static-eq", ["u"], rows, "json", tmp_path / "trace.jsonl")
     lines = path.read_text().splitlines()
     assert [json.loads(line) for line in lines] == [
         {"kind": "static-eq", "step": 1, "u": 1.5},
@@ -133,12 +183,10 @@ def test_emit_trace_json_lines(tmp_path):
 
 
 def test_emit_trace_rejects_mixed_schemas(tmp_path):
-    records = [
-        TraceRecord("static-eq", 1, {"u": 1.5}),
-        TraceRecord("static-eq", 2, {"v": 2.0}),
-    ]
+    # a row whose length differs from the columns
+    rows = [(1, [1.5]), (2, [2.0, 3.0])]
     with pytest.raises(ValidationError):
-        emit_trace(records, "csv", tmp_path / "trace.csv")
+        emit_trace("static-eq", ["u"], rows, "csv", tmp_path / "trace.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +364,27 @@ def test_cli_emit_json(tmp_path):
     first = json.loads(lines[0])
     assert first["kind"] == "static-eq"
     assert "x_j1_q1" in first
+
+
+@pytest.mark.parametrize("command", ["solve-ot", "static-eq", "dynamic-sim", "distributed-sim"])
+def test_trace_reads_back_against_the_report(tmp_path, command):
+    csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+    assert run_cli(command, "--config", PAPER, "--out", csv_out) == 0
+    assert run_cli(command, "--config", PAPER, "--out", json_out, "--emit", "json") == 0
+    header, *rows = [line.split(",") for line in (csv_out / "trace.csv").read_text().splitlines()]
+    records = [json.loads(line) for line in (json_out / "trace.jsonl").read_text().splitlines()]
+    assert rows and len(records) == len(rows)
+    assert all(list(record) == header for record in records)
+    assert all(len(row) == len(header) for row in rows)
+
+    report = json.loads((csv_out / "report.json").read_text())
+    plan = report["stages"][-1]["plan"] if command == "dynamic-sim" else report["plan"]
+    edge_columns = [f"x_{s}_{t}" for s, t in report["edges"]]
+    assert [name for name in header if name.startswith("x_")] == edge_columns
+    expected = [float(format(v, ".12g")) for v in plan]
+    last_csv = dict(zip(header, rows[-1]))
+    assert [float(last_csv[name]) for name in edge_columns] == expected
+    assert [records[-1][name] for name in edge_columns] == expected
 
 
 def test_cli_runs_are_byte_identical(tmp_path):
