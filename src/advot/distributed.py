@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,8 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Message:
+    """One exchange, built on demand when a :class:`MessageLog` is iterated."""
+
     tick: int
     sender: str
     receiver: str
@@ -66,60 +69,305 @@ class Message:
     payload: dict
 
 
-@dataclass
+# Message kind codes.  Codes below TOPOLOGY are rows of a log's table; the
+# topology and the final marker are held once per log.
+STRATEGY, PRICE, RATE, WEIGHT, TRACE, TOPOLOGY, FINAL = range(7)
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value) -> str:
+    """``value`` as one canonical log record writes it."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it: its repr, or NaN/Infinity/-Infinity."""
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _record_line(message: Message) -> str:
+    return _json({
+        "tick": message.tick,
+        "sender": message.sender,
+        "receiver": message.receiver,
+        "kind": message.kind,
+        "payload": message.payload,
+    })
+
+
+def _fragments(sources, targets, edges) -> tuple[list, list, list, list]:
+    """Per-target, per-source and per-edge text of the canonical row records.
+
+    Each strategy, price and rate fragment runs from the comma after the
+    row's values up to its tick; a weight record's value sits between the
+    two parts of its edge's fragment pair.  Sender and receiver follow from
+    the node or edge, so the fragments carry them too.
+    """
+    strategy = [
+        f',"target":{_json(t)}}},"receiver":"hub","sender":{_json(f"tgt:{t}")},"tick":'
+        for t in targets
+    ]
+    price = [
+        f',"source":{_json(s)}}},"receiver":"hub","sender":{_json(f"src:{s}")},"tick":'
+        for s in sources
+    ]
+    rate = [
+        f',"source":{_json(s)},"target":{_json(t)}}},'
+        f'"receiver":{_json(f"tgt:{t}")},"sender":{_json(f"src:{s}")},"tick":'
+        for s, t in edges
+    ]
+    weight = [
+        (f'"source":{_json(s)},"target":{_json(t)},"weight":',
+         f'}},"receiver":{_json(f"src:{s}")},"sender":{_json(f"tgt:{t}")},"tick":')
+        for s, t in edges
+    ]
+    return strategy, price, rate, weight
+
+
+_TICK = r"(0|[1-9][0-9]*)\}"
+_VALUE = r"([^,}]+)"
+_STRATEGY_LINE = re.compile(
+    r'\{"kind":"strategy","payload":\{"major":' + _VALUE + ',"minor":' + _VALUE
+    + r'(,"target":.*"tick":)' + _TICK
+)
+_PRICE_LINE = re.compile(
+    r'\{"kind":"price","payload":\{"price":' + _VALUE + r'(,"source":.*"tick":)' + _TICK
+)
+_RATE_LINE = re.compile(
+    r'\{"kind":"rate","payload":\{"rate":' + _VALUE + r'(,"source":.*"tick":)' + _TICK
+)
+_WEIGHT_LINE = re.compile(
+    r'\{"kind":"weight","payload":\{("source":.*,"weight":)' + _VALUE
+    + r'(\},"receiver":.*"tick":)' + _TICK
+)
+_TRACE_LINE = re.compile(
+    r'\{"kind":"trace","payload":\{"objective":' + _VALUE + ',"residual":' + _VALUE
+    + r'\},"receiver":"hub","sender":"hub","tick":' + _TICK
+)
+_FINAL_LINE = re.compile(
+    r'\{"kind":"final","payload":\{"converged":(true|false),"residual":' + _VALUE
+    + r',"ticks":(0|[1-9][0-9]*)\},"receiver":"hub","sender":"hub","tick":' + _TICK
+)
+
+
+def _read_float(text: str) -> float:
+    """The float whose canonical text is ``text``; ValueError for any other text."""
+    value = float(text)
+    if _json_float(value) != text:
+        raise ValueError(f"{text!r} is not a canonical float")
+    return value
+
+
+def _read_topology(line: str) -> tuple:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorruptLog(f"malformed log line 1: {exc.msg}") from exc
+    if not isinstance(obj, dict) or obj.get("kind") != "topology":
+        raise CorruptLog("log line 1 is not a topology record")
+    try:
+        payload = obj["payload"]
+        topology = (
+            tuple(payload["sources"]),
+            tuple(payload["targets"]),
+            tuple((s, t) for s, t in payload["edges"]),
+        )
+        unique = all(len(set(part)) == len(part) for part in topology)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptLog("log line 1: topology record is malformed") from exc
+    if not unique or line != _record_line(_topology_message(topology)):
+        raise CorruptLog("log line 1: topology record is malformed")
+    return topology
+
+
+def _topology_message(topology) -> Message:
+    sources, targets, edges = topology
+    return Message(
+        0, "hub", "hub", "topology",
+        {"sources": list(sources), "targets": list(targets), "edges": [list(e) for e in edges]},
+    )
+
+
+def _final_message(final) -> Message:
+    ticks, residual, converged = final
+    return Message(
+        ticks, "hub", "hub", "final",
+        {"ticks": ticks, "residual": residual, "converged": converged},
+    )
+
+
 class MessageLog:
-    """Append-only, replayable record of every exchange in a run."""
+    """Append-only, replayable record of every exchange in a run, one row per message.
 
-    records: list[Message] = field(default_factory=list)
+    The topology (source ids, target ids, edges) is held once.  Every other
+    message is a row of five columns: ``ticks``, ``kinds`` (a kind code),
+    ``index`` (the target of a strategy, the source of a price, the edge of
+    a rate or weight) and two floats, ``value`` and ``value2`` (minor and
+    major; price; rate; weight; residual and objective; a one-value kind
+    leaves ``value2`` at 0.0).  The final marker is ``final = (ticks,
+    residual, converged)``.  Sender, receiver and payload keys follow from
+    kind and index; iterating a log builds :class:`Message` views of its
+    records.
+    """
 
-    def append(self, message: Message) -> None:
-        self.records.append(message)
+    def __init__(self):
+        self.topology: tuple | None = None
+        self.ticks: list[int] = []
+        self.kinds: list[int] = []
+        self.index: list[int] = []
+        self.value: list[float] = []
+        self.value2: list[float] = []
+        self.final: tuple | None = None
+
+    def append(self, tick: int, kind: int, index: int = 0, value=None, value2=0.0) -> None:
+        """Record one message.
+
+        The topology record passes ``value = (sources, targets, edges)``; the
+        final marker passes the residual and the converged flag, at the tick
+        count.
+        """
+        if kind < TOPOLOGY:
+            self.ticks.append(tick)
+            self.kinds.append(kind)
+            self.index.append(index)
+            self.value.append(value)
+            self.value2.append(value2)
+        elif kind == TOPOLOGY:
+            sources, targets, edges = value
+            self.topology = (tuple(sources), tuple(targets), tuple(tuple(e) for e in edges))
+        else:
+            self.final = (tick, value, value2)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MessageLog):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ticks) + (self.topology is not None) + (self.final is not None)
 
     def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, index):
-        return self.records[index]
+        if self.topology is not None:
+            yield _topology_message(self.topology)
+        sources, targets, edges = self.topology or ((), (), ())
+        for tick, kind, i, value, value2 in zip(
+            self.ticks, self.kinds, self.index, self.value, self.value2
+        ):
+            if kind == RATE:
+                s, t = edges[i]
+                yield Message(
+                    tick, f"src:{s}", f"tgt:{t}", "rate", {"source": s, "target": t, "rate": value}
+                )
+            elif kind == WEIGHT:
+                s, t = edges[i]
+                yield Message(
+                    tick, f"tgt:{t}", f"src:{s}", "weight",
+                    {"source": s, "target": t, "weight": value},
+                )
+            elif kind == PRICE:
+                s = sources[i]
+                yield Message(tick, f"src:{s}", "hub", "price", {"source": s, "price": value})
+            elif kind == STRATEGY:
+                t = targets[i]
+                yield Message(
+                    tick, f"tgt:{t}", "hub", "strategy",
+                    {"target": t, "minor": value, "major": value2},
+                )
+            else:
+                yield Message(tick, "hub", "hub", "trace", {"residual": value, "objective": value2})
+        if self.final is not None:
+            yield _final_message(self.final)
 
     def to_text(self) -> str:
-        """Newline-delimited JSON records; floats round-trip exactly."""
-        lines = [
-            json.dumps(
-                {
-                    "tick": m.tick,
-                    "sender": m.sender,
-                    "receiver": m.receiver,
-                    "kind": m.kind,
-                    "payload": m.payload,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for m in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Newline-delimited canonical JSON records; floats round-trip exactly.
+
+        Each line is ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+        of the message; the node and edge parts of the row records are built
+        once per call.
+        """
+        if self.topology is None:
+            return ""
+        strategy, price, rate, weight = _fragments(*self.topology)
+        fmt = _json_float
+        lines = [_record_line(_topology_message(self.topology))]
+        add = lines.append
+        for tick, kind, i, value, value2 in zip(
+            self.ticks, self.kinds, self.index, self.value, self.value2
+        ):
+            if kind == RATE:
+                add(f'{{"kind":"rate","payload":{{"rate":{fmt(value)}{rate[i]}{tick}}}')
+            elif kind == WEIGHT:
+                head, tail = weight[i]
+                add(f'{{"kind":"weight","payload":{{{head}{fmt(value)}{tail}{tick}}}')
+            elif kind == PRICE:
+                add(f'{{"kind":"price","payload":{{"price":{fmt(value)}{price[i]}{tick}}}')
+            elif kind == STRATEGY:
+                add(f'{{"kind":"strategy","payload":{{"major":{fmt(value2)},"minor":{fmt(value)}'
+                    f'{strategy[i]}{tick}}}')
+            else:
+                add(f'{{"kind":"trace","payload":{{"objective":{fmt(value2)},'
+                    f'"residual":{fmt(value)}}},"receiver":"hub","sender":"hub","tick":{tick}}}')
+        if self.final is not None:
+            add(_record_line(_final_message(self.final)))
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "MessageLog":
-        records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
+        """Read a log written by :meth:`to_text`.
+
+        The first line must be a topology record.  Every later line must be
+        exactly the canonical record of one message over that topology, and
+        nothing may follow the final marker; any other line raises
+        :class:`CorruptLog` naming its line number.
+        """
+        log = cls()
+        lines = text.splitlines()
+        if not lines:
+            return log
+        log.topology = _read_topology(lines[0])
+        strategy, price, rate, weight = (
+            {fragment: i for i, fragment in enumerate(part)} for part in _fragments(*log.topology)
+        )
+        ticks, kinds, index, values, values2 = (
+            log.ticks, log.kinds, log.index, log.value, log.value2
+        )
+        for lineno, line in enumerate(lines[1:], start=2):
+            if log.final is not None:
+                raise CorruptLog(f"log line {lineno} follows the final marker")
+            value2 = 0.0
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorruptLog(f"malformed log line {lineno}: {exc.msg}") from exc
-            if not isinstance(obj, dict) or set(obj) != {
-                "tick", "sender", "receiver", "kind", "payload",
-            }:
-                raise CorruptLog(f"log line {lineno} has unexpected fields")
-            records.append(
-                Message(obj["tick"], obj["sender"], obj["receiver"], obj["kind"], obj["payload"])
-            )
-        return cls(records)
+                if match := _RATE_LINE.fullmatch(line):
+                    kind, i, value, tick = RATE, rate[match[2]], _read_float(match[1]), match[3]
+                elif match := _WEIGHT_LINE.fullmatch(line):
+                    kind, i, tick = WEIGHT, weight[match.group(1, 3)], match[4]
+                    value = _read_float(match[2])
+                elif match := _PRICE_LINE.fullmatch(line):
+                    kind, i, value, tick = PRICE, price[match[2]], _read_float(match[1]), match[3]
+                elif match := _STRATEGY_LINE.fullmatch(line):
+                    kind, i, tick = STRATEGY, strategy[match[3]], match[4]
+                    value, value2 = _read_float(match[2]), _read_float(match[1])
+                elif match := _TRACE_LINE.fullmatch(line):
+                    kind, i, tick = TRACE, 0, match[3]
+                    value, value2 = _read_float(match[2]), _read_float(match[1])
+                elif match := _FINAL_LINE.fullmatch(line):
+                    if match[3] != match[4]:
+                        raise ValueError("the final marker's tick is not its tick count")
+                    log.final = (int(match[4]), _read_float(match[2]), match[1] == "true")
+                    continue
+                else:
+                    raise CorruptLog(f"log line {lineno} is not a message record")
+            except (KeyError, ValueError) as exc:
+                raise CorruptLog(
+                    f"log line {lineno} is not a canonical record of its topology"
+                ) from exc
+            ticks.append(int(tick))
+            kinds.append(kind)
+            index.append(i)
+            values.append(value)
+            values2.append(value2)
+        return log
 
 
 @dataclass
@@ -174,10 +422,10 @@ def _node_delta(belief_row: np.ndarray, minor: float, major: float) -> float:
 def _snapshot_row(tick, plan, prices, xi, residual, objective) -> dict:
     return {
         "tick": int(tick),
-        "plan": tuple(float(v) for v in plan),
-        "prices": tuple(float(v) for v in prices),
-        "xi_minor": tuple(float(v) for v in xi[:, 0]),
-        "xi_major": tuple(float(v) for v in xi[:, 1]),
+        "plan": tuple(plan.tolist()),
+        "prices": tuple(prices.tolist()),
+        "xi_minor": tuple(xi[:, 0].tolist()),
+        "xi_major": tuple(xi[:, 1].tolist()),
         "residual": float(residual),
         "objective": float(objective),
     }
@@ -202,25 +450,12 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     beta2 = spec.cost_params.beta2
 
     log = MessageLog()
-    log.append(
-        Message(
-            0, "hub", "hub", "topology",
-            {
-                "sources": list(network.source_ids),
-                "targets": list(network.target_ids),
-                "edges": [list(edge) for edge in network.edges],
-            },
-        )
-    )
+    append = log.append
+    append(0, TOPOLOGY, value=(network.source_ids, network.target_ids, network.edges))
 
     xi = caps.copy()
-    for q in range(m):
-        log.append(
-            Message(
-                0, f"tgt:{network.target_ids[q]}", "hub", "strategy",
-                {"target": network.target_ids[q], "minor": float(xi[q, 0]), "major": float(xi[q, 1])},
-            )
-        )
+    for q, (minor, major) in enumerate(xi.tolist()):
+        append(0, STRATEGY, q, minor, major)
 
     agent_edges = [network.edges_from(j) for j in range(n)]
     agents = []
@@ -241,6 +476,18 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             )
         )
 
+    # Each edge's slot in its agent's row, and (edge, agent, slot) per target.
+    agent_edge_lists = [idx.tolist() for idx in agent_edges]
+    local_slot = np.empty(network.n_edges, dtype=int)
+    for idx in agent_edges:
+        local_slot[idx] = np.arange(len(idx))
+    target_edges = [network.edges_into(q) for q in range(m)]
+    inbound = [
+        list(zip(idx.tolist(), network.edge_source[idx].tolist(), local_slot[idx].tolist()))
+        for idx in target_edges
+    ]
+    base_weights = spec.weights.tolist()
+
     rates_seen = np.zeros(network.n_edges)  # latest rate message per edge
     prices_seen = np.zeros(n)  # latest price message per agent
     rng = np.random.default_rng(schedule.seed)
@@ -252,26 +499,17 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         for j in _active_agents(schedule, tick, rng, n):
             agent = agents[j]
             agent.tick()
-            sid = network.source_ids[j]
-            log.append(
-                Message(tick, f"src:{sid}", "hub", "price", {"source": sid, "price": agent.price})
-            )
+            append(tick, PRICE, j, agent.price)
             prices_seen[j] = agent.price
-            for local, e in enumerate(agent_edges[j]):
-                tid = network.target_ids[network.edge_target[e]]
-                log.append(
-                    Message(
-                        tick, f"src:{sid}", f"tgt:{tid}", "rate",
-                        {"source": sid, "target": tid, "rate": float(agent.rates[local])},
-                    )
-                )
-                rates_seen[e] = agent.rates[local]
+            for e, rate in zip(agent_edge_lists[j], agent.rates.tolist()):
+                append(tick, RATE, e, rate)
+            rates_seen[agent_edges[j]] = agent.rates
         if tick % schedule.refresh_every != 0:
             continue
 
         xi_new = np.empty_like(xi)
         for q in range(m):
-            idx = network.edges_into(q)
+            idx = target_edges[q]
             seen = rates_seen[idx]
             scale = float(np.sum(spec.cost_params.punishment_coeff[idx] * seen ** spec.cost_params.beta1))
             flow = float(np.sum(seen))
@@ -287,44 +525,23 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             slackness = max(slackness, abs(min(agent.price, slack)))
         residual = max(stationarity, slackness, float(np.max(np.abs(xi_new - xi))))
 
-        for q in range(m):
-            tid = network.target_ids[q]
-            log.append(
-                Message(
-                    tick, f"tgt:{tid}", "hub", "strategy",
-                    {"target": tid, "minor": float(xi_new[q, 0]), "major": float(xi_new[q, 1])},
-                )
-            )
-            delta = _node_delta(spec.belief[q], xi_new[q, 0], xi_new[q, 1])
-            for e in network.edges_into(q):
-                j = int(network.edge_source[e])
-                sid = network.source_ids[j]
-                local = int(np.flatnonzero(agent_edges[j] == e)[0])
-                weight = float(spec.weights[e] + delta)
-                log.append(
-                    Message(
-                        tick, f"tgt:{tid}", f"src:{sid}", "weight",
-                        {"source": sid, "target": tid, "weight": weight},
-                    )
-                )
+        for q, (minor, major) in enumerate(xi_new.tolist()):
+            append(tick, STRATEGY, q, minor, major)
+            delta = _node_delta(spec.belief[q], minor, major)
+            for e, j, local in inbound[q]:
+                weight = base_weights[e] + delta
+                append(tick, WEIGHT, e, weight)
                 agents[j].deliver(local, weight)
         xi = xi_new
 
         objective = float(np.dot(spec.weights, rates_seen))
-        log.append(
-            Message(tick, "hub", "hub", "trace", {"residual": residual, "objective": objective})
-        )
+        append(tick, TRACE, 0, residual, objective)
         trace.append(_snapshot_row(tick, rates_seen, prices_seen, xi, residual, objective))
         if residual <= settings.tol:
             converged = True
             break
 
-    log.append(
-        Message(
-            tick, "hub", "hub", "final",
-            {"ticks": tick, "residual": residual, "converged": converged},
-        )
-    )
+    append(tick, FINAL, 0, residual, converged)
     if not converged:
         logger.info("distributed run hit max_ticks=%d (residual %.3e)", schedule.max_ticks, residual)
     report = SolveReport(
@@ -343,58 +560,35 @@ def replay(log: MessageLog) -> SolveReport:
 
     The reconstruction is purely mechanical (latest rate per edge, latest
     price per source, logged trace scalars), so it matches the original
-    report bit-exactly; anything missing or out of place raises
-    :class:`CorruptLog`.
+    report bit-exactly; a log without its topology or its final marker
+    raises :class:`CorruptLog`.
     """
-    records = list(log)
-    if not records or records[0].kind != "topology":
+    if log.topology is None:
         raise CorruptLog("log does not start with a topology record")
-    topo = records[0].payload
-    try:
-        sources = list(topo["sources"])
-        targets = list(topo["targets"])
-        edges = [tuple(edge) for edge in topo["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise CorruptLog("topology record is malformed") from exc
-    edge_pos = {edge: i for i, edge in enumerate(edges)}
-    source_pos = {s: i for i, s in enumerate(sources)}
-    target_pos = {t: i for i, t in enumerate(targets)}
-
+    if log.final is None:
+        raise CorruptLog("log is truncated: no final marker")
+    sources, targets, edges = log.topology
     plan = np.zeros(len(edges))
     prices = np.zeros(len(sources))
     xi = np.zeros((len(targets), 2))
     trace: list[dict] = []
-    for record in records[1:]:
-        kind = record.kind
-        payload = record.payload
-        try:
-            if kind == "rate":
-                plan[edge_pos[(payload["source"], payload["target"])]] = payload["rate"]
-            elif kind == "price":
-                prices[source_pos[payload["source"]]] = payload["price"]
-            elif kind == "strategy":
-                q = target_pos[payload["target"]]
-                xi[q, 0] = payload["minor"]
-                xi[q, 1] = payload["major"]
-            elif kind == "weight":
-                pass  # weights influence agents, not the assembled state
-            elif kind == "trace":
-                trace.append(_snapshot_row(
-                    record.tick, plan, prices, xi, payload["residual"], payload["objective"],
-                ))
-            elif kind == "final":
-                if record is not records[-1]:
-                    raise CorruptLog("records found after the final marker")
-                return SolveReport(
-                    plan=plan,
-                    prices=prices,
-                    iterations=int(payload["ticks"]),
-                    residual=float(payload["residual"]),
-                    converged=bool(payload["converged"]),
-                    trace=trace,
-                )
-            else:
-                raise CorruptLog(f"unknown record kind {kind!r}")
-        except (KeyError, TypeError) as exc:
-            raise CorruptLog(f"malformed {kind!r} record at tick {record.tick}") from exc
-    raise CorruptLog("log is truncated: no final marker")
+    for tick, kind, i, value, value2 in zip(log.ticks, log.kinds, log.index, log.value, log.value2):
+        if kind == RATE:
+            plan[i] = value
+        elif kind == PRICE:
+            prices[i] = value
+        elif kind == STRATEGY:
+            xi[i, 0] = value
+            xi[i, 1] = value2
+        elif kind == TRACE:
+            trace.append(_snapshot_row(tick, plan, prices, xi, value, value2))
+        # weights influence agents, not the assembled state
+    ticks, residual, converged = log.final
+    return SolveReport(
+        plan=plan,
+        prices=prices,
+        iterations=int(ticks),
+        residual=float(residual),
+        converged=bool(converged),
+        trace=trace,
+    )

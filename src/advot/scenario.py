@@ -289,7 +289,12 @@ class ScenarioConfig:
         mode: str | None = None,
         seed: int | None = None,
     ) -> "ScenarioConfig":
-        """New config with command-line overrides applied and revalidated."""
+        """New config with command-line overrides applied and revalidated.
+
+        Returns this config itself when every override is ``None``.
+        """
+        if all(v is None for v in (lam, gamma, tol, stages, tau, mode, seed)):
+            return self
         raw = copy.deepcopy(self.data)
         if lam is not None:
             raw["solver"]["lambda"] = float(lam)
@@ -376,7 +381,9 @@ def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) 
     """Write a run's trace table as CSV or JSON-lines with 12-digit floats.
 
     ``rows`` holds ``(step, values)`` pairs whose float ``values`` line up
-    with ``columns``; identical inputs produce byte-identical files.
+    with ``columns``; identical inputs produce byte-identical files.  Each
+    row is one ``%``-template with a ``%.12g`` field per value, which writes
+    what ``format(v, ".12g")`` writes.
     """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"unknown trace format {fmt!r}")
@@ -387,20 +394,23 @@ def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) 
             )
     path = Path(path)
     if fmt == "csv":
+        template = ",".join([_escape_percent(kind), "%s"] + ["%.12g"] * len(columns))
         lines = [",".join(["kind", "step", *(columns if rows else ())])]
-        for step, values in rows:
-            lines.append(",".join([kind, str(step), *(format(v, ".12g") for v in values)]))
+        lines += [template % (step, *values) for step, values in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
-        head = f'{{"kind": {json.dumps(kind)}, "step": '
-        keys = [f", {json.dumps(name)}: " for name in columns]
-        lines = [
-            head + str(step)
-            + "".join(key + format(v, ".12g") for key, v in zip(keys, values)) + "}"
-            for step, values in rows
-        ]
+        template = (
+            f'{{"kind": {_escape_percent(json.dumps(kind))}, "step": %s'
+            + "".join(f", {_escape_percent(json.dumps(name))}: %.12g" for name in columns)
+            + "}"
+        )
+        lines = [template % (step, *values) for step, values in rows]
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return path
+
+
+def _escape_percent(text: str) -> str:
+    return text.replace("%", "%%")
 
 
 def ot_trace_records(network: BipartiteNetwork, report: SolveReport) -> tuple[list[str], list]:

@@ -2,12 +2,14 @@
 
 Each oracle here deliberately takes a different route than the library:
 general-purpose NLP/LP solvers, dense grid search, bisection on composed
-maps, brute-force enumeration of the joint type space, and per-coordinate
-loops over a grid certificate's rows.
+maps, brute-force enumeration of the joint type space, per-coordinate
+loops over a grid certificate's rows, and one ``json.dumps`` per message-log
+record.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -237,3 +239,22 @@ class TypeSpace:
         belief = check_belief(belief, self.n_targets)
         probs = [belief[q, t - 1] for q, t in enumerate(theta)]
         return float(np.prod(probs))
+
+
+def reference_log_text(log) -> str:
+    """A message log as text, one ``json.dumps`` per record of ``iter(log)``."""
+    lines = [
+        json.dumps(
+            {
+                "tick": m.tick,
+                "sender": m.sender,
+                "receiver": m.receiver,
+                "kind": m.kind,
+                "payload": m.payload,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for m in log
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advot import (
     AdversaryCostParams,
@@ -22,6 +26,9 @@ from advot import (
     solve_bayesian_equilibrium,
     uniform_belief,
 )
+from advot.distributed import SCHEDULE_MODES
+from conftest import make_random_spec
+from oracles import reference_log_text
 
 
 def reference_sync_run(spec: GameSpec, max_ticks: int, refresh_every: int):
@@ -270,7 +277,7 @@ def test_replay_of_serialized_log(paper_spec):
 
 def test_replay_rejects_truncated_log(paper_spec):
     _, log = run_distributed(paper_spec, Schedule(mode="random-subset", seed=2))
-    truncated = MessageLog(list(log)[:-1])
+    truncated = MessageLog.from_text("".join(log.to_text().splitlines(keepends=True)[:-1]))
     with pytest.raises(CorruptLog):
         replay(truncated)
 
@@ -279,7 +286,129 @@ def test_replay_rejects_garbage():
     with pytest.raises(CorruptLog):
         MessageLog.from_text("not json\n")
     with pytest.raises(CorruptLog):
-        replay(MessageLog([]))
+        replay(MessageLog.from_text(""))
+
+
+def assert_replays_exactly(log, report):
+    rebuilt = replay(log)
+    assert np.array_equal(rebuilt.plan, report.plan)
+    assert np.array_equal(rebuilt.prices, report.prices)
+    assert rebuilt.iterations == report.iterations
+    assert rebuilt.residual == report.residual
+    assert rebuilt.converged == report.converged
+    assert rebuilt.trace == report.trace
+
+
+# ids that JSON must escape, or that would break a hand-rolled encoder
+NODE_ID = st.one_of(
+    st.integers(-3, 10**6),
+    st.text(alphabet='ab9\u00e9\u4e16\U0001f600\\%{}:", _\n', min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sources=st.lists(NODE_ID, min_size=1, max_size=3, unique=True),
+    targets=st.lists(NODE_ID, min_size=1, max_size=3, unique=True),
+    mode=st.sampled_from(SCHEDULE_MODES),
+    seed=st.integers(0, 2**32 - 1),
+    max_ticks=st.integers(1, 60),
+    refresh_every=st.integers(1, 12),
+)
+def test_log_text_matches_reference_and_round_trips(
+    sources, targets, mode, seed, max_ticks, refresh_every
+):
+    spec = make_random_spec(np.random.default_rng(seed), len(sources), len(targets))
+    net = spec.network
+    network = build_network(
+        sources, targets,
+        [(sources[j], targets[q]) for j, q in zip(net.edge_source, net.edge_target)],
+        net.capacities,
+    )
+    spec = dataclasses.replace(spec, network=network)
+    schedule = Schedule(mode=mode, seed=seed, max_ticks=max_ticks, refresh_every=refresh_every)
+    report, log = run_distributed(spec, schedule)
+    text = log.to_text()
+    assert text == reference_log_text(log)
+    restored = MessageLog.from_text(text)
+    assert restored == log
+    assert_replays_exactly(restored, report)
+
+
+def test_run_stopped_before_its_first_refresh_logs_infinite_residual(paper_spec):
+    report, log = run_distributed(paper_spec, Schedule(seed=3, max_ticks=4, refresh_every=10))
+    assert not report.converged and report.residual == float("inf")
+    text = log.to_text()
+    assert text == reference_log_text(log)
+    assert text.splitlines()[-1] == (
+        '{"kind":"final","payload":{"converged":false,"residual":Infinity,"ticks":4},'
+        '"receiver":"hub","sender":"hub","tick":4}'
+    )
+    assert_replays_exactly(MessageLog.from_text(text), report)
+
+
+def test_overflowing_rates_are_logged_as_json_infinity():
+    # exp(3000/3 - 1) overflows: the first rates and every price are inf
+    net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
+    spec = GameSpec(
+        network=net,
+        weights=np.array([3000.0, 2990.0]),
+        lower_caps=np.array([4.0, 4.0]),
+        upper_caps=np.array([6.0, 6.0]),
+        cost_params=AdversaryCostParams(np.array([1.0, 1.0]), 0.5, 0.5),
+        belief=uniform_belief(2),
+        settings=SolverSettings(lam=3.0),
+    )
+    with np.errstate(over="ignore"):
+        report, log = run_distributed(spec, Schedule(mode="synchronous", max_ticks=25))
+    text = log.to_text()
+    assert '"price":Infinity' in text and '"rate":Infinity' in text
+    assert text == reference_log_text(log)
+    restored = MessageLog.from_text(text)
+    assert restored == log
+    assert_replays_exactly(restored, report)
+
+
+@pytest.fixture(scope="module")
+def paper_log_lines(paper_spec):
+    _, log = run_distributed(paper_spec, Schedule(mode="random-subset", seed=2))
+    return log.to_text().splitlines()
+
+
+def _first_rate_line(lines) -> int:
+    return next(
+        i for i, line in enumerate(lines)
+        if line.startswith('{"kind":"rate"') and '"source":"j1"' in line
+    )
+
+
+REJECTED_EDITS = {
+    "unknown-source": lambda line: line.replace("j1", "j9"),
+    "sender-not-source": lambda line: line.replace('"sender":"src:j1"', '"sender":"src:j2"'),
+    "spaces": lambda line: json.dumps(json.loads(line), sort_keys=True),
+    "unknown-kind": lambda line: line.replace('"kind":"rate"', '"kind":"gossip"'),
+    "malformed-json": lambda line: line[:-1],
+    "non-canonical-float": lambda line: line.replace('"rate":', '"rate":0', 1),
+    "python-inf": lambda line: re.sub(r'"rate":[^,]+', '"rate":inf', line, count=1),
+    "python-nan": lambda line: re.sub(r'"rate":[^,]+', '"rate":nan', line, count=1),
+    "python-minus-inf": lambda line: re.sub(r'"rate":[^,]+', '"rate":-inf', line, count=1),
+}
+
+
+@pytest.mark.parametrize("edit", REJECTED_EDITS.values(), ids=REJECTED_EDITS.keys())
+def test_reader_rejects_a_non_canonical_line(paper_log_lines, edit):
+    lines = list(paper_log_lines)
+    i = _first_rate_line(lines)
+    assert edit(lines[i]) != lines[i]
+    lines[i] = edit(lines[i])
+    with pytest.raises(CorruptLog, match=rf"line {i + 1}\b"):
+        MessageLog.from_text("\n".join(lines) + "\n")
+
+
+def test_reader_rejects_records_after_the_final_marker(paper_log_lines):
+    lines = paper_log_lines + [paper_log_lines[_first_rate_line(paper_log_lines)]]
+    with pytest.raises(CorruptLog, match=rf"line {len(lines)}\b"):
+        MessageLog.from_text("\n".join(lines) + "\n")
 
 
 def test_schedule_independence_of_the_limit(paper_spec):

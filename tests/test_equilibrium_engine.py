@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import json
 import logging
 from pathlib import Path
 
@@ -219,6 +220,12 @@ def test_tracer_installs_on_every_entry_point(tmp_path):
             assert advot.cli.main([op, "--config", config, "--out", str(tmp_path / op)]) == 0
         log_text = (tmp_path / "distributed-sim" / "messages.log").read_text()
         assert distributed.replay(distributed.MessageLog.from_text(log_text)).converged
+    # one append per logged record, and the bytes written are the file's
+    report = json.loads((tmp_path / "distributed-sim" / "report.json").read_text())
+    assert tracer.counts["distributed.messages"] == report["messages"]
+    assert tracer.counts["distributed.log_bytes"] == (
+        (tmp_path / "distributed-sim" / "messages.log").stat().st_size
+    )
     assert advot.static_game.deviation_check is original
     assert tracer.counts["static_game.rounds"] > 0
     assert tracer.counts["dynamic_game.stages"] > 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -8,11 +9,14 @@ import pytest
 
 from advot import (
     ParseError,
+    Schedule,
     ValidationError,
     emit_trace,
     parse_scenario,
     run_command,
+    run_distributed,
 )
+from advot.scenario import distributed_trace_records
 from advot.cli import main
 from conftest import SCENARIO_DIR
 
@@ -150,6 +154,11 @@ def test_overrides_apply_and_revalidate():
         config.with_overrides(mode="bogus")
 
 
+def test_no_overrides_keep_the_config():
+    config = parse_scenario(PAPER.read_text())
+    assert config.with_overrides() is config
+
+
 # ---------------------------------------------------------------------------
 # trace emission
 
@@ -180,6 +189,42 @@ def test_emit_trace_json_lines(tmp_path):
         {"kind": "static-eq", "step": 1, "u": 1.5},
         {"kind": "static-eq", "step": 2, "u": 2.0},
     ]
+
+
+def reference_trace_text(kind, columns, rows, fmt) -> str:
+    """A trace table with one ``format(v, ".12g")`` call per value."""
+    if fmt == "csv":
+        lines = [",".join(["kind", "step", *(columns if rows else ())])]
+        lines += [",".join([kind, str(step), *(format(v, ".12g") for v in values)])
+                  for step, values in rows]
+        return "\n".join(lines) + "\n"
+    lines = [
+        f'{{"kind": {json.dumps(kind)}, "step": {step}'
+        + "".join(f", {json.dumps(name)}: {format(v, '.12g')}" for name, v in zip(columns, values))
+        + "}"
+        for step, values in rows
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_trace_with_percent_ids_matches_per_value_format(tmp_path, fmt):
+    sources, targets = ["s%d", "%"], ["t%%s", "q%(x)s", "%.12g"]
+    data = json.loads(PAPER.read_text())
+    data["network"] = {
+        "sources": sources,
+        "targets": targets,
+        "edges": [[s, t] for s in sources for t in targets],
+        "capacities": data["network"]["capacities"],
+    }
+    config = parse_scenario(json.dumps(data))
+    report, _ = run_distributed(config.game_spec(), Schedule(seed=1, max_ticks=40))
+    columns, rows = distributed_trace_records(config.network, report)
+    assert any("%" in name for name in columns) and len(rows) == 4
+    special = [float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 1e-300, 123456789012.5]
+    rows.append((41, (special * len(columns))[: len(columns)]))
+    path = emit_trace("distributed-sim", columns, rows, fmt, tmp_path / f"trace.{fmt}")
+    assert path.read_text() == reference_trace_text("distributed-sim", columns, rows, fmt)
 
 
 def test_emit_trace_rejects_mixed_schemas(tmp_path):
@@ -268,6 +313,18 @@ def test_cli_distributed_sim(tmp_path):
     log = MessageLog.from_text((out / "messages.log").read_text())
     rebuilt = replay(log)
     np.testing.assert_array_equal(rebuilt.plan, np.array(report["plan"]))
+
+
+def test_cli_distributed_sim_log_bytes_are_pinned(tmp_path):
+    out = tmp_path / "dist"
+    assert run_cli("distributed-sim", "--config", PAPER, "--out", out, "--seed", 42) == 0
+    data = (out / "messages.log").read_bytes()
+    assert len(data) == 1_165_743
+    assert data.count(b"\n") == 8_995
+    assert json.loads((out / "report.json").read_text())["messages"] == 8_995
+    assert hashlib.sha256(data).hexdigest() == (
+        "aac8c9218e860165e8e32cbd8c35cbbd22ba1cc08f8eb0f5de18c8a9c2fae531"
+    )
 
 
 def test_cli_exit_code_on_not_converged(tmp_path):
