@@ -2,7 +2,7 @@
 
 Alternates the dispatcher's expected-utility best response with the
 adversary's per-node closed form until neither side moves, then certifies
-the profile with a coordinate-wise deviation search.  Also compares the
+the profile with each coordinate's exact best deviation.  Also compares the
 dispatcher's utility (measured against the unperturbed perception weights)
 across three worlds: no adversary, the equilibrium adversary, and an
 adversary pinned at its action caps.
@@ -26,7 +26,7 @@ network = spec.network
 
 profile = solve_bayesian_equilibrium(spec, record_trace=True)
 print(f"converged: {profile.converged} after {profile.iterations} rounds")
-print(f"deviation gap: {profile.deviation_gap:.3e} (<= 0 means no profitable deviation found)")
+print(f"deviation gap: {profile.deviation_gap:.3e} (<= 1e-4 certifies: no profitable deviation)")
 
 print("\nequilibrium plan:")
 print(network.plan_matrix(profile.plan).round(4))

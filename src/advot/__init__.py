@@ -11,7 +11,6 @@ from .distributed import (
     MessageLog,
     Schedule,
     SourceAgent,
-    agent_tick,
     replay,
     run_distributed,
 )
@@ -57,7 +56,6 @@ from .scenario import (
 from .static_game import (
     EquilibriumProfile,
     GameSpec,
-    adversary_best_response,
     adversary_cost,
     best_response_strategy,
     deviation_check,

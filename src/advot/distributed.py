@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptLog, ValidationError
-from .static_game import GameSpec, minimize_node_cost
+from .static_game import GameSpec, effective_weights, minimize_node_cost, node_cost_aggregates
 from .transport import SolveReport
 
 logger = logging.getLogger(__name__)
@@ -31,8 +31,7 @@ class Schedule:
 
     ``activation`` is the per-agent probability per tick in random-subset
     mode; it must stay positive so every agent keeps activating.  Asynchronous
-    modes halve the dual step by default (stale-gradient safety margin);
-    override with ``step_scale``.
+    modes halve the dual step (stale-gradient safety margin).
     """
 
     mode: str = "random-subset"
@@ -40,7 +39,6 @@ class Schedule:
     seed: int = 0
     max_ticks: int = 50_000
     refresh_every: int = 10
-    step_scale: float | None = None
 
     def __post_init__(self):
         if self.mode not in SCHEDULE_MODES:
@@ -49,12 +47,8 @@ class Schedule:
             raise ValidationError("activation probability must lie in (0, 1]")
         if self.max_ticks < 1 or self.refresh_every < 1:
             raise ValidationError("max_ticks and refresh_every must be >= 1")
-        if self.step_scale is not None and self.step_scale <= 0:
-            raise ValidationError("step_scale must be > 0")
 
     def effective_step_scale(self) -> float:
-        if self.step_scale is not None:
-            return self.step_scale
         return 1.0 if self.mode == "synchronous" else 0.5
 
 
@@ -397,15 +391,6 @@ class SourceAgent:
         self.price = max(0.0, self.price + self.gamma * excess)
 
 
-def agent_tick(agent: SourceAgent, weights: np.ndarray | None = None) -> SourceAgent:
-    """Run one local update, optionally delivering fresh weights first."""
-    if weights is not None:
-        for local_edge, weight in enumerate(np.asarray(weights, dtype=float)):
-            agent.deliver(local_edge, float(weight))
-    agent.tick()
-    return agent
-
-
 def _active_agents(schedule: Schedule, tick: int, rng: np.random.Generator, n: int) -> list[int]:
     if schedule.mode == "synchronous":
         return list(range(n))
@@ -413,10 +398,6 @@ def _active_agents(schedule: Schedule, tick: int, rng: np.random.Generator, n: i
         return [(tick - 1) % n]
     draws = rng.random(n)
     return [j for j in range(n) if draws[j] < schedule.activation]
-
-
-def _node_delta(belief_row: np.ndarray, minor: float, major: float) -> float:
-    return float(belief_row[0] * 1.0 * minor + belief_row[1] * 2.0 * major)
 
 
 def _snapshot_row(tick, plan, prices, xi, residual, objective) -> dict:
@@ -447,7 +428,7 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     n, m = network.n_sources, network.n_targets
     gamma = settings.gamma * schedule.effective_step_scale()
     caps = spec.caps()
-    beta2 = spec.cost_params.beta2
+    params = spec.cost_params
 
     log = MessageLog()
     append = log.append
@@ -458,23 +439,19 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         append(0, STRATEGY, q, minor, major)
 
     agent_edges = [network.edges_from(j) for j in range(n)]
-    agents = []
-    for j in range(n):
-        idx = agent_edges[j]
-        deltas = np.array(
-            [_node_delta(spec.belief[network.edge_target[e]], *xi[network.edge_target[e]]) for e in idx]
+    weights = effective_weights(network, spec.weights, xi, spec.belief)
+    agents = [
+        SourceAgent(
+            index=j,
+            source_id=network.source_ids[j],
+            capacity=float(network.capacities[j]),
+            lam=settings.lam,
+            gamma=gamma,
+            weights=weights[idx],
+            rates=np.zeros(len(idx)),
         )
-        agents.append(
-            SourceAgent(
-                index=j,
-                source_id=network.source_ids[j],
-                capacity=float(network.capacities[j]),
-                lam=settings.lam,
-                gamma=gamma,
-                weights=spec.weights[idx] + deltas,
-                rates=np.zeros(len(idx)),
-            )
-        )
+        for j, idx in enumerate(agent_edges)
+    ]
 
     # Each edge's slot in its agent's row, and (edge, agent, slot) per target.
     agent_edge_lists = [idx.tolist() for idx in agent_edges]
@@ -486,7 +463,6 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         list(zip(idx.tolist(), network.edge_source[idx].tolist(), local_slot[idx].tolist()))
         for idx in target_edges
     ]
-    base_weights = spec.weights.tolist()
 
     rates_seen = np.zeros(network.n_edges)  # latest rate message per edge
     prices_seen = np.zeros(n)  # latest price message per agent
@@ -507,14 +483,11 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         if tick % schedule.refresh_every != 0:
             continue
 
-        xi_new = np.empty_like(xi)
-        for q in range(m):
-            idx = target_edges[q]
-            seen = rates_seen[idx]
-            scale = float(np.sum(spec.cost_params.punishment_coeff[idx] * seen ** spec.cost_params.beta1))
-            flow = float(np.sum(seen))
-            xi_new[q, 0] = minimize_node_cost(scale, 1 * flow, beta2, caps[q, 0])[0]
-            xi_new[q, 1] = minimize_node_cost(scale, 2 * flow, beta2, caps[q, 1])[0]
+        scale, flow = node_cost_aggregates(network, rates_seen, params)
+        xi_new = np.stack(
+            [minimize_node_cost(scale, t * flow, params.beta2, caps[:, t - 1]) for t in (1, 2)],
+            axis=1,
+        )
 
         stationarity = 0.0
         slackness = 0.0
@@ -525,11 +498,11 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             slackness = max(slackness, abs(min(agent.price, slack)))
         residual = max(stationarity, slackness, float(np.max(np.abs(xi_new - xi))))
 
+        weights = effective_weights(network, spec.weights, xi_new, spec.belief).tolist()
         for q, (minor, major) in enumerate(xi_new.tolist()):
             append(tick, STRATEGY, q, minor, major)
-            delta = _node_delta(spec.belief[q], minor, major)
             for e, j, local in inbound[q]:
-                weight = base_weights[e] + delta
+                weight = weights[e]
                 append(tick, WEIGHT, e, weight)
                 agents[j].deliver(local, weight)
         xi = xi_new

@@ -4,7 +4,7 @@ The dispatcher maximizes expected utility under a per-target belief over the
 adversary's binary type; each adversary type minimizes its own cost, which is
 separable across target nodes and admits a closed-form per-node minimizer.
 The equilibrium is computed by alternating the two best responses and then
-certifying the fixed point with a coordinate-wise deviation search.
+certifying the fixed point with each coordinate's exact best deviation.
 
 One engine, :func:`stage_equilibrium`, serves both the static game and every
 stage of the multistage game: the static game is the stage game whose
@@ -38,8 +38,7 @@ from .transport import (
 
 logger = logging.getLogger(__name__)
 
-GRID_POINTS = 21  # values per coordinate in the deviation certificate's grid
-DEVIATION_TOL = 1e-4  # largest located improvement a converged profile may leave
+DEVIATION_TOL = 1e-4  # largest coordinate improvement a converged profile may leave
 PROFILE_TOL = 1e-7  # largest round-to-round profile change that counts as settled
 MAX_ROUNDS = 500  # default round limit of the best-response loop
 
@@ -97,9 +96,10 @@ class GameSpec:
 class EquilibriumProfile:
     """Fixed point of the alternating best responses, with its certificate.
 
-    ``deviation_gap`` is the largest unilateral improvement found by the grid
-    search; values at or below the certification tolerance mean neither
-    player located a profitable deviation.
+    ``deviation_gap`` is the largest improvement either player gains by
+    moving one coordinate to its best value; it is >= 0 up to rounding, and
+    values at or below the certification tolerance mean neither player has
+    a profitable coordinate deviation.
     """
 
     plan: np.ndarray
@@ -234,6 +234,18 @@ def threshold_phi(xi_t, xi_prev, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _stage_minimizer(scale, flow_term, beta2: float, caps, xi_prev, tau: float) -> np.ndarray:
+    """Minimizer of ``A*z**(-beta2) + B*z`` over the thresholded actions ``z = phi(xi)``.
+
+    As ``xi`` ranges over ``[floor, cap]``, ``phi(xi)`` covers exactly
+    ``[xi_prev, max(xi_prev, cap - tau)]``; by convexity the minimizer there
+    is the static one on ``[floor, max(xi_prev, cap - tau)]`` raised to
+    ``xi_prev``.
+    """
+    z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
+    return np.maximum(minimize_node_cost(scale, flow_term, beta2, z_hi), xi_prev)
+
+
 def stage_adversary_best_response(
     network: BipartiteNetwork,
     plan: np.ndarray,
@@ -246,11 +258,10 @@ def stage_adversary_best_response(
     """Per-target stage action minimizing the thresholded cost.
 
     Substituting ``z = phi(xi)`` turns the problem into the static one on
-    ``z in [xi_prev, max(xi_prev, cap - tau)]``; by convexity its minimizer is
-    the static one on ``[floor, max(xi_prev, cap - tau)]`` raised to
-    ``xi_prev``.  It maps back through ``xi = z + tau``, except that
-    minimizers stuck at the interval's lower end stay at the previous action
-    (no incentive to move inside the flat region).
+    the range of ``phi`` (see :func:`_stage_minimizer`).  Its minimizer maps
+    back through ``xi = z + tau``, except that minimizers stuck at the
+    range's lower end stay at the previous action (no incentive to move
+    inside the flat region).
     """
     if type_value not in (1, 2):
         raise ValidationError("type_value must be 1 (minor) or 2 (major)")
@@ -258,26 +269,8 @@ def stage_adversary_best_response(
         raise ValidationError("tau must be >= 0")
     scale, flow = node_cost_aggregates(network, plan, params)
     xi_prev = np.asarray(xi_prev, dtype=float)
-    z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
-    z = np.maximum(minimize_node_cost(scale, type_value * flow, params.beta2, z_hi), xi_prev)
+    z = _stage_minimizer(scale, type_value * flow, params.beta2, caps, xi_prev, tau)
     return np.where(z > xi_prev, z + tau, xi_prev)
-
-
-def adversary_best_response(
-    network: BipartiteNetwork,
-    plan: np.ndarray,
-    params: AdversaryCostParams,
-    caps: np.ndarray,
-    type_value: int,
-) -> np.ndarray:
-    """Per-target cost-minimizing action for one type branch.
-
-    The cost separates across targets, so each node solves its scalar box
-    problem with ``B_q = type_value * S_q`` independently.
-    """
-    return stage_adversary_best_response(
-        network, plan, params, caps, type_value, PERTURBATION_FLOOR, 0.0
-    )
 
 
 def best_response_strategy(
@@ -302,18 +295,6 @@ def best_response_strategy(
     )
 
 
-def _grid(lo: float, hi: np.ndarray) -> np.ndarray:
-    """``GRID_POINTS`` evenly spaced values from ``lo`` to ``hi`` on a new last axis.
-
-    Equal, bit for bit, to one ``np.linspace(lo, hi, GRID_POINTS)`` call per
-    element.  ``np.linspace`` on array endpoints is not: once any row is
-    empty (``hi == lo``) it rounds every row differently.
-    """
-    grid = lo + np.arange(GRID_POINTS) * ((hi - lo) / (GRID_POINTS - 1))[..., None]
-    grid[..., -1] = hi
-    return grid
-
-
 def deviation_check(
     spec: GameSpec,
     plan: np.ndarray,
@@ -322,15 +303,18 @@ def deviation_check(
     xi_prev=PERTURBATION_FLOOR,
     tau: float = 0.0,
 ) -> float:
-    """Largest unilateral improvement found by coordinate-wise grid sampling.
+    """Largest unilateral improvement from moving one coordinate to its best value.
 
-    Varies one plan coordinate at a time inside its remaining row slack for
-    the dispatcher, and one per-node action per type for the adversary, each
-    over ``GRID_POINTS`` evenly spaced values.  Payoffs are the stage's: both
-    players see the action thresholded against ``xi_prev``, and the
-    dispatcher weighs it under ``belief`` (default: the spec's prior).  The
-    defaults pose the static game.  A result <= 0 means no profitable
-    deviation was located.
+    For the dispatcher, one plan coordinate moves inside its row's remaining
+    slack, over ``[0, hi]`` with ``hi = max(plan_e + slack_j, 0)``; the
+    utility ``w*y - lam*y*log(y)`` is concave, so the best point is
+    ``min(hi, exp(w/lam - 1))``.  For the adversary, one per-node action per
+    type moves over ``[floor, cap]``, and its best thresholded action is the
+    one :func:`stage_adversary_best_response` plays.  Payoffs are the
+    stage's: both players see the action thresholded against ``xi_prev``,
+    and the dispatcher weighs it under ``belief`` (default: the spec's
+    prior).  The defaults pose the static game.  The result is >= 0 up to
+    rounding; a value <= ``DEVIATION_TOL`` certifies the profile.
     """
     network, lam = spec.network, spec.settings.lam
     plan = check_plan(network, plan)
@@ -340,24 +324,22 @@ def deviation_check(
 
     w_eff = effective_weights(network, spec.weights, threshold_phi(xi, xi_prev, tau), belief)
     slack = network.capacities - network.row_sums(plan)
-    grid = _grid(0.0, np.maximum(plan + slack[network.edge_source], 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entropy = np.where(grid > 0, grid * np.log(grid), 0.0)
-        base_entropy = np.where(plan > 0, plan * np.log(plan), 0.0)
-    base = w_eff * plan - lam * base_entropy
-    gain = w_eff[:, None] * grid - lam * entropy - base[:, None]
+    hi = np.maximum(plan + slack[network.edge_source], 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.stack([np.minimum(hi, np.exp(w_eff / lam - 1.0)), plan])
+        utility = w_eff * y - lam * np.where(y > 0, y * np.log(y), 0.0)
+    gain = utility[0] - utility[1]
 
     scale, flow = node_cost_aggregates(network, plan, spec.cost_params)
     beta2 = spec.cost_params.beta2
+    scale = np.repeat(scale[:, None], 2, axis=1)
     flow_term = flow[:, None] * np.array([1.0, 2.0])  # B = type * S per target
-    z = threshold_phi(_grid(PERTURBATION_FLOOR, spec.caps()), xi_prev[..., None], tau)
-    grid_cost = scale[:, None, None] * z ** (-beta2) + flow_term[..., None] * z
-    z = threshold_phi(xi, xi_prev, tau)
-    # The played action's power is taken per element with libm's pow, as in
-    # the per-coordinate reference (tests/oracles.py); numpy's vectorized pow
-    # can differ from it in the last bit, and that bit can decide the gap.
-    power = (z.astype(object) ** (-beta2)).astype(float)
-    reduction = (scale[:, None] * power + flow_term * z)[..., None] - grid_cost
+    z = np.stack([
+        threshold_phi(xi, xi_prev, tau),
+        _stage_minimizer(scale, flow_term, beta2, spec.caps(), xi_prev, tau),
+    ])
+    cost = scale * z ** (-beta2) + flow_term * z
+    reduction = cost[0] - cost[1]
     return max(float(gain.max()), float(reduction.max()))
 
 
@@ -399,9 +381,9 @@ def stage_equilibrium(
     dispatcher at ``plan``.  Every round's transport solve starts from the
     exact capacity prices of its weights.  The dispatcher weighs the action
     thresholded against ``xi_prev`` under ``belief``.  After the loop
-    settles, the coordinate-wise deviation search certifies the profile;
-    ``converged`` requires the profile change, the last transport solve and
-    the located gap all to be within tolerance.
+    settles, :func:`deviation_check` certifies the profile; ``converged``
+    requires the profile change, the last transport solve and the deviation
+    gap all to be within tolerance.
     """
     xi = spec.caps()
     trace: list[dict] = []

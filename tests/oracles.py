@@ -4,7 +4,8 @@ Each oracle here deliberately takes a different route than the library:
 general-purpose NLP/LP solvers, dense grid search, bisection on composed
 maps, brute-force enumeration of the joint type space, per-coordinate
 loops over a grid certificate's rows, and one ``json.dumps`` per message-log
-record.
+record.  Two thin helpers that only tests call, ``adversary_best_response``
+and ``agent_tick``, live here too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from advot import (
     check_belief,
     effective_weights,
     node_cost_aggregates,
+    stage_adversary_best_response,
     threshold_phi,
 )
 
@@ -175,9 +177,11 @@ def enumerated_expected_utility(network, plan, weights, xi, belief, lam):
 def loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=21):
     """Coordinate-wise grid certificate, one ``np.linspace`` row at a time.
 
-    The reference for ``deviation_check``: the same grids and stage payoffs,
-    looping in Python over every edge and every (target, type) pair, with
-    scalar arithmetic for the played action.
+    A reference for ``deviation_check``: the same stage payoffs, sampled on
+    ``grid_points`` values per coordinate, looping in Python over every
+    edge and every (target, type) pair.  Each grid is a subset of the
+    coordinate's range, so the result bounds the exact gap from below and
+    approaches it as the grid is refined.
     """
     effective = threshold_phi(xi, xi_prev, tau)
     w_eff = effective_weights(spec.network, spec.weights, effective, belief)
@@ -239,6 +243,25 @@ class TypeSpace:
         belief = check_belief(belief, self.n_targets)
         probs = [belief[q, t - 1] for q, t in enumerate(theta)]
         return float(np.prod(probs))
+
+
+def adversary_best_response(network, plan, params, caps, type_value):
+    """Per-target cost-minimizing action for one type branch of the static game.
+
+    The static game's stage: previous action at the floor, ``tau = 0``.
+    """
+    return stage_adversary_best_response(
+        network, plan, params, caps, type_value, PERTURBATION_FLOOR, 0.0
+    )
+
+
+def agent_tick(agent, weights=None):
+    """Run one local update of a source agent, optionally delivering fresh weights first."""
+    if weights is not None:
+        for local_edge, weight in enumerate(np.asarray(weights, dtype=float)):
+            agent.deliver(local_edge, float(weight))
+    agent.tick()
+    return agent
 
 
 def reference_log_text(log) -> str:

@@ -19,7 +19,6 @@ from advot import (
     SolverSettings,
     SourceAgent,
     ValidationError,
-    agent_tick,
     build_network,
     replay,
     run_distributed,
@@ -28,7 +27,7 @@ from advot import (
 )
 from advot.distributed import SCHEDULE_MODES
 from conftest import make_random_spec
-from oracles import reference_log_text
+from oracles import agent_tick, reference_log_text
 
 
 def reference_sync_run(spec: GameSpec, max_ticks: int, refresh_every: int):
@@ -157,28 +156,16 @@ def test_schedule_validation():
         Schedule(mode="everything-at-once")
     with pytest.raises(ValidationError):
         Schedule(activation=0.0)
-    with pytest.raises(ValidationError):
-        Schedule(step_scale=-1.0)
     assert Schedule(mode="synchronous").effective_step_scale() == 1.0
     assert Schedule(mode="random-subset").effective_step_scale() == 0.5
-    assert Schedule(mode="round-robin", step_scale=0.25).effective_step_scale() == 0.25
 
 
 # ---------------------------------------------------------------------------
 # runs
 
 
-def test_synchronous_run_matches_reference_tick_for_tick(paper_spec):
-    ticks = 120
-    schedule = Schedule(mode="synchronous", seed=0, max_ticks=ticks, refresh_every=10)
-    # tiny tolerance so neither loop stops early
-    spec = dataclasses.replace(
-        paper_spec, settings=dataclasses.replace(paper_spec.settings, tol=1e-300)
-    )
-    report, log = run_distributed(spec, schedule)
-    assert report.iterations == ticks
-    ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
-
+def logged_iterates(spec: GameSpec, log: MessageLog, ticks: int):
+    """Per tick, the logged prices in source order and rates in edge order."""
     prices_by_tick: dict[int, dict[str, float]] = {}
     rates_by_tick: dict[int, dict[tuple, float]] = {}
     for message in log:
@@ -189,11 +176,48 @@ def test_synchronous_run_matches_reference_tick_for_tick(paper_spec):
         elif message.kind == "rate":
             key = (message.payload["source"], message.payload["target"])
             rates_by_tick.setdefault(message.tick, {})[key] = message.payload["rate"]
+    prices = [
+        [prices_by_tick[tick][sid] for sid in spec.network.source_ids]
+        for tick in range(1, ticks + 1)
+    ]
+    rates = [
+        [rates_by_tick[tick][edge] for edge in spec.network.edges]
+        for tick in range(1, ticks + 1)
+    ]
+    return prices, rates
+
+
+def synchronous_run(spec: GameSpec, ticks: int):
+    """A synchronous run of ``ticks`` ticks, with a tolerance too tiny to stop it early."""
+    spec = dataclasses.replace(spec, settings=dataclasses.replace(spec.settings, tol=1e-300))
+    schedule = Schedule(mode="synchronous", seed=0, max_ticks=ticks, refresh_every=10)
+    report, log = run_distributed(spec, schedule)
+    assert report.iterations == ticks
+    return spec, report, log
+
+
+def test_synchronous_run_matches_reference_tick_for_tick(paper_spec):
+    ticks = 120
+    spec, _, log = synchronous_run(paper_spec, ticks)
+    ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
+    prices, rates = logged_iterates(spec, log, ticks)
     for tick in range(1, ticks + 1):
-        got_p = [prices_by_tick[tick][sid] for sid in spec.network.source_ids]
-        assert got_p == list(ref_prices[tick - 1]), f"price mismatch at tick {tick}"
-        got_x = [rates_by_tick[tick][edge] for edge in spec.network.edges]
-        assert got_x == list(ref_rates[tick - 1]), f"rate mismatch at tick {tick}"
+        assert prices[tick - 1] == list(ref_prices[tick - 1]), f"price mismatch at tick {tick}"
+        assert rates[tick - 1] == list(ref_rates[tick - 1]), f"rate mismatch at tick {tick}"
+
+
+def test_synchronous_run_on_wide_targets_matches_reference():
+    # 9 edges into every target: the refresh's per-target sums see more
+    # than 8 terms, where summation order can move the last bits
+    ticks = 120
+    wide = make_random_spec(np.random.default_rng(20), 9, 3)
+    spec, report, log = synchronous_run(wide, ticks)
+    ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
+    prices, rates = logged_iterates(spec, log, ticks)
+    np.testing.assert_allclose(prices, ref_prices, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=0)
+    assert_replays_exactly(log, report)
+    assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
 
 
 def test_random_subset_converges_to_centralized(paper_spec):

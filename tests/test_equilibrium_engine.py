@@ -35,10 +35,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
-# array-op certificate against the per-coordinate loops
+# exact certificate against the per-coordinate grid loops
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_sources=st.integers(1, 4),
@@ -48,28 +48,29 @@ ROOT = Path(__file__).resolve().parents[1]
     saturated=st.booleans(),
     decided_by=st.sampled_from(("dispatcher", "adversary", "neither", "either")),
 )
-def test_certificate_equals_loop_reference(
+def test_certificate_bounds_and_matches_grid_references(
     seed, n_sources, n_targets, tau, staged, saturated, decided_by
 ):
-    """``==``, not ``allclose``: the array ops must round exactly as the loops do.
+    """The exact gap is never below the 21-point grid's and meets a fine grid's.
 
-    The gap is the larger of the two players' improvements, so a rounding
-    change on one side shows only where that side decides it: a player that
-    best responds to the other has improvements of about 0.  Near 0 the
-    last bit of a grid point also reaches the gap.
+    The gap is the larger of the two players' improvements, so an error on
+    one side shows only where that side decides it: a player that best
+    responds to the other has improvements of about 0.  The fine grid's
+    step is at most 2.5e-5, which leaves it below the exact optimum by
+    well under 1e-8 on these games.
     """
     rng = np.random.default_rng(seed)
     spec = make_random_spec(rng, n_sources, n_targets)
     network = spec.network
     caps = spec.caps()
     floor = np.full(caps.shape, PERTURBATION_FLOOR)
-    for _ in range(4):
+    for _ in range(3):
         belief, xi_prev = spec.belief, floor
         if staged:
             minor = rng.uniform(0.0, 1.0, n_targets)
             belief = np.stack([minor, 1.0 - minor], axis=1)
             xi_prev = floor + rng.uniform(0.0, 1.0, caps.shape) * (caps - floor)
-        # some actions sit at their cap, where a grid point coincides with them
+        # some actions sit at their cap, the end of their range
         xi = np.where(
             rng.random(caps.shape) < 0.2,
             caps,
@@ -78,7 +79,7 @@ def test_certificate_equals_loop_reference(
         plan = rng.uniform(0.0, 1.0, network.n_edges)
         if saturated:
             # source 0 ships its whole capacity over one edge: zero slack, so
-            # each of its other edges has an empty grid (hi == 0)
+            # each of its other edges can only stay at 0
             edges = network.edges_from(0)
             plan[edges] = 0.0
             plan[edges[0]] = network.capacities[0]
@@ -89,18 +90,21 @@ def test_certificate_equals_loop_reference(
             plan = solve_regularized_ot(network, w_eff, spec.settings).plan
         if decided_by in ("dispatcher", "neither"):
             xi = best_response_strategy(spec, plan, xi_prev, tau)
-        expected = loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau)
-        assert deviation_check(spec, plan, xi, belief, xi_prev, tau) == expected
+        exact = deviation_check(spec, plan, xi, belief, xi_prev, tau)
+        coarse = loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau)
+        assert exact >= coarse - 1e-12 * max(1.0, abs(coarse))
+        fine = loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=400_001)
+        assert abs(exact - fine) <= 1e-8
 
 
 def test_certificate_defaults_pose_the_static_game(paper_spec):
     profile = solve_bayesian_equilibrium(paper_spec)
     floor = np.full((3, 2), PERTURBATION_FLOOR)
-    expected = loop_deviation_gap(
+    explicit = deviation_check(
         paper_spec, profile.plan, profile.strategy, paper_spec.belief, floor, 0.0
     )
-    assert profile.deviation_gap == expected
-    assert deviation_check(paper_spec, profile.plan, profile.strategy) == expected
+    assert profile.deviation_gap == explicit
+    assert deviation_check(paper_spec, profile.plan, profile.strategy) == explicit
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from advot import (
     GameSpec,
     PerturbationBelowFloor,
     SolverSettings,
-    adversary_best_response,
     adversary_cost,
     best_response_strategy,
     build_network,
@@ -28,6 +28,7 @@ from advot import (
 )
 from conftest import make_random_spec
 from oracles import (
+    adversary_best_response,
     bisection_1x1_equilibrium,
     enumerated_expected_utility,
     grid_min_cost,
@@ -376,6 +377,24 @@ def test_deviation_action_perturbation_raises_cost(paper_spec):
             shifted, ones, paper_spec.cost_params,
         )
         assert cost > base
+
+
+def test_deviation_check_finds_the_dispatcher_optimum_between_grid_points():
+    spec = one_edge_game()
+    lam, capacity, plan = 3.0, 1.5, np.array([0.1])
+    # the adversary best responds, so its improvement is exactly 0
+    xi = best_response_strategy(spec, plan)
+    w = float(effective_weights(spec.network, spec.weights, xi, spec.belief)[0])
+    best = math.exp(w / lam - 1.0)
+    # the plan row can grow to the capacity; the best point lies inside,
+    # strictly between two points of a 21-point grid on [0, capacity]
+    assert 0.0 < best < capacity
+    steps = best / (capacity / 20)
+    assert 0.1 < steps - math.floor(steps) < 0.9
+    utility = lambda y: w * y - lam * y * math.log(y)
+    expected = utility(best) - utility(float(plan[0]))
+    assert expected > 1e-3
+    assert abs(deviation_check(spec, plan, xi) - expected) <= 1e-12
 
 
 def test_deviation_check_flags_suboptimal_profiles(paper_spec):
