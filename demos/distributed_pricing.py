@@ -1,8 +1,8 @@
 """Asynchronous dual pricing reaches the centralized equilibrium.
 
 Each source node runs as an agent that only ever sees its own price,
-capacity and incident edges; target nodes answer with refreshed effective
-weights.  A seeded random-subset scheduler activates half the agents per
+capacity and incident edges, and sets its exact price from that row alone;
+target nodes answer with refreshed effective weights.  A seeded random-subset scheduler activates half the agents per
 tick on average, yet the assembled plan lands within solver tolerance of the
 centralized equilibrium, and the message log replays bit-exactly.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CorruptLog, ValidationError
 from .static_game import GameSpec, effective_weights, minimize_node_cost, node_cost_aggregates
-from .transport import SolveReport
+from .transport import SolveReport, row_prices
 
 logger = logging.getLogger(__name__)
 
@@ -30,8 +30,7 @@ class Schedule:
     """Activation policy for the simulated agents.
 
     ``activation`` is the per-agent probability per tick in random-subset
-    mode; it must stay positive so every agent keeps activating.  Asynchronous
-    modes halve the dual step (stale-gradient safety margin).
+    mode; it must stay positive so every agent keeps activating.
     """
 
     mode: str = "random-subset"
@@ -47,9 +46,6 @@ class Schedule:
             raise ValidationError("activation probability must lie in (0, 1]")
         if self.max_ticks < 1 or self.refresh_every < 1:
             raise ValidationError("max_ticks and refresh_every must be >= 1")
-
-    def effective_step_scale(self) -> float:
-        return 1.0 if self.mode == "synchronous" else 0.5
 
 
 @dataclass(frozen=True)
@@ -372,7 +368,6 @@ class SourceAgent:
     source_id: object
     capacity: float
     lam: float
-    gamma: float
     weights: np.ndarray  # effective weights on this agent's edges
     rates: np.ndarray  # this agent's plan row, same edge order as weights
     price: float = 0.0
@@ -382,13 +377,13 @@ class SourceAgent:
         self.inbox.append((local_edge, weight))
 
     def tick(self) -> None:
-        """Apply pending weight updates, refresh the row, ascend the price."""
+        """Apply pending weight updates, then set the exact price of this row and its rates."""
         for local_edge, weight in self.inbox:
             self.weights[local_edge] = weight
         self.inbox.clear()
+        rows = np.zeros(len(self.weights), dtype=int)
+        self.price = float(row_prices(self.weights, rows, np.array([self.capacity]), self.lam)[0])
         self.rates = np.exp((self.weights - self.price) / self.lam - 1.0)
-        excess = float(np.sum(self.rates)) - self.capacity
-        self.price = max(0.0, self.price + self.gamma * excess)
 
 
 def _active_agents(schedule: Schedule, tick: int, rng: np.random.Generator, n: int) -> list[int]:
@@ -415,18 +410,18 @@ def _snapshot_row(tick, plan, prices, xi, residual, objective) -> dict:
 def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, MessageLog]:
     """Drive the agents to the centralized fixed point through messages only.
 
-    Activated agents run their local primal/dual update and mail their new
-    rates to the target nodes they touch; every ``refresh_every`` ticks each
-    target recomputes its per-type best response from the rates it has seen
-    and mails updated effective weights back.  Terminates once the global
-    residual (stationarity, complementary slackness and action change) drops
-    below ``spec.settings.tol``, returning the assembled plan, or comes back
-    with ``converged=False`` at ``max_ticks``.
+    Activated agents set the exact price of their own row (``capacity_prices``
+    on that row alone) and mail their new rates to the target nodes they
+    touch; every ``refresh_every`` ticks each target recomputes its per-type
+    best response from the rates it has seen and mails updated effective
+    weights back.  Terminates once the global residual (stationarity,
+    complementary slackness and action change) drops below
+    ``spec.settings.tol``, returning the assembled plan, or comes back with
+    ``converged=False`` at ``max_ticks``.
     """
     network = spec.network
     settings = spec.settings
     n, m = network.n_sources, network.n_targets
-    gamma = settings.gamma * schedule.effective_step_scale()
     caps = spec.caps()
     params = spec.cost_params
 
@@ -446,7 +441,6 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             source_id=network.source_ids[j],
             capacity=float(network.capacities[j]),
             lam=settings.lam,
-            gamma=gamma,
             weights=weights[idx],
             rates=np.zeros(len(idx)),
         )

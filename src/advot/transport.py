@@ -135,11 +135,17 @@ def capacity_prices(network: BipartiteNetwork, weights: np.ndarray, lam: float) 
     """
     if lam <= 0:
         raise ZeroLambda("capacity prices need lam > 0; use unregularized_solve")
-    exponent = _check_weights(network, weights) / lam - 1.0
-    shift = np.full(network.n_sources, -np.inf)
-    np.maximum.at(shift, network.edge_source, exponent)
-    mass = network.row_sums(np.exp(exponent - shift[network.edge_source]))
-    return np.maximum(0.0, lam * (shift + np.log(mass) - np.log(network.capacities)))
+    w = _check_weights(network, weights)
+    return row_prices(w, network.edge_source, network.capacities, lam)
+
+
+def row_prices(weights, edge_source, capacities, lam: float) -> np.ndarray:
+    """:func:`capacity_prices` on bare arrays: edge ``e`` leaves source ``edge_source[e]``."""
+    exponent = weights / lam - 1.0
+    shift = np.full(len(capacities), -np.inf)
+    np.maximum.at(shift, edge_source, exponent)
+    mass = np.bincount(edge_source, np.exp(exponent - shift[edge_source]), len(capacities))
+    return np.maximum(0.0, lam * (shift + np.log(mass) - np.log(capacities)))
 
 
 def solve_regularized_ot(

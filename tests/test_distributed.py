@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advot import (
@@ -20,12 +20,14 @@ from advot import (
     SourceAgent,
     ValidationError,
     build_network,
+    capacity_prices,
+    effective_weights,
     replay,
     run_distributed,
     solve_bayesian_equilibrium,
     uniform_belief,
 )
-from advot.distributed import SCHEDULE_MODES
+from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPOLOGY, TRACE, WEIGHT
 from conftest import make_random_spec
 from oracles import agent_tick, reference_log_text
 
@@ -38,7 +40,6 @@ def reference_sync_run(spec: GameSpec, max_ticks: int, refresh_every: int):
     """
     network = spec.network
     lam = spec.settings.lam
-    gamma = spec.settings.gamma
     caps = np.stack([spec.lower_caps, spec.upper_caps], axis=1)
     beta1, beta2 = spec.cost_params.beta1, spec.cost_params.beta2
     xi = caps.copy()
@@ -50,11 +51,11 @@ def reference_sync_run(spec: GameSpec, max_ticks: int, refresh_every: int):
     for tick in range(1, max_ticks + 1):
         for j in range(network.n_sources):
             idx = network.edges_from(j)
-            row = np.exp((weights[idx] - prices[j]) / lam - 1.0)
-            plan[idx] = row
-            prices[j] = max(
-                0.0, prices[j] + gamma * (float(np.sum(row)) - float(network.capacities[j]))
-            )
+            exponent = weights[idx] / lam - 1.0
+            shift = np.max(exponent)
+            mass = np.sum(np.exp(exponent - shift))
+            prices[j] = max(0.0, lam * (shift + np.log(mass) - np.log(network.capacities[j])))
+            plan[idx] = np.exp((weights[idx] - prices[j]) / lam - 1.0)
         price_history.append(prices.copy())
         rate_history.append(plan.copy())
         if tick % refresh_every == 0:
@@ -68,7 +69,9 @@ def reference_sync_run(spec: GameSpec, max_ticks: int, refresh_every: int):
                     if b <= 0:
                         xi[q, t - 1] = caps[q, t - 1]
                     else:
-                        stationary = (beta2 * scale / b) ** (1.0 / (1.0 + beta2))
+                        # the ufunc's pow, as in the library's array code: the
+                        # scalar ``**`` can differ from it in the last bit
+                        stationary = np.power(beta2 * scale / b, 1.0 / (1.0 + beta2))
                         xi[q, t - 1] = min(max(stationary, PERTURBATION_FLOOR), caps[q, t - 1])
                 node_delta = float(
                     spec.belief[q, 0] * 1.0 * xi[q, 0] + spec.belief[q, 1] * 2.0 * xi[q, 1]
@@ -95,10 +98,10 @@ def single_edge_spec(lam=3.0):
 # agents
 
 
-def make_agent(capacity=5.0, weights=(1.0, 2.0), price=0.0, gamma=0.05, lam=3.0):
+def make_agent(capacity=5.0, weights=(1.0, 2.0), price=0.0, lam=3.0):
     w = np.array(weights, dtype=float)
     return SourceAgent(
-        index=0, source_id="s", capacity=capacity, lam=lam, gamma=gamma,
+        index=0, source_id="s", capacity=capacity, lam=lam,
         weights=w, rates=np.zeros(len(w)), price=price,
     )
 
@@ -112,23 +115,45 @@ def test_agent_tick_with_slack_keeps_price_at_zero():
     assert agent.price == 0.0
 
 
-def test_agent_tick_overloaded_ascends_by_excess():
-    agent = make_agent(capacity=0.1, gamma=0.1)
+def test_agent_tick_overloaded_fills_its_capacity():
+    agent = make_agent(capacity=0.1)
     agent_tick(agent)
-    excess = float(np.sum(agent.rates)) - 0.1
-    assert agent.price == pytest.approx(0.1 * excess, abs=1e-15)
     assert agent.price > 0
+    assert float(np.sum(agent.rates)) == pytest.approx(0.1, rel=1e-12, abs=0)
 
 
 def test_agent_tick_is_noop_at_fixed_point():
-    # pick the price that exactly balances the row, then tick twice
-    agent = make_agent(capacity=2.0, weights=(1.0, 2.0))
-    for _ in range(20_000):
+    # one tick sets the exact price; ticking again with no new weights changes nothing
+    for capacity in (2.0, 0.1):
+        agent = make_agent(capacity=capacity, weights=(1.0, 2.0))
         agent_tick(agent)
-    rates_before, price_before = agent.rates.copy(), agent.price
-    agent_tick(agent)
-    np.testing.assert_allclose(agent.rates, rates_before, atol=1e-9)
-    assert agent.price == pytest.approx(price_before, abs=1e-9)
+        rates_before, price_before = agent.rates.copy(), agent.price
+        agent_tick(agent)
+        np.testing.assert_array_equal(agent.rates, rates_before)
+        assert agent.price == price_before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_edges=st.integers(1, 400),
+    top=st.floats(-10.0, 1000.0),  # the row's largest m/lam
+    lam=st.floats(0.01, 10.0),
+    log_capacity=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_edges=400, top=1000.0, lam=3.0, log_capacity=0.0, seed=0)  # priced, m/lam = 1000
+@example(n_edges=400, top=-10.0, lam=3.0, log_capacity=5.0, seed=0)  # slack
+def test_agent_one_tick_price_is_the_exact_capacity_price(n_edges, top, lam, log_capacity, seed):
+    ratio = top - np.random.default_rng(seed).uniform(0.0, 20.0, n_edges)
+    ratio[0] = top
+    weights = lam * ratio
+    capacity = float(np.exp(log_capacity))
+    targets = [f"t{i}" for i in range(n_edges)]
+    net = build_network(["s"], targets, [("s", t) for t in targets], [capacity])
+    expected = float(capacity_prices(net, weights, lam)[0])
+    agent = agent_tick(make_agent(capacity=capacity, weights=weights, lam=lam))
+    assert agent.price == pytest.approx(expected, rel=1e-12, abs=0)
+    assert np.all(np.isfinite(agent.rates))
 
 
 def test_agent_applies_delivered_weights():
@@ -139,10 +164,10 @@ def test_agent_applies_delivered_weights():
 
 def test_agent_state_is_strictly_local():
     # locality by interface: an agent carries nothing but its own row,
-    # price, capacity, step sizes and inbox -- no network, no peers
+    # price, capacity, smoothing weight and inbox -- no network, no peers
     field_names = {f.name for f in dataclasses.fields(SourceAgent)}
     assert field_names == {
-        "index", "source_id", "capacity", "lam", "gamma",
+        "index", "source_id", "capacity", "lam",
         "weights", "rates", "price", "inbox",
     }
 
@@ -156,8 +181,6 @@ def test_schedule_validation():
         Schedule(mode="everything-at-once")
     with pytest.raises(ValidationError):
         Schedule(activation=0.0)
-    assert Schedule(mode="synchronous").effective_step_scale() == 1.0
-    assert Schedule(mode="random-subset").effective_step_scale() == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +394,54 @@ def test_run_stopped_before_its_first_refresh_logs_infinite_residual(paper_spec)
     assert_replays_exactly(MessageLog.from_text(text), report)
 
 
-def test_overflowing_rates_are_logged_as_json_infinity():
-    # exp(3000/3 - 1) overflows: the first rates and every price are inf
+def assert_same_bits(a, b):
+    assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_non_finite_values_are_logged_as_json_constants():
+    # exact prices keep every run finite, so the non-finite path is fed by hand
+    inf, nan = float("inf"), float("nan")
+    log = MessageLog()
+    log.append(0, TOPOLOGY, value=(["j"], ["a", "b"], [("j", "a"), ("j", "b")]))
+    log.append(0, STRATEGY, 0, 4.0, 6.0)
+    log.append(0, STRATEGY, 1, 4.0, 6.0)
+    log.append(1, PRICE, 0, inf)
+    log.append(1, RATE, 0, inf)
+    log.append(1, RATE, 1, nan)
+    log.append(2, PRICE, 0, nan)
+    log.append(2, RATE, 0, -inf)
+    log.append(2, PRICE, 0, -inf)
+    log.append(2, WEIGHT, 0, inf)
+    log.append(2, WEIGHT, 1, -inf)
+    log.append(2, WEIGHT, 0, nan)
+    log.append(2, TRACE, 0, nan, -inf)
+    log.append(2, FINAL, 0, inf, False)
+    text = log.to_text()
+    for kind in ("price", "rate", "weight"):
+        for constant in ("Infinity", "-Infinity", "NaN"):
+            assert re.search(rf'"{kind}":{constant}[,}}]', text), (kind, constant)
+    assert text == reference_log_text(log)
+
+    restored = MessageLog.from_text(text)
+    assert restored.to_text() == text
+    assert (restored.topology, restored.ticks, restored.kinds, restored.index, restored.final) == (
+        log.topology, log.ticks, log.kinds, log.index, log.final
+    )
+    assert_same_bits(restored.value, log.value)
+    assert_same_bits(restored.value2, log.value2)
+    original, rebuilt = replay(log), replay(restored)
+    for name in ("plan", "prices"):
+        assert_same_bits(getattr(rebuilt, name), getattr(original, name))
+    assert (rebuilt.iterations, rebuilt.residual, rebuilt.converged) == (
+        original.iterations, original.residual, original.converged
+    )
+    assert repr(rebuilt.trace) == repr(original.trace)
+
+
+def overflow_spec():
+    # exp(3000/3 - 1) overflows: an unshifted price or rate would be inf
     net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
-    spec = GameSpec(
+    return GameSpec(
         network=net,
         weights=np.array([3000.0, 2990.0]),
         lower_caps=np.array([4.0, 4.0]),
@@ -383,14 +450,40 @@ def test_overflowing_rates_are_logged_as_json_infinity():
         belief=uniform_belief(2),
         settings=SolverSettings(lam=3.0),
     )
-    with np.errstate(over="ignore"):
-        report, log = run_distributed(spec, Schedule(mode="synchronous", max_ticks=25))
-    text = log.to_text()
-    assert '"price":Infinity' in text and '"rate":Infinity' in text
-    assert text == reference_log_text(log)
-    restored = MessageLog.from_text(text)
-    assert restored == log
-    assert_replays_exactly(restored, report)
+
+
+def applied_weights(spec: GameSpec, log: MessageLog) -> np.ndarray:
+    """The weights the single agent of ``spec`` held at its last tick, read from the log."""
+    caps = spec.caps()
+    weights = effective_weights(spec.network, spec.weights, caps, spec.belief)
+    last_tick = max(t for t, kind in zip(log.ticks, log.kinds) if kind == PRICE)
+    for tick, kind, e, value in zip(log.ticks, log.kinds, log.index, log.value):
+        if kind == WEIGHT and tick < last_tick:
+            weights[e] = value
+    return weights
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+def test_overflow_input_converges_with_the_exact_finite_price(mode):
+    spec = overflow_spec()
+    central = solve_bayesian_equilibrium(spec)
+    report, log = run_distributed(spec, Schedule(mode=mode, seed=1, max_ticks=3000))
+    assert report.converged
+    price = float(report.prices[0])
+    assert np.isfinite(price) and price > 0
+    expected = float(capacity_prices(spec.network, applied_weights(spec, log), spec.settings.lam)[0])
+    assert price == pytest.approx(expected, rel=1e-12, abs=0)
+    assert np.max(np.abs(report.plan - central.plan)) <= 1e-6
+    assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
+
+
+@pytest.mark.parametrize("mode", ["synchronous", "random-subset"])
+def test_source_with_400_edges_converges_to_centralized(mode):
+    spec = make_random_spec(np.random.default_rng(400), 1, 400)
+    central = solve_bayesian_equilibrium(spec)
+    report, _ = run_distributed(spec, Schedule(mode=mode, seed=4, max_ticks=3000))
+    assert report.converged
+    assert np.max(np.abs(report.plan - central.plan)) <= 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -319,12 +319,26 @@ def test_cli_distributed_sim_log_bytes_are_pinned(tmp_path):
     out = tmp_path / "dist"
     assert run_cli("distributed-sim", "--config", PAPER, "--out", out, "--seed", 42) == 0
     data = (out / "messages.log").read_bytes()
-    assert len(data) == 1_165_743
-    assert data.count(b"\n") == 8_995
-    assert json.loads((out / "report.json").read_text())["messages"] == 8_995
+    assert len(data) == 60_360
+    assert data.count(b"\n") == 471
+    assert json.loads((out / "report.json").read_text())["messages"] == 471
     assert hashlib.sha256(data).hexdigest() == (
-        "aac8c9218e860165e8e32cbd8c35cbbd22ba1cc08f8eb0f5de18c8a9c2fae531"
+        "e900d7adf3622f3c6eb70c10de3a218cf377a0523d8d25fd6225e80b0bb45a3b"
     )
+
+
+@pytest.mark.parametrize(
+    ("schedule", "ticks", "messages"),
+    [("sync", 90, 815), ("async", 90, 471), ("roundrobin", 90, 455)],
+)
+def test_cli_distributed_sim_work_counts_are_pinned(tmp_path, schedule, ticks, messages):
+    # exact prices leave only the targets' refresh to converge: 9 refreshes of 10 ticks
+    out = tmp_path / schedule
+    assert run_cli(
+        "distributed-sim", "--config", PAPER, "--out", out, "--schedule", schedule, "--seed", 42,
+    ) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (report["ticks"], report["messages"]) == (ticks, messages)
 
 
 def test_cli_exit_code_on_not_converged(tmp_path):
