@@ -364,8 +364,6 @@ class MessageLog:
 class SourceAgent:
     """One source node; reads and writes nothing but its own row and price."""
 
-    index: int
-    source_id: object
     capacity: float
     lam: float
     weights: np.ndarray  # effective weights on this agent's edges
@@ -437,8 +435,6 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     weights = effective_weights(network, spec.weights, xi, spec.belief)
     agents = [
         SourceAgent(
-            index=j,
-            source_id=network.source_ids[j],
             capacity=float(network.capacities[j]),
             lam=settings.lam,
             weights=weights[idx],

@@ -20,10 +20,9 @@ from .static_game import (
     MAX_ROUNDS,
     EquilibriumProfile,
     GameSpec,
-    adversary_cost,
-    dispatcher_expected_utility,
     stage_adversary_best_response,  # re-exported: part of this module's API
     stage_equilibrium,
+    stage_payoffs,
     threshold_phi,
 )
 from .transport import capacity_prices, solve_regularized_ot
@@ -52,11 +51,10 @@ def belief_update(belief: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StageState:
-    """What the stage sees before play: index, belief and inertia anchor."""
+    """What the stage sees before play: its index and belief."""
 
     stage: int
     belief: np.ndarray
-    previous_action: np.ndarray  # (n_targets, 2)
 
 
 @dataclass
@@ -91,32 +89,22 @@ def run_dynamic_game(
     """
     if stages < 1:
         raise ValidationError("stages must be >= 1")
-    if tau < 0:
+    if not tau >= 0:  # also rejects NaN
         raise ValidationError("tau must be >= 0")
-    n_targets = spec.network.n_targets
-    xi_prev = np.full((n_targets, 2), PERTURBATION_FLOOR)
+    xi_prev = np.full((spec.network.n_targets, 2), PERTURBATION_FLOOR)
     belief = spec.belief
     outcomes: list[StageOutcome] = []
     prices = capacity_prices(spec.network, spec.weights, spec.settings.lam)
     plan = solve_regularized_ot(spec.network, spec.weights, spec.settings, prices).plan
     for stage in range(1, stages + 1):
-        state = StageState(stage=stage, belief=belief, previous_action=xi_prev)
+        state = StageState(stage=stage, belief=belief)
         profile = stage_equilibrium(spec, belief, xi_prev, tau, plan, max_rounds)
         if not profile.converged:
             logger.warning("stage %d failed to converge (gap %.3e)", stage, profile.deviation_gap)
             if abort_on_failure:
                 raise StageNotConverged(stage, outcomes=outcomes)
         effective = threshold_phi(profile.strategy, xi_prev, tau)
-        utility = dispatcher_expected_utility(
-            spec.network, profile.plan, spec.weights, effective, belief, spec.settings.lam
-        )
-        ones = np.ones(n_targets, dtype=int)
-        cost_minor = adversary_cost(
-            spec.network, profile.plan, spec.weights, effective, ones, spec.cost_params
-        )
-        cost_major = adversary_cost(
-            spec.network, profile.plan, spec.weights, effective, 2 * ones, spec.cost_params
-        )
+        utility, cost_minor, cost_major = stage_payoffs(spec, belief, profile.plan, effective)
         belief_after = belief_update(belief, profile.strategy)
         outcomes.append(
             StageOutcome(

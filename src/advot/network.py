@@ -192,12 +192,14 @@ def uniform_belief(n_targets: int) -> np.ndarray:
 
 
 def check_belief(belief: np.ndarray, n_targets: int) -> np.ndarray:
-    """Validate a per-target belief table: rows nonnegative, summing to one."""
+    """Validate a per-target belief table: rows finite, nonnegative, summing to one."""
     arr = np.asarray(belief, dtype=float)
     if arr.shape != (n_targets, 2):
         raise DimensionMismatch(
             f"belief has shape {arr.shape}, expected ({n_targets}, 2)"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("belief entries must be finite")
     if np.any(arr < 0):
         raise ValidationError("belief entries must be nonnegative")
     if np.any(np.abs(arr.sum(axis=1) - 1.0) > BELIEF_ATOL):

@@ -34,16 +34,6 @@ logger = logging.getLogger(__name__)
 
 SUBCOMMANDS = ("solve-ot", "static-eq", "dynamic-sim", "distributed-sim")
 
-_SOLVER_DEFAULTS = {"lambda": 3.0, "gamma": 0.05, "tol": 1e-8, "max_iter": 50_000}
-_DYNAMIC_DEFAULTS = {"stages": 5, "tau": 0.5, "on_failure": "abort"}
-_DISTRIBUTED_DEFAULTS = {
-    "mode": "random-subset",
-    "activation": 0.5,
-    "seed": 0,
-    "max_ticks": 50_000,
-    "refresh_every": 10,
-}
-
 
 def _check_block(block: dict, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(block, dict):
@@ -66,6 +56,41 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"'{where}' must be an integer")
     return value
+
+
+def _one_of(choices, phrase: str):
+    """Reader for a field whose value must be one of ``choices``."""
+
+    def read(value, where: str):
+        if value not in choices:
+            raise ValidationError(f"{where} must be {phrase}")
+        return value
+
+    return read
+
+
+# The scalar blocks: field -> (default, reader), checked in this order.  The
+# solver and schedule defaults are those of SolverSettings and Schedule.
+_SCALAR_BLOCKS = {
+    "solver": {
+        "lambda": (SolverSettings.lam, _as_float),
+        "gamma": (SolverSettings.gamma, _as_float),
+        "tol": (SolverSettings.tol, _as_float),
+        "max_iter": (SolverSettings.max_iter, _as_int),
+    },
+    "dynamic": {
+        "on_failure": ("abort", _one_of(("abort", "continue"), "'abort' or 'continue'")),
+        "stages": (5, _as_int),
+        "tau": (0.5, _as_float),
+    },
+    "distributed": {
+        "mode": (Schedule.mode, _one_of(SCHEDULE_MODES, f"one of {', '.join(SCHEDULE_MODES)}")),
+        "activation": (Schedule.activation, _as_float),
+        "seed": (Schedule.seed, _as_int),
+        "max_ticks": (Schedule.max_ticks, _as_int),
+        "refresh_every": (Schedule.refresh_every, _as_int),
+    },
+}
 
 
 def _as_array(value, where: str) -> np.ndarray:
@@ -173,44 +198,13 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
             "prior": [[float(a), float(b)] for a, b in prior],
         }
 
-    solver = dict(_SOLVER_DEFAULTS)
-    if "solver" in raw:
-        _check_block(raw["solver"], set(_SOLVER_DEFAULTS), set(), "solver")
-        solver.update(raw["solver"])
-    data["solver"] = {
-        "lambda": _as_float(solver["lambda"], "solver.lambda"),
-        "gamma": _as_float(solver["gamma"], "solver.gamma"),
-        "tol": _as_float(solver["tol"], "solver.tol"),
-        "max_iter": _as_int(solver["max_iter"], "solver.max_iter"),
-    }
-
-    dynamic = dict(_DYNAMIC_DEFAULTS)
-    if "dynamic" in raw:
-        _check_block(raw["dynamic"], set(_DYNAMIC_DEFAULTS), set(), "dynamic")
-        dynamic.update(raw["dynamic"])
-    if dynamic["on_failure"] not in ("abort", "continue"):
-        raise ValidationError("dynamic.on_failure must be 'abort' or 'continue'")
-    data["dynamic"] = {
-        "stages": _as_int(dynamic["stages"], "dynamic.stages"),
-        "tau": _as_float(dynamic["tau"], "dynamic.tau"),
-        "on_failure": dynamic["on_failure"],
-    }
-
-    distributed = dict(_DISTRIBUTED_DEFAULTS)
-    if "distributed" in raw:
-        _check_block(raw["distributed"], set(_DISTRIBUTED_DEFAULTS), set(), "distributed")
-        distributed.update(raw["distributed"])
-    if distributed["mode"] not in SCHEDULE_MODES:
-        raise ValidationError(
-            f"distributed.mode must be one of {', '.join(SCHEDULE_MODES)}"
-        )
-    data["distributed"] = {
-        "mode": distributed["mode"],
-        "activation": _as_float(distributed["activation"], "distributed.activation"),
-        "seed": _as_int(distributed["seed"], "distributed.seed"),
-        "max_ticks": _as_int(distributed["max_ticks"], "distributed.max_ticks"),
-        "refresh_every": _as_int(distributed["refresh_every"], "distributed.refresh_every"),
-    }
+    for name, fields in _SCALAR_BLOCKS.items():
+        block = raw.get(name, {})
+        _check_block(block, set(fields), set(), name)
+        data[name] = {
+            key: read(block.get(key, default), f"{name}.{key}")
+            for key, (default, read) in fields.items()
+        }
     return data, network
 
 
@@ -263,14 +257,7 @@ class ScenarioConfig:
         )
 
     def schedule(self) -> Schedule:
-        block = self.data["distributed"]
-        return Schedule(
-            mode=block["mode"],
-            activation=block["activation"],
-            seed=block["seed"],
-            max_ticks=block["max_ticks"],
-            refresh_every=block["refresh_every"],
-        )
+        return Schedule(**self.data["distributed"])
 
     def dynamic_params(self) -> tuple[int, float, str]:
         block = self.data["dynamic"]

@@ -6,6 +6,10 @@ separable across target nodes and admits a closed-form per-node minimizer.
 The equilibrium is computed by alternating the two best responses and then
 certifying the fixed point with each coordinate's exact best deviation.
 
+One pass over the plan, :func:`_stage_response`, gives both types' cost
+tables and thresholded minimizers; the loop's adversary best response and
+the certificate's adversary half both read it.
+
 One engine, :func:`stage_equilibrium`, serves both the static game and every
 stage of the multistage game: the static game is the stage game whose
 previous action sits at the floor and whose threshold ``tau`` is 0, where the
@@ -234,16 +238,29 @@ def threshold_phi(xi_t, xi_prev, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _stage_minimizer(scale, flow_term, beta2: float, caps, xi_prev, tau: float) -> np.ndarray:
-    """Minimizer of ``A*z**(-beta2) + B*z`` over the thresholded actions ``z = phi(xi)``.
+_TYPE_VALUES = np.array([1.0, 2.0])  # minor and major: the type multiplies its action
 
-    As ``xi`` ranges over ``[floor, cap]``, ``phi(xi)`` covers exactly
-    ``[xi_prev, max(xi_prev, cap - tau)]``; by convexity the minimizer there
-    is the static one on ``[floor, max(xi_prev, cap - tau)]`` raised to
-    ``xi_prev``.
+
+def _stage_response(network, plan, params, caps, xi_prev, tau: float, types=_TYPE_VALUES):
+    """Per-target, per-type tables of the stage cost ``A*z**(-beta2) + B*z`` and its minimizer.
+
+    ``A`` is the penalty scale and ``B = type*S`` the flow term, one column
+    per entry of ``types``; ``caps`` and ``xi_prev`` broadcast against the
+    ``(n_targets, len(types))`` tables.  ``z`` minimizes the cost over the
+    thresholded actions ``z = phi(xi)``: as ``xi`` ranges over ``[floor,
+    cap]``, ``phi(xi)`` covers exactly ``[xi_prev, max(xi_prev, cap - tau)]``,
+    and by convexity the minimizer there is the static one on ``[floor,
+    max(xi_prev, cap - tau)]`` raised to ``xi_prev``.
     """
+    if not tau >= 0:  # also rejects NaN
+        raise ValidationError("tau must be >= 0")
+    scale, flow = node_cost_aggregates(network, plan, params)
+    # A full table: minimize_node_cost broadcasts the caps to the scale's shape.
+    scale = np.repeat(scale[:, None], len(types), axis=1)
+    flow_term = flow[:, None] * types
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
-    return np.maximum(minimize_node_cost(scale, flow_term, beta2, z_hi), xi_prev)
+    z = np.maximum(minimize_node_cost(scale, flow_term, params.beta2, z_hi), xi_prev)
+    return scale, flow_term, z
 
 
 def stage_adversary_best_response(
@@ -255,44 +272,35 @@ def stage_adversary_best_response(
     xi_prev: np.ndarray,
     tau: float,
 ) -> np.ndarray:
-    """Per-target stage action minimizing the thresholded cost.
+    """Per-target stage action of one type, minimizing the thresholded cost.
 
-    Substituting ``z = phi(xi)`` turns the problem into the static one on
-    the range of ``phi`` (see :func:`_stage_minimizer`).  Its minimizer maps
-    back through ``xi = z + tau``, except that minimizers stuck at the
-    range's lower end stay at the previous action (no incentive to move
-    inside the flat region).
+    The one-column case of :func:`best_response_strategy`: the minimizer
+    ``z`` over the range of ``phi`` (see :func:`_stage_response`) maps back
+    through ``xi = z + tau``, except that minimizers stuck at the range's
+    lower end stay at the previous action (no incentive to move inside the
+    flat region).
     """
     if type_value not in (1, 2):
         raise ValidationError("type_value must be 1 (minor) or 2 (major)")
-    if tau < 0:
-        raise ValidationError("tau must be >= 0")
-    scale, flow = node_cost_aggregates(network, plan, params)
-    xi_prev = np.asarray(xi_prev, dtype=float)
-    z = _stage_minimizer(scale, type_value * flow, params.beta2, caps, xi_prev, tau)
-    return np.where(z > xi_prev, z + tau, xi_prev)
+    caps, xi_prev = (np.reshape(np.asarray(a, dtype=float), (-1, 1)) for a in (caps, xi_prev))
+    _, _, z = _stage_response(
+        network, plan, params, caps, xi_prev, tau, np.array([float(type_value)])
+    )
+    return np.where(z > xi_prev, z + tau, xi_prev)[:, 0]
 
 
 def best_response_strategy(
     spec: GameSpec, plan: np.ndarray, xi_prev=PERTURBATION_FLOOR, tau: float = 0.0
 ) -> np.ndarray:
-    """Both type branches' stage best responses, stacked as an (n_targets, 2) table.
+    """Both types' stage best responses as an (n_targets, 2) table, in one pass.
 
-    The defaults, previous action at the floor and ``tau = 0``, pose the
-    static game.
+    Each column is what :func:`stage_adversary_best_response` plays for its
+    type.  The defaults, previous action at the floor and ``tau = 0``, pose
+    the static game.
     """
-    caps = spec.caps()
-    xi_prev = np.broadcast_to(np.asarray(xi_prev, dtype=float), caps.shape)
-    return np.stack(
-        [
-            stage_adversary_best_response(
-                spec.network, plan, spec.cost_params,
-                caps[:, t - 1], t, xi_prev[:, t - 1], tau,
-            )
-            for t in (1, 2)
-        ],
-        axis=1,
-    )
+    xi_prev = np.asarray(xi_prev, dtype=float)
+    _, _, z = _stage_response(spec.network, plan, spec.cost_params, spec.caps(), xi_prev, tau)
+    return np.where(z > xi_prev, z + tau, xi_prev)
 
 
 def deviation_check(
@@ -310,7 +318,7 @@ def deviation_check(
     utility ``w*y - lam*y*log(y)`` is concave, so the best point is
     ``min(hi, exp(w/lam - 1))``.  For the adversary, one per-node action per
     type moves over ``[floor, cap]``, and its best thresholded action is the
-    one :func:`stage_adversary_best_response` plays.  Payoffs are the
+    one :func:`best_response_strategy` plays.  Payoffs are the
     stage's: both players see the action thresholded against ``xi_prev``,
     and the dispatcher weighs it under ``belief`` (default: the spec's
     prior).  The defaults pose the static game.  The result is >= 0 up to
@@ -321,8 +329,9 @@ def deviation_check(
     xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
     belief = spec.belief if belief is None else belief
     xi_prev = np.asarray(xi_prev, dtype=float)
+    effective = threshold_phi(xi, xi_prev, tau)
 
-    w_eff = effective_weights(network, spec.weights, threshold_phi(xi, xi_prev, tau), belief)
+    w_eff = effective_weights(network, spec.weights, effective, belief)
     slack = network.capacities - network.row_sums(plan)
     hi = np.maximum(plan + slack[network.edge_source], 0.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -330,39 +339,44 @@ def deviation_check(
         utility = w_eff * y - lam * np.where(y > 0, y * np.log(y), 0.0)
     gain = utility[0] - utility[1]
 
-    scale, flow = node_cost_aggregates(network, plan, spec.cost_params)
-    beta2 = spec.cost_params.beta2
-    scale = np.repeat(scale[:, None], 2, axis=1)
-    flow_term = flow[:, None] * np.array([1.0, 2.0])  # B = type * S per target
-    z = np.stack([
-        threshold_phi(xi, xi_prev, tau),
-        _stage_minimizer(scale, flow_term, beta2, spec.caps(), xi_prev, tau),
-    ])
-    cost = scale * z ** (-beta2) + flow_term * z
+    scale, flow_term, best = _stage_response(
+        network, plan, spec.cost_params, spec.caps(), xi_prev, tau
+    )
+    z = np.stack([effective, best])
+    cost = scale * z ** (-spec.cost_params.beta2) + flow_term * z
     reduction = cost[0] - cost[1]
     return max(float(gain.max()), float(reduction.max()))
+
+
+def stage_payoffs(
+    spec: GameSpec, belief: np.ndarray, plan: np.ndarray, effective: np.ndarray
+) -> tuple[float, float, float]:
+    """Dispatcher utility and the minor and major types' costs against the effective action."""
+    network, weights = spec.network, spec.weights
+    utility = dispatcher_expected_utility(
+        network, plan, weights, effective, belief, spec.settings.lam
+    )
+    ones = np.ones(network.n_targets, dtype=int)
+    cost_minor, cost_major = (
+        adversary_cost(network, plan, weights, effective, t * ones, spec.cost_params)
+        for t in (1, 2)
+    )
+    return utility, cost_minor, cost_major
 
 
 def _round_record(
     spec: GameSpec, belief: np.ndarray, rnd: int, plan: np.ndarray,
     xi: np.ndarray, effective: np.ndarray,
 ) -> dict:
-    utility = dispatcher_expected_utility(
-        spec.network, plan, spec.weights, effective, belief, spec.settings.lam
-    )
-    ones = np.ones(spec.network.n_targets, dtype=int)
+    utility, cost_minor, cost_major = stage_payoffs(spec, belief, plan, effective)
     return {
         "round": rnd,
         "plan": plan,
         "xi_minor": xi[:, 0],
         "xi_major": xi[:, 1],
         "dispatcher_utility": utility,
-        "adversary_cost_minor": adversary_cost(
-            spec.network, plan, spec.weights, effective, ones, spec.cost_params
-        ),
-        "adversary_cost_major": adversary_cost(
-            spec.network, plan, spec.weights, effective, 2 * ones, spec.cost_params
-        ),
+        "adversary_cost_minor": cost_minor,
+        "adversary_cost_major": cost_major,
     }
 
 
@@ -386,11 +400,11 @@ def stage_equilibrium(
     gap all to be within tolerance.
     """
     xi = spec.caps()
+    effective = threshold_phi(xi, xi_prev, tau)
     trace: list[dict] = []
     settled = inner_converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        effective = threshold_phi(xi, xi_prev, tau)
         w_eff = effective_weights(spec.network, spec.weights, effective, belief)
         report = _priced_solve(spec, w_eff)
         plan_new, inner_converged = report.plan, report.converged
@@ -399,10 +413,9 @@ def stage_equilibrium(
             float(np.max(np.abs(plan_new - plan))), float(np.max(np.abs(xi_new - xi)))
         )
         plan, xi = plan_new, xi_new
+        effective = threshold_phi(xi, xi_prev, tau)
         if record_trace:
-            trace.append(_round_record(
-                spec, belief, rounds, plan, xi, threshold_phi(xi, xi_prev, tau)
-            ))
+            trace.append(_round_record(spec, belief, rounds, plan, xi, effective))
         if change <= PROFILE_TOL:
             settled = True
             break

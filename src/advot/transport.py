@@ -38,12 +38,13 @@ class SolverSettings:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValidationError("lam must be >= 0")
-        if self.gamma <= 0:
-            raise ValidationError("gamma must be > 0")
-        if self.tol <= 0:
-            raise ValidationError("tol must be > 0")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not 0 <= self.lam < np.inf:
+            raise ValidationError("lam must be finite and >= 0")
+        if not 0 < self.gamma < np.inf:
+            raise ValidationError("gamma must be finite and > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValidationError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be a positive integer")
 

@@ -3,9 +3,10 @@
 Each oracle here deliberately takes a different route than the library:
 general-purpose NLP/LP solvers, dense grid search, bisection on composed
 maps, brute-force enumeration of the joint type space, per-coordinate
-loops over a grid certificate's rows, and one ``json.dumps`` per message-log
-record.  Two thin helpers that only tests call, ``adversary_best_response``
-and ``agent_tick``, live here too.
+loops over a grid certificate's rows, one type at a time through the stage
+best response's steps, and one ``json.dumps`` per message-log record.  Two
+thin helpers that only tests call, ``adversary_best_response`` and
+``agent_tick``, live here too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from advot import (
     PERTURBATION_FLOOR,
     check_belief,
     effective_weights,
+    minimize_node_cost,
     node_cost_aggregates,
     stage_adversary_best_response,
     threshold_phi,
@@ -208,6 +210,21 @@ def loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=21):
             grid = np.linspace(PERTURBATION_FLOOR, caps[q, t - 1], grid_points)
             best = max(best, float(np.max(cost(xi[q, t - 1]) - cost(grid))))
     return best
+
+
+def per_type_stage_response(network, plan, params, caps, type_value, xi_prev, tau):
+    """One type's stage best response, composed step by step on 1-d arrays.
+
+    The aggregates ``A`` and ``S``; the static minimizer of ``A*z**(-beta2) +
+    type*S*z`` on ``[floor, max(xi_prev, cap - tau)]``; raised to
+    ``xi_prev``; and mapped back through ``xi = z + tau`` wherever it moved
+    above ``xi_prev``.
+    """
+    scale, flow = node_cost_aggregates(network, plan, params)
+    xi_prev = np.asarray(xi_prev, dtype=float)
+    z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
+    z = np.maximum(minimize_node_cost(scale, type_value * flow, params.beta2, z_hi), xi_prev)
+    return np.where(z > xi_prev, z + tau, xi_prev)
 
 
 def incidence(network) -> np.ndarray:

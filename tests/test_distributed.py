@@ -101,8 +101,7 @@ def single_edge_spec(lam=3.0):
 def make_agent(capacity=5.0, weights=(1.0, 2.0), price=0.0, lam=3.0):
     w = np.array(weights, dtype=float)
     return SourceAgent(
-        index=0, source_id="s", capacity=capacity, lam=lam,
-        weights=w, rates=np.zeros(len(w)), price=price,
+        capacity=capacity, lam=lam, weights=w, rates=np.zeros(len(w)), price=price,
     )
 
 
@@ -166,10 +165,7 @@ def test_agent_state_is_strictly_local():
     # locality by interface: an agent carries nothing but its own row,
     # price, capacity, smoothing weight and inbox -- no network, no peers
     field_names = {f.name for f in dataclasses.fields(SourceAgent)}
-    assert field_names == {
-        "index", "source_id", "capacity", "lam",
-        "weights", "rates", "price", "inbox",
-    }
+    assert field_names == {"capacity", "lam", "weights", "rates", "price", "inbox"}
 
 
 # ---------------------------------------------------------------------------

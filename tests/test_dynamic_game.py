@@ -10,8 +10,11 @@ from advot import (
     AdversaryCostParams,
     DegenerateDenominator,
     StageNotConverged,
+    ValidationError,
     belief_update,
+    best_response_strategy,
     build_network,
+    deviation_check,
     run_dynamic_game,
     solve_bayesian_equilibrium,
     stage_adversary_best_response,
@@ -251,3 +254,26 @@ def test_stage_failure_can_continue(paper_spec):
     )
     assert len(outcomes) == 2
     assert not any(o.profile.converged for o in outcomes)
+
+
+def test_nan_tau_is_rejected(paper_spec):
+    net, params, plan = stage_setup()
+    nan = float("nan")
+    with pytest.raises(ValidationError, match="tau"):
+        stage_adversary_best_response(net, plan, params, np.array([3.0]), 1, np.array([1.0]), nan)
+    profile = solve_bayesian_equilibrium(paper_spec)
+    with pytest.raises(ValidationError, match="tau"):
+        best_response_strategy(paper_spec, profile.plan, FLOOR, nan)
+    with pytest.raises(ValidationError, match="tau"):
+        deviation_check(paper_spec, profile.plan, profile.strategy, tau=nan)
+    with pytest.raises(ValidationError, match="tau"):
+        run_dynamic_game(paper_spec, stages=1, tau=nan)
+
+
+def test_infinite_tau_keeps_every_action_at_the_floor(paper_spec):
+    # infinite inertia: phi is flat everywhere, so no stage ever moves its action
+    outcomes = run_dynamic_game(paper_spec, stages=2, tau=float("inf"))
+    for outcome in outcomes:
+        assert outcome.profile.converged
+        np.testing.assert_array_equal(outcome.profile.strategy, FLOOR)
+        np.testing.assert_array_equal(outcome.effective_action, FLOOR)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import advot.cli  # the tracer wraps the CLI too
 from advot import (
     PERTURBATION_FLOOR,
+    AdversaryCostParams,
     PerturbationBelowFloor,
     StageNotConverged,
     best_response_strategy,
@@ -26,12 +27,60 @@ from advot import (
     run_dynamic_game,
     solve_bayesian_equilibrium,
     solve_regularized_ot,
+    stage_adversary_best_response,
     threshold_phi,
 )
 from conftest import SCENARIO_DIR, make_random_spec
-from oracles import loop_deviation_gap
+from oracles import loop_deviation_gap, per_type_stage_response
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+# ---------------------------------------------------------------------------
+# both types' best responses in one pass against the per-type reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 4),
+    n_targets=st.integers(1, 6),
+    tau=st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.just(np.inf)),
+    beta1=st.floats(0.0, 1.0),
+    beta2=st.floats(0.0, 1.0),
+)
+def test_adversary_response_equals_the_per_type_reference(
+    seed, n_sources, n_targets, tau, beta1, beta2
+):
+    """Both columns of the one-pass response are bit for bit the per-type composition.
+
+    Every example has a target without flow (the first, when there are
+    several targets), previous actions above the floor, and a target whose
+    previous action sits at its cap, so the cap is below ``xi_prev + tau``
+    whenever ``tau > 0``.
+    """
+    rng = np.random.default_rng(seed)
+    spec = make_random_spec(rng, n_sources, n_targets)
+    params = AdversaryCostParams(spec.cost_params.punishment_coeff, beta1, beta2)
+    spec = dataclasses.replace(spec, cost_params=params)
+    network, caps = spec.network, spec.caps()
+    plan = rng.uniform(0.0, 2.0, network.n_edges)
+    idle = rng.random(n_targets) < 0.3
+    idle[0] = n_targets > 1
+    plan[idle[network.edge_target]] = 0.0
+    floor = PERTURBATION_FLOOR
+    xi_prev = np.where(
+        rng.random(caps.shape) < 0.2,
+        floor,
+        floor + rng.uniform(0.0, 1.0, caps.shape) * (caps - floor),
+    )
+    xi_prev[-1] = caps[-1]
+    both = best_response_strategy(spec, plan, xi_prev, tau)
+    for t in (1, 2):
+        args = (network, plan, params, caps[:, t - 1], t, xi_prev[:, t - 1], tau)
+        expected = per_type_stage_response(*args)
+        assert np.array_equal(both[:, t - 1], expected)
+        assert np.array_equal(stage_adversary_best_response(*args), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,13 @@ def test_belief_validation():
         check_belief(np.array([[1.2, -0.2], [0.5, 0.5]]), 2)
 
 
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]])
+def test_belief_rejects_non_finite_entries(row):
+    # NaN fails every comparison, so only an explicit finiteness check catches it
+    with pytest.raises(ValidationError, match="finite"):
+        check_belief(np.array([[0.5, 0.5], row]), 2)
+
+
 def test_cost_params_broadcasting(paper_network):
     per_target = AdversaryCostParams.for_network(paper_network, [1.0, 2.0, 3.0], 0.5, 0.5)
     np.testing.assert_array_equal(per_target.punishment_coeff, [1, 2, 3, 1, 2, 3])

@@ -368,6 +368,35 @@ def test_cli_exit_code_on_input_errors(tmp_path, capsys):
     assert "advot:" in err
 
 
+# NaN fails every comparison, so only an explicit finiteness check stops these
+# inputs before a run ends in a NaN plan, a meaningless plan or the iteration limit.
+NON_FINITE_INPUTS = {
+    "lambda-nan": (("solver", "lambda", float("nan")), "lam must be finite"),
+    "lambda-inf": (("solver", "lambda", float("inf")), "lam must be finite"),
+    "gamma-inf": (("solver", "gamma", float("inf")), "gamma must be finite"),
+    "tol-nan": (("solver", "tol", float("nan")), "tol must be finite"),
+    "prior-nan": (("adversary", "prior", [[0.5, 0.5], [np.nan, np.nan], [0.5, 0.5]]),
+                  "belief entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve-ot", "static-eq", "dynamic-sim", "distributed-sim"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+def test_cli_rejects_non_finite_inputs(tmp_path, capsys, command, name):
+    (block, field, value), message = NON_FINITE_INPUTS[name]
+    config = json.loads(PAPER.read_text())
+    config[block][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(command, "--config", path, "--out", tmp_path / "out") == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_rejects_a_nan_tau(tmp_path, capsys):
+    assert run_cli("dynamic-sim", "--config", PAPER, "--out", tmp_path, "--tau", "nan") == 1
+    assert "tau must be >= 0" in capsys.readouterr().err
+
+
 # Weights about 1000*lam: the unpriced plan exp(m/lam - 1) overflows.
 OVERFLOW = {
     "network": {

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from advot import (
     NonFiniteIterate,
     SolverSettings,
+    ValidationError,
     ZeroLambda,
     build_network,
     capacity_prices,
@@ -300,3 +301,10 @@ def test_smoothing_spreads_allocations(paper_network, paper_edge_weights):
     assert np.count_nonzero(paper_network.plan_matrix(sparse), axis=1).tolist() == [1, 1]
     smooth = solve_regularized_ot(paper_network, paper_edge_weights, SolverSettings()).plan
     assert np.all(smooth > 0.01)
+
+
+@pytest.mark.parametrize("field", ["lam", "gamma", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_settings_reject_non_finite_values(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        SolverSettings(**{field: value})
