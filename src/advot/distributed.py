@@ -46,6 +46,8 @@ class Schedule:
             raise ValidationError("activation probability must lie in (0, 1]")
         if self.max_ticks < 1 or self.refresh_every < 1:
             raise ValidationError("max_ticks and refresh_every must be >= 1")
+        if self.seed < 0:  # numpy's generator takes no negative seed
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

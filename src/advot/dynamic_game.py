@@ -25,7 +25,7 @@ from .static_game import (
     stage_payoffs,
     threshold_phi,
 )
-from .transport import capacity_prices, solve_regularized_ot
+from .transport import solve_regularized_ot
 
 logger = logging.getLogger(__name__)
 
@@ -94,8 +94,7 @@ def run_dynamic_game(
     xi_prev = np.full((spec.network.n_targets, 2), PERTURBATION_FLOOR)
     belief = spec.belief
     outcomes: list[StageOutcome] = []
-    prices = capacity_prices(spec.network, spec.weights, spec.settings.lam)
-    plan = solve_regularized_ot(spec.network, spec.weights, spec.settings, prices).plan
+    plan = solve_regularized_ot(spec.network, spec.weights, spec.settings).plan
     for stage in range(1, stages + 1):
         state = StageState(stage=stage, belief=belief)
         profile = stage_equilibrium(spec, belief, xi_prev, tau, plan, max_rounds)

@@ -32,13 +32,7 @@ from .network import (
     check_plan,
     check_strategy,
 )
-from .transport import (
-    SolveReport,
-    SolverSettings,
-    capacity_prices,
-    planner_objective,
-    solve_regularized_ot,
-)
+from .transport import SolveReport, SolverSettings, planner_objective, solve_regularized_ot
 
 logger = logging.getLogger(__name__)
 
@@ -149,16 +143,11 @@ def dispatcher_expected_utility(
     return planner_objective(plan, effective_weights(network, weights, xi, belief), lam)
 
 
-def _priced_solve(spec: GameSpec, weights: np.ndarray) -> SolveReport:
-    """The transport solve started from the exact prices, so one ascent step checks them."""
-    prices = capacity_prices(spec.network, weights, spec.settings.lam)
-    return solve_regularized_ot(spec.network, weights, spec.settings, prices)
-
-
 def dispatcher_best_response(spec: GameSpec, xi: np.ndarray) -> SolveReport:
     """Solve the dispatcher's transport problem under belief-averaged weights."""
     xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
-    return _priced_solve(spec, effective_weights(spec.network, spec.weights, xi, spec.belief))
+    w = effective_weights(spec.network, spec.weights, xi, spec.belief)
+    return solve_regularized_ot(spec.network, w, spec.settings)
 
 
 def adversary_cost(
@@ -406,7 +395,7 @@ def stage_equilibrium(
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         w_eff = effective_weights(spec.network, spec.weights, effective, belief)
-        report = _priced_solve(spec, w_eff)
+        report = solve_regularized_ot(spec.network, w_eff, spec.settings)
         plan_new, inner_converged = report.plan, report.converged
         xi_new = best_response_strategy(spec, plan_new, xi_prev, tau)
         change = max(
@@ -444,7 +433,7 @@ def solve_bayesian_equilibrium(
 
     The dispatcher starts from the adversary-free plan.
     """
-    base = _priced_solve(spec, spec.weights)
+    base = solve_regularized_ot(spec.network, spec.weights, spec.settings)
     return stage_equilibrium(
         spec, spec.belief, PERTURBATION_FLOOR, 0.0, base.plan, record_trace=record_trace
     )

@@ -4,9 +4,11 @@ The dispatcher maximizes ``sum(m*x) - lam*sum(x*log x)`` subject to per-source
 capacities ``Bx <= c`` and ``x >= 0``.  With ``lam > 0`` the primal update has
 a closed form per edge.  The capacity constraints are per source, so the dual
 splits by source and each optimal price has a closed form too
-(:func:`capacity_prices`); :func:`solve_regularized_ot` runs projected
-subgradient ascent on the prices from any start.  ``lam == 0`` degenerates to
-a linear program whose vertex solution is computed greedily.
+(:func:`capacity_prices`, one-marginal Sinkhorn scaling).
+:func:`solve_regularized_ot` starts from those prices and runs projected
+subgradient ascent on them: its first step checks the KKT conditions, and
+further steps only run when the exact prices miss ``tol``.  ``lam == 0``
+degenerates to a linear program whose vertex solution is computed greedily.
 """
 
 from __future__ import annotations
@@ -153,9 +155,14 @@ def solve_regularized_ot(
     network: BipartiteNetwork,
     weights: np.ndarray,
     settings: SolverSettings = SolverSettings(),
-    prices0: np.ndarray | None = None,
 ) -> SolveReport:
-    """Alternate primal and dual updates until the fixed point.
+    """Start from the exact capacity prices and alternate primal and dual updates.
+
+    The prices start at :func:`capacity_prices` of ``weights``, where the KKT
+    conditions hold up to rounding, so the first ascent step is a check and
+    the solve converges in one iteration unless ``tol`` is below what those
+    prices reach.  Further steps take the projected ascent with step
+    ``settings.gamma``.
 
     Parameters
     ----------
@@ -164,9 +171,6 @@ def solve_regularized_ot(
         Perceived intensity per edge (utility per resource unit).
     settings : SolverSettings
         Requires ``settings.lam > 0``.
-    prices0 : ndarray, optional
-        Warm-start prices; zeros when omitted.  Started from
-        :func:`capacity_prices`, the ascent converges in one step.
 
     Returns
     -------
@@ -179,20 +183,14 @@ def solve_regularized_ot(
     Raises
     ------
     NonFiniteIterate
-        At the first iteration whose prices are not finite (the step
-        overflowed), instead of returning them.
+        At the first iteration whose prices are not finite (the plan
+        overflowed, as when ``lam`` is tiny against the weights), instead of
+        returning them.
     """
     if settings.lam <= 0:
         raise ZeroLambda("solve_regularized_ot needs lam > 0; use unregularized_solve")
     w = _check_weights(network, weights)
-    if prices0 is None:
-        prices = np.zeros(network.n_sources)
-    else:
-        prices = np.asarray(prices0, dtype=float).copy()
-        if prices.shape != (network.n_sources,):
-            raise DimensionMismatch("warm-start prices have the wrong shape")
-        if np.any(prices < 0):
-            raise ValidationError("warm-start prices must be nonnegative")
+    prices = row_prices(w, network.edge_source, network.capacities, settings.lam)
 
     trace: list[dict] = []
     x = primal_update(network, w, prices, settings.lam)

@@ -179,6 +179,12 @@ def test_schedule_validation():
         Schedule(activation=0.0)
 
 
+def test_schedule_rejects_a_negative_seed():
+    # numpy's generator would raise a bare ValueError at the start of the run
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        Schedule(seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # runs
 

@@ -11,6 +11,7 @@ from advot import (
     ParseError,
     Schedule,
     ValidationError,
+    capacity_prices,
     emit_trace,
     parse_scenario,
     run_command,
@@ -345,6 +346,7 @@ def test_cli_exit_code_on_not_converged(tmp_path):
     out = tmp_path / "short"
     config = json.loads(PAPER.read_text())
     config["solver"]["max_iter"] = 2
+    config["solver"]["tol"] = 1e-300
     path = tmp_path / "short.json"
     path.write_text(json.dumps(config))
     assert run_cli("solve-ot", "--config", path, "--out", out) == 2
@@ -446,10 +448,44 @@ def test_cli_dynamic_sim_solves_the_overflow_input(tmp_path, overflow_config):
 
 
 def test_cli_solve_ot_refuses_non_finite_prices(tmp_path, overflow_config, capsys):
-    # the cold ascent starts at zero prices, where the plan overflows
+    # at lambda 1e-300 the exact price rounds, and the plan overflows at once
     with np.errstate(over="ignore"):
-        assert run_cli("solve-ot", "--config", overflow_config, "--out", tmp_path / "ot") == 1
+        assert run_cli(
+            "solve-ot", "--config", overflow_config, "--out", tmp_path / "ot", "--lambda", "1e-300",
+        ) == 1
     assert "non-finite at iteration 1" in capsys.readouterr().err
+
+
+def test_cli_solve_ot_solves_the_overflow_input(tmp_path, overflow_config):
+    out = tmp_path / "ot"
+    assert run_cli("solve-ot", "--config", overflow_config, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
+    config = parse_scenario(overflow_config.read_text())
+    expected = capacity_prices(config.network, config.weights, 3.0)[0]
+    assert np.isfinite(report["prices"][0])
+    assert report["prices"][0] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scenario", [PAPER, MINIMAL], ids=["paper", "minimal"])
+def test_cli_solve_ot_work_counts_are_pinned(tmp_path, scenario):
+    # the exact start leaves one checking step; a cold start takes hundreds
+    out = tmp_path / "ot"
+    assert run_cli("solve-ot", "--config", scenario, "--out", out) == 0
+    assert json.loads((out / "report.json").read_text())["iterations"] == 1
+    assert (out / "trace.csv").read_text().count("\n") == 2  # header + 1 iteration
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    assert run_cli("distributed-sim", "--config", PAPER, "--out", tmp_path / "a", "--seed", -1) == 1
+    config = json.loads(PAPER.read_text())
+    config["distributed"] = {"seed": -1}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("distributed-sim", "--config", path, "--out", tmp_path / "b") == 1
+    err = capsys.readouterr().err
+    assert err.count("advot: seed must be >= 0") == 2
+    assert "Traceback" not in err
 
 
 def test_cli_zero_lambda_rejected_for_games(tmp_path):

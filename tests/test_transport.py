@@ -181,43 +181,85 @@ def test_solve_kkt_conditions(paper_network, paper_edge_weights):
     assert np.all(report.plan > 0)
 
 
-def test_solve_objective_monotone_along_iterates(paper_network, paper_edge_weights):
-    # from the unconstrained start the feasible optimum is approached from
-    # above, so the objective decreases monotonically for small steps
-    settings = SolverSettings(gamma=0.01, record_trace=True)
+def test_solve_objective_matches_oracle_in_one_iteration(paper_network, paper_edge_weights):
+    # started from the exact prices, the trace holds the one checking step
+    settings = SolverSettings(record_trace=True)
     report = solve_regularized_ot(paper_network, paper_edge_weights, settings)
-    objectives = [row["objective"] for row in report.trace]
-    diffs = np.diff(objectives)
-    assert np.all(diffs <= 1e-12)
+    assert report.iterations == 1
+    (row,) = report.trace
+    assert row["objective"] == pytest.approx(
+        planner_objective(report.plan, paper_edge_weights, 3.0), abs=1e-6
+    )
     oracle = slsqp_regularized_plan(paper_network, paper_edge_weights, 3.0)
-    assert objectives[-1] == pytest.approx(
+    assert row["objective"] == pytest.approx(
         planner_objective(oracle, paper_edge_weights, 3.0), abs=1e-6
     )
 
 
 def test_solve_reports_not_converged_when_budget_exhausted(paper_network, paper_edge_weights):
     report = solve_regularized_ot(
-        paper_network, paper_edge_weights, SolverSettings(max_iter=3)
+        paper_network, paper_edge_weights, SolverSettings(tol=1e-300, max_iter=3)
     )
     assert not report.converged
     assert report.iterations == 3
 
 
 def test_solve_refuses_non_finite_prices():
-    # m/lam is about 1000: from zero prices the plan overflows at once
+    # m/lam is about 3e303: the exact price rounds, and the plan overflows at once
     net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate) as excinfo:
-        solve_regularized_ot(net, np.array([3000.0, 2990.0]), SolverSettings(lam=3.0))
+        solve_regularized_ot(net, np.array([3000.0, 2990.0]), SolverSettings(lam=1e-300))
     assert excinfo.value.iteration == 1
 
 
-def test_solve_warm_start_agrees(paper_network, paper_edge_weights):
-    cold = solve_regularized_ot(paper_network, paper_edge_weights, SolverSettings())
-    warm = solve_regularized_ot(
-        paper_network, paper_edge_weights, SolverSettings(), prices0=cold.prices
-    )
-    np.testing.assert_allclose(warm.plan, cold.plan, atol=1e-7)
-    assert warm.iterations <= cold.iterations
+def test_solve_overflow_input_converges_with_the_exact_price():
+    # m/lam is about 1000: the unpriced plan exp(m/lam - 1) overflows
+    net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
+    weights = np.array([3000.0, 2990.0])
+    report = solve_regularized_ot(net, weights, SolverSettings(lam=3.0))
+    assert report.converged and report.iterations == 1
+    assert np.isfinite(report.prices[0])
+    assert report.prices[0] == pytest.approx(capacity_prices(net, weights, 3.0)[0], rel=1e-12, abs=0)
+    assert net.row_sums(report.plan)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_solve_converges_on_a_source_with_400_edges():
+    # from zero prices the default step ran 50,000 iterations unconverged here
+    targets = [f"t{q}" for q in range(400)]
+    net = build_network(["s"], targets, [("s", t) for t in targets], [200.0])
+    weights = np.random.default_rng(3).uniform(1.0, 5.0, 400)
+    settings = SolverSettings()
+    report = solve_regularized_ot(net, weights, settings)
+    assert report.converged
+    assert report.residual <= settings.tol
+    lam, tol = settings.lam, settings.tol
+    stationarity = weights - lam * (1.0 + np.log(report.plan)) - report.prices[0]
+    assert np.max(np.abs(stationarity)) <= tol
+    slack = net.capacities - net.row_sums(report.plan)
+    assert np.all(slack >= -tol)
+    assert np.max(np.abs(report.prices * slack)) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_edges=st.integers(1, 400),
+    top=st.floats(-10.0, 1000.0),  # the row's largest m/lam
+    lam=st.floats(0.01, 10.0),
+    capacity=st.floats(0.1, 500.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_edges=400, top=1000.0, lam=3.0, capacity=0.1, seed=0)  # priced, m/lam = 1000
+@example(n_edges=400, top=-10.0, lam=3.0, capacity=500.0, seed=0)  # slack
+def test_solve_is_the_exact_price_plan_in_one_iteration(n_edges, top, lam, capacity, seed):
+    ratio = top - np.random.default_rng(seed).uniform(0.0, 20.0, n_edges)
+    ratio[0] = top
+    weights = lam * ratio
+    targets = [f"t{q}" for q in range(n_edges)]
+    net = build_network(["s"], targets, [("s", t) for t in targets], [capacity])
+    report = solve_regularized_ot(net, weights, SolverSettings(lam=lam))
+    assert report.converged and report.iterations == 1
+    exact = primal_update(net, weights, capacity_prices(net, weights, lam), lam)
+    np.testing.assert_array_equal(report.plan, exact)
 
 
 def test_solver_matches_oracle_on_random_instances():
