@@ -2,9 +2,12 @@
 
 A scenario is a JSON key-value tree (network, weights, adversary, solver,
 dynamic, distributed).  Parsing validates every model invariant up front,
-fills documented defaults and produces a normalized form, so the echo of an
-effective config re-parses to an equal config and runs are reproducible
-byte-for-byte.
+with the solver, schedule and stage ranges and the caps' floor, so no run
+writes a file for input it then rejects.  It fills documented defaults and
+produces a normalized form, so the echo of an effective config re-parses to
+an equal config and runs are reproducible byte-for-byte.  Each subcommand's
+runner returns its trace table and report fields, and :func:`run_command`
+alone writes them and derives the exit status.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 
 from .distributed import SCHEDULE_MODES, Schedule, run_distributed
 from .dynamic_game import StageOutcome, run_dynamic_game
-from .errors import ParseError, StageNotConverged, ValidationError
+from .errors import ParseError, PerturbationBelowFloor, StageNotConverged, ValidationError
 from .network import (
+    PERTURBATION_FLOOR,
     AdversaryCostParams,
     BipartiteNetwork,
     build_network,
@@ -172,8 +176,10 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
             raise ValidationError("caps must list one value per target node")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValidationError("caps must be finite")
-        if np.any(lower <= 0) or np.any(lower > upper):
-            raise ValidationError("caps must satisfy 0 < lower_caps <= upper_caps")
+        if np.any(lower < PERTURBATION_FLOOR):
+            raise PerturbationBelowFloor(f"caps must be >= the action floor {PERTURBATION_FLOOR}")
+        if np.any(lower > upper):
+            raise ValidationError("caps must satisfy lower_caps <= upper_caps")
         params = AdversaryCostParams.for_network(
             network,
             _as_array(adv["punishment_coeff"], "adversary.punishment_coeff"),
@@ -205,6 +211,14 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
             key: read(block.get(key, default), f"{name}.{key}")
             for key, (default, read) in fields.items()
         }
+    # Range rules, checked here so that no run writes an echo it then rejects.
+    solver = data["solver"]
+    SolverSettings(solver["lambda"], solver["gamma"], solver["tol"], solver["max_iter"])
+    Schedule(**data["distributed"])
+    if data["dynamic"]["stages"] < 1:
+        raise ValidationError("stages must be >= 1")
+    if not data["dynamic"]["tau"] >= 0:  # also rejects NaN
+        raise ValidationError("tau must be >= 0")
     return data, network
 
 
@@ -230,11 +244,7 @@ class ScenarioConfig:
     def settings(self, record_trace: bool = False) -> SolverSettings:
         solver = self.data["solver"]
         return SolverSettings(
-            lam=solver["lambda"],
-            gamma=solver["gamma"],
-            tol=solver["tol"],
-            max_iter=solver["max_iter"],
-            record_trace=record_trace,
+            solver["lambda"], solver["gamma"], solver["tol"], solver["max_iter"], record_trace
         )
 
     def game_spec(self) -> GameSpec:
@@ -264,7 +274,7 @@ class ScenarioConfig:
         return block["stages"], block["tau"], block["on_failure"]
 
     def echo_text(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+        return _json_text(self.data)
 
     def with_overrides(
         self,
@@ -283,22 +293,21 @@ class ScenarioConfig:
         if all(v is None for v in (lam, gamma, tol, stages, tau, mode, seed)):
             return self
         raw = copy.deepcopy(self.data)
-        if lam is not None:
-            raw["solver"]["lambda"] = float(lam)
-        if gamma is not None:
-            raw["solver"]["gamma"] = float(gamma)
-        if tol is not None:
-            raw["solver"]["tol"] = float(tol)
-        if stages is not None:
-            raw["dynamic"]["stages"] = int(stages)
-        if tau is not None:
-            raw["dynamic"]["tau"] = float(tau)
-        if mode is not None:
-            raw["distributed"]["mode"] = mode
-        if seed is not None:
-            raw["distributed"]["seed"] = int(seed)
+        for block, key, value, cast in (
+            ("solver", "lambda", lam, float), ("solver", "gamma", gamma, float),
+            ("solver", "tol", tol, float), ("dynamic", "stages", stages, int),
+            ("dynamic", "tau", tau, float), ("distributed", "mode", mode, str),
+            ("distributed", "seed", seed, int),
+        ):
+            if value is not None:
+                raw[block][key] = cast(value)
         data, network = _normalize(raw)
         return ScenarioConfig(data=data, network=network)
+
+
+def _json_text(payload: dict) -> str:
+    """The layout of every JSON file a run writes: sorted keys, two-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -455,155 +464,84 @@ def distributed_trace_records(
 
 
 # ---------------------------------------------------------------------------
-# Orchestration
+# Orchestration: each runner returns ((columns, rows), report fields).
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _network_header(network: BipartiteNetwork) -> dict:
-    return {
-        "sources": list(network.source_ids),
-        "targets": list(network.target_ids),
-        "edges": [list(edge) for edge in network.edges],
+def _run_solve_ot(config: ScenarioConfig, out_dir: Path):
+    network, weights = config.network, config.weights
+    settings = config.settings(record_trace=True)
+    if settings.lam == 0:
+        plan, prices = unregularized_solve(network, weights), np.zeros(network.n_sources)
+        row = {"iteration": 0, "plan": plan, "prices": prices, "residual": 0.0,
+               "objective": planner_objective(plan, weights, 0.0)}
+        report = SolveReport(plan, prices, 0, 0.0, True, [row])
+    else:
+        report = solve_regularized_ot(network, weights, settings)
+    return ot_trace_records(network, report), {
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "residual": report.residual,
+        "objective": planner_objective(report.plan, weights, settings.lam),
+        "plan": report.plan.tolist(),
+        "prices": report.prices.tolist(),
     }
 
 
-def _run_solve_ot(config: ScenarioConfig, out_dir: Path, emit: str) -> int:
-    network = config.network
-    weights = config.weights
-    settings = config.settings(record_trace=True)
-    if settings.lam == 0:
-        plan = unregularized_solve(network, weights)
-        objective = planner_objective(plan, weights, 0.0)
-        report = SolveReport(
-            plan=plan,
-            prices=np.zeros(network.n_sources),
-            iterations=0,
-            residual=0.0,
-            converged=True,
-            trace=[{
-                "iteration": 0,
-                "plan": plan,
-                "prices": np.zeros(network.n_sources),
-                "residual": 0.0,
-                "objective": objective,
-            }],
-        )
-    else:
-        report = solve_regularized_ot(network, weights, settings)
-    emit_trace("solve-ot", *ot_trace_records(network, report), emit, _trace_path(out_dir, emit))
-    _write_json(
-        out_dir / "report.json",
-        {
-            "kind": "solve-ot",
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "residual": report.residual,
-            "objective": planner_objective(report.plan, weights, settings.lam),
-            "plan": [float(v) for v in report.plan],
-            "prices": [float(v) for v in report.prices],
-            **_network_header(network),
-        },
-    )
-    return 0 if report.converged else 2
-
-
-def _run_static_eq(config: ScenarioConfig, out_dir: Path, emit: str) -> int:
+def _run_static_eq(config: ScenarioConfig, out_dir: Path):
     spec = config.game_spec()
     profile = solve_bayesian_equilibrium(spec, record_trace=True)
-    emit_trace(
-        "static-eq", *static_trace_records(spec.network, profile.trace), emit,
-        _trace_path(out_dir, emit),
-    )
-    _write_json(
-        out_dir / "report.json",
-        {
-            "kind": "static-eq",
-            "converged": profile.converged,
-            "rounds": profile.iterations,
-            "deviation_gap": profile.deviation_gap,
-            "plan": [float(v) for v in profile.plan],
-            "xi_minor": [float(v) for v in profile.strategy[:, 0]],
-            "xi_major": [float(v) for v in profile.strategy[:, 1]],
-            **_network_header(spec.network),
-        },
-    )
-    return 0 if profile.converged else 2
+    return static_trace_records(spec.network, profile.trace), {
+        "converged": profile.converged,
+        "rounds": profile.iterations,
+        "deviation_gap": profile.deviation_gap,
+        "plan": profile.plan.tolist(),
+        "xi_minor": profile.strategy[:, 0].tolist(),
+        "xi_major": profile.strategy[:, 1].tolist(),
+    }
 
 
-def _run_dynamic_sim(config: ScenarioConfig, out_dir: Path, emit: str) -> int:
+def _run_dynamic_sim(config: ScenarioConfig, out_dir: Path):
     spec = config.game_spec()
     stages, tau, on_failure = config.dynamic_params()
     failed_stage = None
     try:
-        outcomes = run_dynamic_game(
-            spec, stages, tau, abort_on_failure=(on_failure == "abort")
-        )
+        outcomes = run_dynamic_game(spec, stages, tau, abort_on_failure=(on_failure == "abort"))
     except StageNotConverged as exc:
-        outcomes = exc.outcomes
-        failed_stage = exc.stage
-    all_converged = failed_stage is None and all(o.profile.converged for o in outcomes)
-    emit_trace(
-        "dynamic-sim", *dynamic_trace_records(spec.network, outcomes), emit,
-        _trace_path(out_dir, emit),
-    )
-    _write_json(
-        out_dir / "report.json",
-        {
-            "kind": "dynamic-sim",
-            "converged": all_converged,
-            "failed_stage": failed_stage,
-            "stages": [
-                {
-                    "stage": o.state.stage,
-                    "converged": o.profile.converged,
-                    "rounds": o.profile.iterations,
-                    "deviation_gap": o.profile.deviation_gap,
-                    "dispatcher_utility": o.dispatcher_utility,
-                    "adversary_cost_minor": o.adversary_cost_minor,
-                    "adversary_cost_major": o.adversary_cost_major,
-                    "plan": [float(v) for v in o.profile.plan],
-                    "xi_minor": [float(v) for v in o.profile.strategy[:, 0]],
-                    "xi_major": [float(v) for v in o.profile.strategy[:, 1]],
-                    "belief_major": [float(v) for v in o.belief_after[:, 1]],
-                }
-                for o in outcomes
-            ],
-            **_network_header(spec.network),
-        },
-    )
-    return 0 if all_converged else 2
+        outcomes, failed_stage = exc.outcomes, exc.stage
+    return dynamic_trace_records(spec.network, outcomes), {
+        "converged": failed_stage is None and all(o.profile.converged for o in outcomes),
+        "failed_stage": failed_stage,
+        "stages": [
+            {
+                "stage": o.state.stage,
+                "converged": o.profile.converged,
+                "rounds": o.profile.iterations,
+                "deviation_gap": o.profile.deviation_gap,
+                "dispatcher_utility": o.dispatcher_utility,
+                "adversary_cost_minor": o.adversary_cost_minor,
+                "adversary_cost_major": o.adversary_cost_major,
+                "plan": o.profile.plan.tolist(),
+                "xi_minor": o.profile.strategy[:, 0].tolist(),
+                "xi_major": o.profile.strategy[:, 1].tolist(),
+                "belief_major": o.belief_after[:, 1].tolist(),
+            }
+            for o in outcomes
+        ],
+    }
 
 
-def _run_distributed_sim(config: ScenarioConfig, out_dir: Path, emit: str) -> int:
+def _run_distributed_sim(config: ScenarioConfig, out_dir: Path):
     spec = config.game_spec()
-    schedule = config.schedule()
-    report, log = run_distributed(spec, schedule)
+    report, log = run_distributed(spec, config.schedule())
     (out_dir / "messages.log").write_text(log.to_text(), encoding="utf-8")
-    emit_trace(
-        "distributed-sim", *distributed_trace_records(spec.network, report), emit,
-        _trace_path(out_dir, emit),
-    )
-    _write_json(
-        out_dir / "report.json",
-        {
-            "kind": "distributed-sim",
-            "converged": report.converged,
-            "ticks": report.iterations,
-            "residual": report.residual,
-            "messages": len(log),
-            "plan": [float(v) for v in report.plan],
-            "prices": [float(v) for v in report.prices],
-            **_network_header(spec.network),
-        },
-    )
-    return 0 if report.converged else 2
-
-
-def _trace_path(out_dir: Path, emit: str) -> Path:
-    return out_dir / ("trace.csv" if emit == "csv" else "trace.jsonl")
+    return distributed_trace_records(spec.network, report), {
+        "converged": report.converged,
+        "ticks": report.iterations,
+        "residual": report.residual,
+        "messages": len(log),
+        "plan": report.plan.tolist(),
+        "prices": report.prices.tolist(),
+    }
 
 
 _RUNNERS = {
@@ -615,16 +553,24 @@ _RUNNERS = {
 
 
 def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "csv") -> int:
-    """Execute one experiment and write trace, report and config echo.
+    """Execute one experiment and write config echo, trace and report.
 
-    Returns the process exit status: 0 on convergence, 2 when the run ended
-    without converging.  Input errors raise and are mapped by the CLI.
+    The report is the runner's fields plus the run's ``kind`` and the
+    network's ids and edges.  Returns the process exit status: 0 on
+    convergence, 2 when the run ended without converging.  Input errors
+    raise and are mapped by the CLI.
     """
     if subcommand not in _RUNNERS:
         raise ValidationError(f"unknown subcommand {subcommand!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_echo.json").write_text(config.echo_text(), encoding="utf-8")
-    status = _RUNNERS[subcommand](config, out_dir, emit)
+    (columns, rows), fields = _RUNNERS[subcommand](config, out_dir)
+    trace_name = "trace.csv" if emit == "csv" else "trace.jsonl"
+    emit_trace(subcommand, columns, rows, emit, out_dir / trace_name)
+    header = {key: config.data["network"][key] for key in ("sources", "targets", "edges")}
+    report = {"kind": subcommand, **fields, **header}
+    (out_dir / "report.json").write_text(_json_text(report), encoding="utf-8")
+    status = 0 if fields["converged"] else 2
     logger.info("%s finished with status %d (outputs in %s)", subcommand, status, out_dir)
     return status

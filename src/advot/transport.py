@@ -193,8 +193,7 @@ def solve_regularized_ot(
     prices = row_prices(w, network.edge_source, network.capacities, settings.lam)
 
     trace: list[dict] = []
-    x = primal_update(network, w, prices, settings.lam)
-    residual = np.inf
+    x = None
     for iteration in range(1, settings.max_iter + 1):
         x_new = primal_update(network, w, prices, settings.lam)
         prices = dual_update(network, prices, x_new, settings.gamma)
@@ -202,7 +201,8 @@ def solve_regularized_ot(
             raise NonFiniteIterate(iteration)
         rows = network.row_sums(x_new)
         residual = float(np.max(np.abs(np.minimum(prices, network.capacities - rows))))
-        primal_change = float(np.max(np.abs(x_new - x)))
+        # iteration 1 has no earlier plan to compare with
+        primal_change = 0.0 if x is None else float(np.max(np.abs(x_new - x)))
         x = x_new
         if settings.record_trace:
             trace.append(

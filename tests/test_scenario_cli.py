@@ -328,6 +328,48 @@ def test_cli_distributed_sim_log_bytes_are_pinned(tmp_path):
     )
 
 
+# sha256 of each output of a run on the paper scenario with default flags
+OUTPUT_SHA256 = {
+    "solve-ot": {
+        "report.json": "394faaa784f327554f5be714c35e17ba3c60cd2bd700f9d6ae60a8bceb93f18b",
+        "trace.csv": "6f0db6a3b535dbf6c55989740dbbd27e485b45ed7ac69afa8695ba7afcfe9376",
+    },
+    "static-eq": {
+        "report.json": "4e47ee73e0e807c779b1d7b1ad08b7330b688393909579b6b35ffc4533f86834",
+        "trace.csv": "d89a1596cb125cf88c4428ad05ac13c5696d50bb1749e2b800a01d35512de7cb",
+    },
+    "dynamic-sim": {
+        "report.json": "59abc001d47f5e1595428d68230e6b2f54c5e867aedf01c00762f72669802f09",
+        "trace.csv": "e31350f10970798f345ede9854edaaf2ba80c016258b94a432960e1baebd2970",
+    },
+    "distributed-sim": {
+        "report.json": "31ddc39a6cddd8f875c4e2b14a6f60a4caf01612cadfb3eb585035516ad87742",
+        "trace.csv": "e5560d4e22f34153e61787e8d0bbf77da6727eec2578f08210e7581fc8f1a773",
+    },
+}
+PAPER_ECHO_SHA256 = "796aeb7c873a3461c91a57cf31dd1e880f5a8bd1c340bdc562767c876ecb6ba3"
+STATIC_JSONL_SHA256 = "5411ea5bc4da515c868138f50939b8c51726ddc82cd66d4b51dd97460bb98070"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+def test_cli_output_bytes_are_pinned(tmp_path, command):
+    out = tmp_path / command
+    assert run_cli(command, "--config", PAPER, "--out", out) == 0
+    expected = {"config_echo.json": PAPER_ECHO_SHA256, **OUTPUT_SHA256[command]}
+    assert {name: _sha256(out / name) for name in expected} == expected
+
+
+def test_cli_json_trace_bytes_are_pinned(tmp_path):
+    out = tmp_path / "json"
+    assert run_cli("static-eq", "--config", PAPER, "--out", out, "--emit", "json") == 0
+    assert _sha256(out / "trace.jsonl") == STATIC_JSONL_SHA256
+    assert _sha256(out / "report.json") == OUTPUT_SHA256["static-eq"]["report.json"]
+
+
 @pytest.mark.parametrize(
     ("schedule", "ticks", "messages"),
     [("sync", 90, 815), ("async", 90, 471), ("roundrobin", 90, 455)],
@@ -486,6 +528,37 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("advot: seed must be >= 0") == 2
     assert "Traceback" not in err
+
+
+# Values every run rejects; parsing rejects them first, so no file is written.
+PARSE_PROBES = {
+    "static-eq-lambda-negative": ("static-eq", ("--lambda", -1), {}, "lam must be finite and >= 0"),
+    "solve-ot-lambda-nan": ("solve-ot", ("--lambda", "nan"), {}, "lam must be finite and >= 0"),
+    "solve-ot-gamma-zero": ("solve-ot", ("--gamma", 0), {}, "gamma must be finite and > 0"),
+    "dynamic-sim-stages-zero": ("dynamic-sim", ("--stages", 0), {}, "stages must be >= 1"),
+    "dynamic-sim-tau-negative": ("dynamic-sim", ("--tau", -1), {}, "tau must be >= 0"),
+    "distributed-sim-seed-negative": ("distributed-sim", ("--seed", -1), {}, "seed must be >= 0"),
+    "static-eq-seed-negative": ("static-eq", ("--seed", -1), {}, "seed must be >= 0"),
+    "static-eq-stages-zero": ("static-eq", (), {"dynamic": {"stages": 0}}, "stages must be >= 1"),
+    "static-eq-caps-below-floor": (
+        "static-eq", (), {"adversary": {"lower_caps": [1e-7, 4, 4]}},
+        "caps must be >= the action floor 1e-06",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_PROBES))
+def test_cli_rejects_invalid_values_before_writing(tmp_path, capsys, name):
+    command, flags, edits, message = PARSE_PROBES[name]
+    config = json.loads(PAPER.read_text())
+    for block, fields in edits.items():
+        config[block].update(fields)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", path, "--out", out, *flags) == 1
+    assert capsys.readouterr().err == f"advot: {message}\n"
+    assert list(out.glob("*")) == []
 
 
 def test_cli_zero_lambda_rejected_for_games(tmp_path):

@@ -204,6 +204,28 @@ def test_solve_reports_not_converged_when_budget_exhausted(paper_network, paper_
     assert report.iterations == 3
 
 
+@pytest.mark.parametrize(
+    ("settings_", "converged"),
+    [(SolverSettings(), True), (SolverSettings(tol=1e-300, max_iter=3), False)],
+    ids=["exact-start", "budget"],
+)
+def test_solve_computes_one_plan_per_iteration(
+    monkeypatch, paper_network, paper_edge_weights, settings_, converged
+):
+    import advot.transport
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return primal_update(*args)
+
+    monkeypatch.setattr(advot.transport, "primal_update", counting)
+    report = solve_regularized_ot(paper_network, paper_edge_weights, settings_)
+    assert report.converged is converged
+    assert len(calls) == report.iterations
+
+
 def test_solve_refuses_non_finite_prices():
     # m/lam is about 3e303: the exact price rounds, and the plan overflows at once
     net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
