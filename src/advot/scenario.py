@@ -12,10 +12,10 @@ alone writes them and derives the exit status.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +204,13 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
             "prior": [[float(a), float(b)] for a, b in prior],
         }
 
+    data.update(_scalar_blocks(raw))
+    return data, network
+
+
+def _scalar_blocks(raw: dict) -> dict:
+    """The solver, dynamic and distributed blocks with defaults filled, range-checked."""
+    data = {}
     for name, fields in _SCALAR_BLOCKS.items():
         block = raw.get(name, {})
         _check_block(block, set(fields), set(), name)
@@ -219,7 +226,7 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
         raise ValidationError("stages must be >= 1")
     if not data["dynamic"]["tau"] >= 0:  # also rejects NaN
         raise ValidationError("tau must be >= 0")
-    return data, network
+    return data
 
 
 @dataclass(eq=False)
@@ -288,11 +295,14 @@ class ScenarioConfig:
     ) -> "ScenarioConfig":
         """New config with command-line overrides applied and revalidated.
 
-        Returns this config itself when every override is ``None``.
+        Overrides touch only the scalar blocks, so only those are read and
+        checked again; the network, weights and adversary are shared with
+        this config.  Returns this config itself when every override is
+        ``None``.
         """
         if all(v is None for v in (lam, gamma, tol, stages, tau, mode, seed)):
             return self
-        raw = copy.deepcopy(self.data)
+        raw = {name: dict(self.data[name]) for name in _SCALAR_BLOCKS}
         for block, key, value, cast in (
             ("solver", "lambda", lam, float), ("solver", "gamma", gamma, float),
             ("solver", "tol", tol, float), ("dynamic", "stages", stages, int),
@@ -301,13 +311,66 @@ class ScenarioConfig:
         ):
             if value is not None:
                 raw[block][key] = cast(value)
-        data, network = _normalize(raw)
-        return ScenarioConfig(data=data, network=network)
+        return ScenarioConfig(data={**self.data, **_scalar_blocks(raw)}, network=self.network)
+
+
+#: Leaf types the C encoder writes as ``json.dumps`` does: ``float.__repr__``,
+#: ``int.__repr__``, ``true``/``false``/``null`` and ASCII-escaped strings.
+_LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: Encodes a leaf, or a list of leaves in one C call with one value per line:
+#: encoded JSON never holds a raw newline, so ``"\n"`` splits it into values.
+_LEAF_LINES = json.JSONEncoder(separators=("\n", ": "))
 
 
 def _json_text(payload: dict) -> str:
-    """The layout of every JSON file a run writes: sorted keys, two-space indent."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The layout of every JSON file a run writes: sorted keys, two-space indent.
+
+    Exactly the text of ``json.dumps(payload, indent=2, sort_keys=True)`` plus
+    a newline.  ``indent=2`` alone would put every value through the
+    pure-Python encoder; here each list of leaves is encoded in one C call
+    and only the containers around them are laid out in Python.
+    """
+    return _indented(payload, "\n") + "\n"
+
+
+def _leaf_rows(rows: list) -> list | None:
+    """The leaves of equal-width rows of leaves, row by row, or None for any other list."""
+    if not {list, tuple}.issuperset(map(type, rows)):
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    flat = list(chain.from_iterable(rows))
+    return flat if _LEAF_TYPES.issuperset(map(type, flat)) else None
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` as indented JSON whose lines start with ``newline``."""
+    kind = type(value)
+    if kind in _LEAF_TYPES:
+        return _LEAF_LINES.encode(value)
+    inner = newline + "  "
+    if kind is dict and value and all(type(key) is str for key in value):
+        return "{" + ",".join(
+            f"{inner}{_LEAF_LINES.encode(key)}: {_indented(value[key], inner)}"
+            for key in sorted(value)
+        ) + newline + "}"
+    if (kind is list or kind is tuple) and value:
+        if _LEAF_TYPES.issuperset(map(type, value)):
+            body = _LEAF_LINES.encode(value)[1:-1].replace("\n", "," + inner)
+            return "[" + inner + body + newline + "]"
+        flat = _leaf_rows(value)
+        if flat is not None:
+            # Every leaf in one C call, then the rows cut back out of its lines.
+            cell = inner + "  "
+            leaves = _LEAF_LINES.encode(flat)[1:-1].split("\n")
+            rows = map(("," + cell).join, zip(*[iter(leaves)] * len(value[0])))
+            between = inner + "]," + inner + "[" + cell
+            return "[" + inner + "[" + cell + between.join(rows) + inner + "]" + newline + "]"
+        return "[" + ",".join(inner + _indented(item, inner) for item in value) + newline + "]"
+    # Empty containers, other keys and other leaf types: the reference encoder itself.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -379,7 +442,9 @@ def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) 
     ``rows`` holds ``(step, values)`` pairs whose float ``values`` line up
     with ``columns``; identical inputs produce byte-identical files.  Each
     row is one ``%``-template with a ``%.12g`` field per value, which writes
-    what ``format(v, ".12g")`` writes.
+    what ``format(v, ".12g")`` writes.  Every row's length is checked before
+    the file is opened, so a bad row writes nothing; the rows are then
+    written one at a time.
     """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"unknown trace format {fmt!r}")
@@ -390,18 +455,19 @@ def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) 
             )
     path = Path(path)
     if fmt == "csv":
-        template = ",".join([_escape_percent(kind), "%s"] + ["%.12g"] * len(columns))
-        lines = [",".join(["kind", "step", *(columns if rows else ())])]
-        lines += [template % (step, *values) for step, values in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = ",".join(["kind", "step", *(columns if rows else ())]) + "\n"
+        template = ",".join([_escape_percent(kind), "%s"] + ["%.12g"] * len(columns)) + "\n"
     else:
+        header = ""
         template = (
             f'{{"kind": {_escape_percent(json.dumps(kind))}, "step": %s'
             + "".join(f", {_escape_percent(json.dumps(name))}: %.12g" for name in columns)
-            + "}"
+            + "}\n"
         )
-        lines = [template % (step, *values) for step, values in rows]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(header)
+        for step, values in rows:
+            handle.write(template % (step, *values))
     return path
 
 
@@ -465,9 +531,10 @@ def distributed_trace_records(
 
 # ---------------------------------------------------------------------------
 # Orchestration: each runner returns ((columns, rows), report fields).
+# A game's runner is given its checked GameSpec; solve-ot's is given None.
 
 
-def _run_solve_ot(config: ScenarioConfig, out_dir: Path):
+def _run_solve_ot(config: ScenarioConfig, spec: None, out_dir: Path):
     network, weights = config.network, config.weights
     settings = config.settings(record_trace=True)
     if settings.lam == 0:
@@ -487,8 +554,7 @@ def _run_solve_ot(config: ScenarioConfig, out_dir: Path):
     }
 
 
-def _run_static_eq(config: ScenarioConfig, out_dir: Path):
-    spec = config.game_spec()
+def _run_static_eq(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
     profile = solve_bayesian_equilibrium(spec, record_trace=True)
     return static_trace_records(spec.network, profile.trace), {
         "converged": profile.converged,
@@ -500,8 +566,7 @@ def _run_static_eq(config: ScenarioConfig, out_dir: Path):
     }
 
 
-def _run_dynamic_sim(config: ScenarioConfig, out_dir: Path):
-    spec = config.game_spec()
+def _run_dynamic_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
     stages, tau, on_failure = config.dynamic_params()
     failed_stage = None
     try:
@@ -530,8 +595,7 @@ def _run_dynamic_sim(config: ScenarioConfig, out_dir: Path):
     }
 
 
-def _run_distributed_sim(config: ScenarioConfig, out_dir: Path):
-    spec = config.game_spec()
+def _run_distributed_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
     report, log = run_distributed(spec, config.schedule())
     (out_dir / "messages.log").write_text(log.to_text(), encoding="utf-8")
     return distributed_trace_records(spec.network, report), {
@@ -562,10 +626,12 @@ def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "c
     """
     if subcommand not in _RUNNERS:
         raise ValidationError(f"unknown subcommand {subcommand!r}")
+    # The games' inputs (the adversary block, lam > 0) are checked before any file is written.
+    spec = None if subcommand == "solve-ot" else config.game_spec()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_echo.json").write_text(config.echo_text(), encoding="utf-8")
-    (columns, rows), fields = _RUNNERS[subcommand](config, out_dir)
+    (columns, rows), fields = _RUNNERS[subcommand](config, spec, out_dir)
     trace_name = "trace.csv" if emit == "csv" else "trace.jsonl"
     emit_trace(subcommand, columns, rows, emit, out_dir / trace_name)
     header = {key: config.data["network"][key] for key in ("sources", "targets", "edges")}

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advot import (
     ParseError,
@@ -17,7 +19,7 @@ from advot import (
     run_command,
     run_distributed,
 )
-from advot.scenario import distributed_trace_records
+from advot.scenario import SUBCOMMANDS, _json_text, distributed_trace_records
 from advot.cli import main
 from conftest import SCENARIO_DIR
 
@@ -233,6 +235,98 @@ def test_emit_trace_rejects_mixed_schemas(tmp_path):
     rows = [(1, [1.5]), (2, [2.0, 3.0])]
     with pytest.raises(ValidationError):
         emit_trace("static-eq", ["u"], rows, "csv", tmp_path / "trace.csv")
+    assert list(tmp_path.glob("*")) == []
+
+
+# ---------------------------------------------------------------------------
+# JSON layout
+
+
+def reference_json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+JSON_LEAVES = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, 5e-324]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.text(alphabet='"\\\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600\ud800a '),
+)
+# Lists of rows that share one width, as `edges` and `prior` are.
+JSON_ROWS = st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.one_of(
+        st.lists(JSON_LEAVES, min_size=width, max_size=width),
+        st.tuples(*[JSON_LEAVES] * width),
+    ),
+    min_size=1,
+    max_size=6,
+))
+# Lists of rows of any widths, mostly ragged.
+JSON_RAGGED = st.lists(st.lists(JSON_LEAVES, max_size=3), min_size=1, max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_LEAVES, JSON_ROWS, JSON_RAGGED, st.just([]), st.just({}), st.just([[]])),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6))
+def test_json_text_matches_json_dumps(payload):
+    assert _json_text(payload) == reference_json_text(payload)
+
+
+def test_json_text_falls_back_for_other_types():
+    payload = {"b": np.float64(0.1), "a": {1: [2.5]}, "c": [np.float64(1.0), 2], "d": [[1], 2]}
+    assert _json_text(payload) == reference_json_text(payload)
+    with pytest.raises(TypeError):
+        _json_text({"n": [np.int64(1)]})
+
+
+def _mixed_id_scenario(n_sources: int, n_targets: int, seed: int) -> dict:
+    """A dense game whose ids mix integers, backslashes and non-ASCII text."""
+    rng = np.random.default_rng(seed)
+    sources = [j if j % 2 else f"s\\{j}\u00e9" for j in range(n_sources)]
+    targets = [100 + q if q % 3 else f"t{q}\u20ac\\" for q in range(n_targets)]
+    n_edges = n_sources * n_targets
+    lower = rng.uniform(3.0, 6.0, n_targets)
+    return {
+        "network": {
+            "sources": sources,
+            "targets": targets,
+            "edges": [[s, t] for s in sources for t in targets],
+            "capacities": rng.uniform(1.0, 5.0, n_sources).tolist(),
+        },
+        "weights": rng.uniform(1.0, 5.0, n_edges).tolist(),
+        "adversary": {
+            "lower_caps": lower.tolist(),
+            "upper_caps": (lower + rng.uniform(1.0, 5.0, n_targets)).tolist(),
+            "punishment_coeff": rng.uniform(1.0, 3.0, n_edges).tolist(),
+            "beta1": 0.5,
+            "beta2": 0.5,
+        },
+        "dynamic": {"stages": 2},
+    }
+
+
+def test_cli_json_files_match_json_dumps_at_scale(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_mixed_id_scenario(20, 50, seed=3)))
+    for command in SUBCOMMANDS:
+        out = tmp_path / command
+        assert run_cli(command, "--config", path, "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["edges"]) == 1000
+        for name in ("config_echo.json", "report.json"):
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == reference_json_text(json.loads(text)), f"{command}/{name}"
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +655,12 @@ def test_cli_rejects_invalid_values_before_writing(tmp_path, capsys, name):
     assert list(out.glob("*")) == []
 
 
-def test_cli_zero_lambda_rejected_for_games(tmp_path):
-    out = tmp_path / "zl"
-    assert run_cli("static-eq", "--config", PAPER, "--out", out, "--lambda", 0) == 1
+def test_cli_zero_lambda_rejected_for_games(tmp_path, capsys):
+    for command in ("static-eq", "dynamic-sim", "distributed-sim"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", PAPER, "--out", out, "--lambda", 0) == 1
+        assert capsys.readouterr().err == "advot: the game needs a positive smoothing weight lam\n"
+        assert list(out.glob("*")) == []
 
 
 def test_cli_emit_json(tmp_path):
