@@ -1,8 +1,9 @@
 """Static equilibrium between the dispatcher and a typed adversary.
 
-Alternates the dispatcher's expected-utility best response with the
-adversary's per-node closed form until neither side moves, then certifies
-the profile with each coordinate's exact best deviation.  Also compares the
+Iterates the dispatcher's expected-utility best response and the
+adversary's per-node closed form, Anderson-accelerated, until neither side
+moves, then certifies the profile with each coordinate's exact best
+deviation.  Also compares the
 dispatcher's utility (measured against the unperturbed perception weights)
 across three worlds: no adversary, the equilibrium adversary, and an
 adversary pinned at its action caps.
@@ -34,7 +35,7 @@ print("\nequilibrium actions (columns: minor, major):")
 for tid, row in zip(network.target_ids, profile.strategy):
     print(f"  {tid}: minor {row[0]:.4f}  major {row[1]:.4f}")
 
-print("\nconvergence of the alternating loop:")
+print("\nconvergence of the equilibrium loop:")
 for row in profile.trace[:5]:
     print(
         f"  round {row['round']}: dispatcher utility {row['dispatcher_utility']:.6f}, "

@@ -9,6 +9,7 @@ environment variable sets the logging level (debug, info, warning, error).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -27,7 +28,9 @@ _HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="advot",
         description="Adversarial regularized optimal transport experiments.",

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -328,8 +329,9 @@ def _json_text(payload: dict) -> str:
 
     Exactly the text of ``json.dumps(payload, indent=2, sort_keys=True)`` plus
     a newline.  ``indent=2`` alone would put every value through the
-    pure-Python encoder; here each list of leaves is encoded in one C call
-    and only the containers around them are laid out in Python.
+    pure-Python encoder; here each list of leaves, and each dict's leaf
+    values, is encoded in one C call and only the containers around them are
+    laid out in Python.
     """
     return _indented(payload, "\n") + "\n"
 
@@ -352,9 +354,16 @@ def _indented(value, newline: str) -> str:
         return _LEAF_LINES.encode(value)
     inner = newline + "  "
     if kind is dict and value and all(type(key) is str for key in value):
+        keys = sorted(value)
+        items = [value[key] for key in keys]
+        is_leaf = [type(item) in _LEAF_TYPES for item in items]
+        leaves = list(compress(items, is_leaf))
+        # Every leaf value in one C call, then cut back out of its lines.
+        encoded = iter(_LEAF_LINES.encode(leaves)[1:-1].split("\n") if leaves else ())
         return "{" + ",".join(
-            f"{inner}{_LEAF_LINES.encode(key)}: {_indented(value[key], inner)}"
-            for key in sorted(value)
+            f"{inner}{encode_basestring_ascii(key)}: "
+            f"{next(encoded) if leaf else _indented(item, inner)}"
+            for key, item, leaf in zip(keys, items, is_leaf)
         ) + newline + "}"
     if (kind is list or kind is tuple) and value:
         if _LEAF_TYPES.issuperset(map(type, value)):

@@ -3,8 +3,9 @@
 The dispatcher maximizes expected utility under a per-target belief over the
 adversary's binary type; each adversary type minimizes its own cost, which is
 separable across target nodes and admits a closed-form per-node minimizer.
-The equilibrium is computed by alternating the two best responses and then
-certifying the fixed point with each coordinate's exact best deviation.
+The equilibrium is the fixed point of the two best responses in turn, found
+by Anderson-accelerated iteration and then certified with each coordinate's
+exact best deviation.
 
 One pass over the plan, :func:`_stage_response`, gives both types' cost
 tables and thresholded minimizers; the loop's adversary best response and
@@ -39,6 +40,7 @@ logger = logging.getLogger(__name__)
 DEVIATION_TOL = 1e-4  # largest coordinate improvement a converged profile may leave
 PROFILE_TOL = 1e-7  # largest round-to-round profile change that counts as settled
 MAX_ROUNDS = 500  # default round limit of the best-response loop
+ANDERSON_MEMORY = 5  # residual differences the accelerated step fits
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class GameSpec:
 
 @dataclass
 class EquilibriumProfile:
-    """Fixed point of the alternating best responses, with its certificate.
+    """Fixed point of the two best responses in turn, with its certificate.
 
     ``deviation_gap`` is the largest improvement either player gains by
     moving one coordinate to its best value; it is >= 0 up to rounding, and
@@ -166,7 +168,7 @@ def adversary_cost(
     plan = check_plan(network, plan)
     xi = np.asarray(xi, dtype=float)
     theta = np.asarray(theta, dtype=int)
-    if theta.shape != (network.n_targets,) or not np.all(np.isin(theta, (1, 2))):
+    if theta.shape != (network.n_targets,) or not np.all((theta == 1) | (theta == 2)):
         raise ValidationError("theta must assign type 1 or 2 to every target")
     if np.any(xi < PERTURBATION_FLOOR):
         raise PerturbationBelowFloor(
@@ -369,6 +371,26 @@ def _round_record(
     }
 
 
+def _anderson_step(history: list, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Next trial action of type-II Anderson mixing (Walker & Ni 2011), before clipping.
+
+    ``history`` holds the last rounds' ``(g, f)``: the best response and its
+    residual ``f = g - x``.  A residual larger than the last one clears it,
+    and with no history left the step is the plain ``x = g``.  Otherwise
+    ``dG`` and ``dF`` are the differences of the last ``ANDERSON_MEMORY + 1``
+    entries, and the step is ``g - dG @ gamma`` with ``gamma`` the
+    least-squares fit of ``dF @ gamma`` to ``f``.
+    """
+    if history and np.linalg.norm(f) > np.linalg.norm(history[-1][1]):
+        history.clear()
+    history.append((g.ravel(), f.ravel()))
+    del history[:-(ANDERSON_MEMORY + 1)]
+    g_hist, f_hist = (np.array(column).T for column in zip(*history))
+    d_g, d_f = np.diff(g_hist, axis=1), np.diff(f_hist, axis=1)
+    gamma = np.linalg.lstsq(d_f, f.ravel(), rcond=None)[0]
+    return g - (d_g @ gamma).reshape(g.shape)
+
+
 def stage_equilibrium(
     spec: GameSpec,
     belief: np.ndarray,
@@ -378,36 +400,43 @@ def stage_equilibrium(
     max_rounds: int = MAX_ROUNDS,
     record_trace: bool = False,
 ) -> EquilibriumProfile:
-    """Alternate both best responses of one stage until the profile stops moving.
+    """Iterate both best responses of one stage, Anderson-accelerated, until they settle.
 
-    The adversary starts at its caps (worst case for the dispatcher) and the
-    dispatcher at ``plan``.  Every round's transport solve starts from the
-    exact capacity prices of its weights.  The dispatcher weighs the action
-    thresholded against ``xi_prev`` under ``belief``.  After the loop
-    settles, :func:`deviation_check` certifies the profile; ``converged``
-    requires the profile change, the last transport solve and the deviation
-    gap all to be within tolerance.
+    The adversary's trial action ``x`` starts at its caps (worst case for the
+    dispatcher) and the dispatcher at ``plan``.  Each round solves transport
+    at ``x`` thresholded against ``xi_prev`` and weighed under ``belief``
+    (starting from the exact capacity prices of its weights), then takes the
+    adversary's best response ``g`` to that plan.  The loop stops when
+    neither the plan nor the residual ``g - x`` moves more than
+    ``PROFILE_TOL``; otherwise the next ``x`` is :func:`_anderson_step`
+    clipped into ``[floor, caps]``.  The profile is the last plan and ``g``,
+    and a traced round records them with the payoffs at ``phi(g)``.
+    :func:`deviation_check` then certifies the profile; ``converged``
+    requires the loop to settle, the last transport solve to converge and
+    the deviation gap to be within tolerance.
     """
-    xi = spec.caps()
-    effective = threshold_phi(xi, xi_prev, tau)
+    caps = spec.caps()
+    x = xi = caps
+    history: list = []
     trace: list[dict] = []
     settled = inner_converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
+        effective = threshold_phi(x, xi_prev, tau)
         w_eff = effective_weights(spec.network, spec.weights, effective, belief)
         report = solve_regularized_ot(spec.network, w_eff, spec.settings)
         plan_new, inner_converged = report.plan, report.converged
-        xi_new = best_response_strategy(spec, plan_new, xi_prev, tau)
-        change = max(
-            float(np.max(np.abs(plan_new - plan))), float(np.max(np.abs(xi_new - xi)))
-        )
-        plan, xi = plan_new, xi_new
-        effective = threshold_phi(xi, xi_prev, tau)
+        xi = best_response_strategy(spec, plan_new, xi_prev, tau)
+        residual = xi - x
+        change = max(float(np.max(np.abs(plan_new - plan))), float(np.max(np.abs(residual))))
+        plan = plan_new
         if record_trace:
+            effective = threshold_phi(xi, xi_prev, tau)
             trace.append(_round_record(spec, belief, rounds, plan, xi, effective))
         if change <= PROFILE_TOL:
             settled = True
             break
+        x = np.clip(_anderson_step(history, xi, residual), PERTURBATION_FLOOR, caps)
     gap = deviation_check(spec, plan, xi, belief, xi_prev, tau)
     converged = settled and inner_converged and gap <= DEVIATION_TOL
     if not converged:

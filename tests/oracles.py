@@ -4,9 +4,9 @@ Each oracle here deliberately takes a different route than the library:
 general-purpose NLP/LP solvers, dense grid search, bisection on composed
 maps, brute-force enumeration of the joint type space, per-coordinate
 loops over a grid certificate's rows, one type at a time through the stage
-best response's steps, and one ``json.dumps`` per message-log record.  Two
-thin helpers that only tests call, ``adversary_best_response`` and
-``agent_tick``, live here too.
+best response's steps, the unaccelerated best-response iteration, and one
+``json.dumps`` per message-log record.  Two thin helpers that only tests
+call, ``adversary_best_response`` and ``agent_tick``, live here too.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from advot import (
     effective_weights,
     minimize_node_cost,
     node_cost_aggregates,
+    solve_regularized_ot,
     stage_adversary_best_response,
     threshold_phi,
 )
+from advot.static_game import PROFILE_TOL
 
 
 @contextmanager
@@ -225,6 +227,36 @@ def per_type_stage_response(network, plan, params, caps, type_value, xi_prev, ta
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
     z = np.maximum(minimize_node_cost(scale, type_value * flow, params.beta2, z_hi), xi_prev)
     return np.where(z > xi_prev, z + tau, xi_prev)
+
+
+def plain_best_response_iteration(spec, belief, xi_prev, tau, plan, tol=PROFILE_TOL):
+    """The unaccelerated equilibrium loop ``xi <- BR(plan(xi))``, one type at a time.
+
+    Starts where the library's loop does, with the actions at their caps and
+    the given plan; each round solves transport at the thresholded actions,
+    takes each type's response with :func:`per_type_stage_response`, and the
+    loop stops once neither the plan nor the actions move more than ``tol``.
+    Returns ``(plan, xi, rounds)``.
+    """
+    caps = spec.caps()
+    xi_prev = np.broadcast_to(np.asarray(xi_prev, dtype=float), caps.shape)
+    xi = caps
+    for rounds in range(1, 10_001):
+        effective = threshold_phi(xi, xi_prev, tau)
+        w_eff = effective_weights(spec.network, spec.weights, effective, belief)
+        new_plan = solve_regularized_ot(spec.network, w_eff, spec.settings).plan
+        new_xi = np.stack([
+            per_type_stage_response(
+                spec.network, new_plan, spec.cost_params, caps[:, t - 1], t,
+                xi_prev[:, t - 1], tau,
+            )
+            for t in (1, 2)
+        ], axis=1)
+        change = max(np.max(np.abs(new_plan - plan)), np.max(np.abs(new_xi - xi)))
+        plan, xi = new_plan, new_xi
+        if change <= tol:
+            return plan, xi, rounds
+    raise AssertionError("the plain best-response iteration did not settle")
 
 
 def incidence(network) -> np.ndarray:

@@ -30,10 +30,20 @@ from advot import (
     stage_adversary_best_response,
     threshold_phi,
 )
+from advot.static_game import DEVIATION_TOL, stage_equilibrium
 from conftest import SCENARIO_DIR, make_random_spec
-from oracles import loop_deviation_gap, per_type_stage_response
+from oracles import loop_deviation_gap, per_type_stage_response, plain_best_response_iteration
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +167,94 @@ def test_certificate_defaults_pose_the_static_game(paper_spec):
 
 
 # ---------------------------------------------------------------------------
+# the accelerated loop against the plain best-response iteration
+
+
+def _random_stage(seed, staged):
+    """A random game's stage: the static one, or one with a random belief, anchor and ``tau``."""
+    rng = np.random.default_rng(seed)
+    spec = make_random_spec(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+    if not staged:
+        return spec, spec.belief, PERTURBATION_FLOOR, 0.0
+    caps = spec.caps()
+    minor = rng.uniform(0.0, 1.0, len(caps))
+    belief = np.stack([minor, 1.0 - minor], axis=1)
+    xi_prev = PERTURBATION_FLOOR + rng.uniform(0.0, 1.0, caps.shape) * (caps - PERTURBATION_FLOOR)
+    return spec, belief, xi_prev, float(rng.uniform(0.0, 3.0))
+
+
+def _free_plan(spec):
+    return solve_regularized_ot(spec.network, spec.weights, spec.settings).plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), staged=st.booleans())
+def test_accelerated_loop_meets_the_plain_iteration(seed, staged):
+    """The accelerated profile is the plain iteration's fixed point, and certified.
+
+    The plain iteration runs to a change of 1e-12, far below the loop's
+    ``PROFILE_TOL``, so it stands for the exact fixed point.
+    """
+    spec, belief, xi_prev, tau = _random_stage(seed, staged)
+    plan = _free_plan(spec)
+    profile = stage_equilibrium(spec, belief, xi_prev, tau, plan)
+    ref_plan, ref_xi, _ = plain_best_response_iteration(
+        spec, belief, xi_prev, tau, plan, tol=1e-12
+    )
+    assert profile.converged
+    assert profile.deviation_gap <= DEVIATION_TOL
+    assert np.max(np.abs(profile.plan - ref_plan)) <= 1e-6
+    assert np.max(np.abs(profile.strategy - ref_xi)) <= 1e-6
+
+
+def test_sparse_static_game_takes_at_most_two_thirds_of_the_plain_rounds():
+    generate = _load_perfbench("generate")
+    spec = parse_scenario(generate.scenario_text(generate.sparse_pool(1, 1)[0])).game_spec()
+    profile = solve_bayesian_equilibrium(spec)
+    _, _, plain_rounds = plain_best_response_iteration(
+        spec, spec.belief, PERTURBATION_FLOOR, 0.0, _free_plan(spec)
+    )
+    assert profile.converged
+    assert 3 * profile.iterations <= 2 * plain_rounds
+
+
+@pytest.mark.parametrize("seed", [50, 284])
+def test_safeguards_keep_the_accelerated_loop_in_the_box(seed, monkeypatch):
+    """Steps that leave ``[floor, caps]`` are clipped, and a growing residual restarts.
+
+    On these stages both happen: some extrapolated step leaves the box, and
+    some residual grows, which leaves the history with the current round
+    alone and the plain step ``x = g``.  The loop converges all the same,
+    and every action it plays stays in the box.
+    """
+    spec, belief, xi_prev, tau = _random_stage(seed, staged=True)
+    caps = spec.caps()
+    steps, restarts, played = [], [], []
+    step, phi = advot.static_game._anderson_step, advot.static_game.threshold_phi
+
+    def recording_step(history, g, f):
+        had_history = bool(history)
+        x = step(history, g, f)
+        if had_history and len(history) == 1:
+            restarts.append(np.array_equal(x, g))
+        steps.append(x)
+        return x
+
+    def recording_phi(xi, *args):
+        played.append(np.array(xi, dtype=float))
+        return phi(xi, *args)
+
+    monkeypatch.setattr(advot.static_game, "_anderson_step", recording_step)
+    monkeypatch.setattr(advot.static_game, "threshold_phi", recording_phi)
+    profile = stage_equilibrium(spec, belief, xi_prev, tau, _free_plan(spec))
+    assert any(np.any((x < PERTURBATION_FLOOR) | (x > caps)) for x in steps)
+    assert restarts and all(restarts)
+    assert profile.converged and profile.deviation_gap <= DEVIATION_TOL
+    for xi in played:
+        assert np.all(xi >= PERTURBATION_FLOOR) and np.all(xi <= caps)
+
+
+# ---------------------------------------------------------------------------
 # an unconverged inner solve is never hidden
 
 
@@ -203,15 +301,6 @@ def test_caps_below_the_action_floor_are_rejected(paper_spec):
 # every transport solve of the engine is priced exactly: one ascent step
 
 
-def _load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture
 def engine_solves(monkeypatch):
     """Reports of every transport solve the static and the multistage game make."""
@@ -240,9 +329,9 @@ def _play(config):
 
 def test_paper_equilibrium_solves_take_one_ascent_step(engine_solves):
     config = parse_scenario((SCENARIO_DIR / "paper_2x3.json").read_text())
-    assert _play(config) == (9, [9, 3, 3, 3, 3])
+    assert _play(config) == (6, [6, 3, 3, 3, 3])
     # a base solve per game, one solve per round, one best response
-    assert len(engine_solves) == (1 + 9) + (1 + 21) + 1
+    assert len(engine_solves) == (1 + 6) + (1 + 18) + 1
     assert all(r.iterations == 1 and r.converged for r in engine_solves)
 
 

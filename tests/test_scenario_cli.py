@@ -429,12 +429,12 @@ OUTPUT_SHA256 = {
         "trace.csv": "6f0db6a3b535dbf6c55989740dbbd27e485b45ed7ac69afa8695ba7afcfe9376",
     },
     "static-eq": {
-        "report.json": "4e47ee73e0e807c779b1d7b1ad08b7330b688393909579b6b35ffc4533f86834",
-        "trace.csv": "d89a1596cb125cf88c4428ad05ac13c5696d50bb1749e2b800a01d35512de7cb",
+        "report.json": "159e23d9e57f08b9a5e7393cdf43945755c9f5e0d64fbf811e2b5fc6a28e4e81",
+        "trace.csv": "1971f56d66459ad7b3ff327c34c072557ffc1193ec18d8c47a9140ea26feed63",
     },
     "dynamic-sim": {
-        "report.json": "59abc001d47f5e1595428d68230e6b2f54c5e867aedf01c00762f72669802f09",
-        "trace.csv": "e31350f10970798f345ede9854edaaf2ba80c016258b94a432960e1baebd2970",
+        "report.json": "14e00927660c395a9c40b04ee18419dfaa50d07fa1a21ef358a3e7a9a4309ffd",
+        "trace.csv": "4f997e862d293717366432c535b1b1b6718b99a01ebc6375a8a2c09781d79e3d",
     },
     "distributed-sim": {
         "report.json": "31ddc39a6cddd8f875c4e2b14a6f60a4caf01612cadfb3eb585035516ad87742",
@@ -442,7 +442,7 @@ OUTPUT_SHA256 = {
     },
 }
 PAPER_ECHO_SHA256 = "796aeb7c873a3461c91a57cf31dd1e880f5a8bd1c340bdc562767c876ecb6ba3"
-STATIC_JSONL_SHA256 = "5411ea5bc4da515c868138f50939b8c51726ddc82cd66d4b51dd97460bb98070"
+STATIC_JSONL_SHA256 = "73a3397783a9e17bec7317bae556158165f785f38ab80a792adb1606eb8ea250"
 
 
 def _sha256(path) -> str:
