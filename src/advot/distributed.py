@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptLog, ValidationError
-from .static_game import GameSpec, effective_weights, minimize_node_cost, node_cost_aggregates
+from .static_game import (
+    TYPE_VALUES, GameSpec, effective_weights, minimize_node_cost, node_cost_aggregates,
+)
 from .transport import SolveReport, row_prices
 
 logger = logging.getLogger(__name__)
@@ -476,10 +478,8 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             continue
 
         scale, flow = node_cost_aggregates(network, rates_seen, params)
-        xi_new = np.stack(
-            [minimize_node_cost(scale, t * flow, params.beta2, caps[:, t - 1]) for t in (1, 2)],
-            axis=1,
-        )
+        flow_term = flow[:, None] * TYPE_VALUES
+        xi_new = minimize_node_cost(scale[:, None], flow_term, params.beta2, caps)
 
         stationarity = 0.0
         slackness = 0.0

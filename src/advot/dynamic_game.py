@@ -20,7 +20,7 @@ from .static_game import (
     MAX_ROUNDS,
     EquilibriumProfile,
     GameSpec,
-    stage_adversary_best_response,  # re-exported: part of this module's API
+    stage_adversary_best_response,  # the benchmark's tracer wraps it by this name
     stage_equilibrium,
     stage_payoffs,
     threshold_phi,

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
-from itertools import chain, compress
+from dataclasses import dataclass, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -23,21 +23,17 @@ import numpy as np
 
 from .distributed import SCHEDULE_MODES, Schedule, run_distributed
 from .dynamic_game import StageOutcome, run_dynamic_game
-from .errors import ParseError, PerturbationBelowFloor, StageNotConverged, ValidationError
-from .network import (
-    PERTURBATION_FLOOR,
-    AdversaryCostParams,
-    BipartiteNetwork,
-    build_network,
-    check_belief,
-    uniform_belief,
-)
+from .errors import ParseError, StageNotConverged, ValidationError
+from .network import AdversaryCostParams, BipartiteNetwork, build_network, uniform_belief
 from .static_game import GameSpec, solve_bayesian_equilibrium
 from .transport import SolveReport, SolverSettings, planner_objective, solve_regularized_ot, unregularized_solve
 
 logger = logging.getLogger(__name__)
 
 SUBCOMMANDS = ("solve-ot", "static-eq", "dynamic-sim", "distributed-sim")
+
+#: The types of a node id: JSON strings and integers, not booleans.
+_ID_TYPES = frozenset((str, int))
 
 
 def _check_block(block: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -106,7 +102,7 @@ def _as_array(value, where: str) -> np.ndarray:
     return arr
 
 
-def _edge_values(network: BipartiteNetwork, raw, where: str) -> list[float]:
+def _edge_values(network: BipartiteNetwork, raw, where: str) -> np.ndarray:
     """Normalize a matrix or flat per-edge list onto canonical edge order."""
     arr = _as_array(raw, where)
     if arr.ndim == 2:
@@ -120,10 +116,10 @@ def _edge_values(network: BipartiteNetwork, raw, where: str) -> list[float]:
         )
     if not np.all(np.isfinite(flat)):
         raise ValidationError(f"'{where}' must contain finite numbers")
-    return [float(v) for v in flat]
+    return flat
 
 
-def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
+def _normalize(raw: dict) -> "ScenarioConfig":
     _check_block(
         raw,
         {"network", "weights", "adversary", "solver", "dynamic", "distributed"},
@@ -139,9 +135,7 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
     )
     for key in ("sources", "targets"):
         ids = net_raw[key]
-        if not isinstance(ids, list) or not all(
-            isinstance(i, (str, int)) and not isinstance(i, bool) for i in ids
-        ):
+        if not isinstance(ids, list) or not _ID_TYPES.issuperset(map(type, ids)):
             raise ValidationError(f"'network.{key}' must be a list of string or integer ids")
     if not isinstance(net_raw["edges"], list):
         raise ValidationError("'network.edges' must be a list of [source, target] pairs")
@@ -150,9 +144,12 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValidationError("every edge must be a [source, target] pair")
         edges.append(tuple(entry))
+    if not _ID_TYPES.issuperset(map(type, chain.from_iterable(edges))):
+        raise ValidationError("edge endpoints must be string or integer ids")
     capacities = _as_array(net_raw["capacities"], "network.capacities")
     network = build_network(net_raw["sources"], net_raw["targets"], edges, capacities)
     _check_columns(network)
+    weights = _edge_values(network, raw["weights"], "weights")
     data: dict = {
         "network": {
             "sources": list(network.source_ids),
@@ -160,9 +157,10 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
             "edges": [list(edge) for edge in network.edges],
             "capacities": [float(c) for c in network.capacities],
         },
-        "weights": _edge_values(network, raw["weights"], "weights"),
+        "weights": weights.tolist(),
     }
 
+    spec = None
     if "adversary" in raw:
         adv = raw["adversary"]
         _check_block(
@@ -171,42 +169,37 @@ def _normalize(raw: dict) -> tuple[dict, BipartiteNetwork]:
             {"lower_caps", "upper_caps", "punishment_coeff", "beta1", "beta2"},
             "adversary",
         )
-        lower = _as_array(adv["lower_caps"], "adversary.lower_caps")
-        upper = _as_array(adv["upper_caps"], "adversary.upper_caps")
-        if lower.shape != (network.n_targets,) or upper.shape != (network.n_targets,):
-            raise ValidationError("caps must list one value per target node")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValidationError("caps must be finite")
-        if np.any(lower < PERTURBATION_FLOOR):
-            raise PerturbationBelowFloor(f"caps must be >= the action floor {PERTURBATION_FLOOR}")
-        if np.any(lower > upper):
-            raise ValidationError("caps must satisfy lower_caps <= upper_caps")
-        params = AdversaryCostParams.for_network(
-            network,
-            _as_array(adv["punishment_coeff"], "adversary.punishment_coeff"),
-            _as_float(adv["beta1"], "adversary.beta1"),
-            _as_float(adv["beta2"], "adversary.beta2"),
-        )
-        prior_raw = adv.get("prior", "uniform")
-        if isinstance(prior_raw, str):
-            if prior_raw != "uniform":
+        prior = adv.get("prior", "uniform")
+        if isinstance(prior, str):
+            if prior != "uniform":
                 raise ValidationError("prior must be 'uniform' or an explicit table")
             prior = uniform_belief(network.n_targets)
-        else:
-            prior = check_belief(
-                _as_array(prior_raw, "adversary.prior"), network.n_targets
-            )
+        # GameSpec owns the caps, prior and coefficient rules; the scenario's
+        # solver settings join it in game_spec().
+        spec = GameSpec(
+            network=network,
+            weights=weights,
+            lower_caps=_as_array(adv["lower_caps"], "adversary.lower_caps"),
+            upper_caps=_as_array(adv["upper_caps"], "adversary.upper_caps"),
+            cost_params=AdversaryCostParams.for_network(
+                network,
+                _as_array(adv["punishment_coeff"], "adversary.punishment_coeff"),
+                _as_float(adv["beta1"], "adversary.beta1"),
+                _as_float(adv["beta2"], "adversary.beta2"),
+            ),
+            belief=_as_array(prior, "adversary.prior"),
+        )
         data["adversary"] = {
-            "lower_caps": [float(v) for v in lower],
-            "upper_caps": [float(v) for v in upper],
-            "punishment_coeff": [float(v) for v in params.punishment_coeff],
-            "beta1": params.beta1,
-            "beta2": params.beta2,
-            "prior": [[float(a), float(b)] for a, b in prior],
+            "lower_caps": spec.lower_caps.tolist(),
+            "upper_caps": spec.upper_caps.tolist(),
+            "punishment_coeff": spec.cost_params.punishment_coeff.tolist(),
+            "beta1": spec.cost_params.beta1,
+            "beta2": spec.cost_params.beta2,
+            "prior": spec.belief.tolist(),
         }
 
     data.update(_scalar_blocks(raw))
-    return data, network
+    return ScenarioConfig(data=data, network=network, spec=spec)
 
 
 def _scalar_blocks(raw: dict) -> dict:
@@ -236,11 +229,13 @@ class ScenarioConfig:
 
     ``data`` is the normalized key-value tree; two configs are equal exactly
     when their normalized trees are, which is what makes the echo round-trip
-    meaningful.
+    meaningful.  ``spec`` is the checked game of the adversary block under
+    default solver settings, or None when the scenario has no such block.
     """
 
     data: dict
     network: BipartiteNetwork
+    spec: GameSpec | None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScenarioConfig) and self.data == other.data
@@ -249,30 +244,15 @@ class ScenarioConfig:
     def weights(self) -> np.ndarray:
         return np.asarray(self.data["weights"], dtype=float)
 
-    def settings(self, record_trace: bool = False) -> SolverSettings:
+    def settings(self) -> SolverSettings:
         solver = self.data["solver"]
-        return SolverSettings(
-            solver["lambda"], solver["gamma"], solver["tol"], solver["max_iter"], record_trace
-        )
+        return SolverSettings(solver["lambda"], solver["gamma"], solver["tol"], solver["max_iter"])
 
     def game_spec(self) -> GameSpec:
-        if "adversary" not in self.data:
+        """The scenario's game under its solver settings; rejects ``lambda = 0``."""
+        if self.spec is None:
             raise ValidationError("this run needs an 'adversary' block in the scenario")
-        adv = self.data["adversary"]
-        params = AdversaryCostParams(
-            punishment_coeff=np.asarray(adv["punishment_coeff"], dtype=float),
-            beta1=adv["beta1"],
-            beta2=adv["beta2"],
-        )
-        return GameSpec(
-            network=self.network,
-            weights=self.weights,
-            lower_caps=np.asarray(adv["lower_caps"], dtype=float),
-            upper_caps=np.asarray(adv["upper_caps"], dtype=float),
-            cost_params=params,
-            belief=np.asarray(adv["prior"], dtype=float),
-            settings=self.settings(),
-        )
+        return replace(self.spec, settings=self.settings())
 
     def schedule(self) -> Schedule:
         return Schedule(**self.data["distributed"])
@@ -312,7 +292,7 @@ class ScenarioConfig:
         ):
             if value is not None:
                 raw[block][key] = cast(value)
-        return ScenarioConfig(data={**self.data, **_scalar_blocks(raw)}, network=self.network)
+        return ScenarioConfig({**self.data, **_scalar_blocks(raw)}, self.network, self.spec)
 
 
 #: Leaf types the C encoder writes as ``json.dumps`` does: ``float.__repr__``,
@@ -329,9 +309,8 @@ def _json_text(payload: dict) -> str:
 
     Exactly the text of ``json.dumps(payload, indent=2, sort_keys=True)`` plus
     a newline.  ``indent=2`` alone would put every value through the
-    pure-Python encoder; here each list of leaves, and each dict's leaf
-    values, is encoded in one C call and only the containers around them are
-    laid out in Python.
+    pure-Python encoder; here each list of leaves is encoded in one C call and
+    only the containers around them are laid out in Python.
     """
     return _indented(payload, "\n") + "\n"
 
@@ -354,16 +333,9 @@ def _indented(value, newline: str) -> str:
         return _LEAF_LINES.encode(value)
     inner = newline + "  "
     if kind is dict and value and all(type(key) is str for key in value):
-        keys = sorted(value)
-        items = [value[key] for key in keys]
-        is_leaf = [type(item) in _LEAF_TYPES for item in items]
-        leaves = list(compress(items, is_leaf))
-        # Every leaf value in one C call, then cut back out of its lines.
-        encoded = iter(_LEAF_LINES.encode(leaves)[1:-1].split("\n") if leaves else ())
         return "{" + ",".join(
-            f"{inner}{encode_basestring_ascii(key)}: "
-            f"{next(encoded) if leaf else _indented(item, inner)}"
-            for key, item, leaf in zip(keys, items, is_leaf)
+            f"{inner}{encode_basestring_ascii(key)}: {_indented(value[key], inner)}"
+            for key in sorted(value)
         ) + newline + "}"
     if (kind is list or kind is tuple) and value:
         if _LEAF_TYPES.issuperset(map(type, value)):
@@ -396,8 +368,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario must be a key-value tree")
-    data, network = _normalize(raw)
-    return ScenarioConfig(data=data, network=network)
+    return _normalize(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +516,14 @@ def distributed_trace_records(
 
 def _run_solve_ot(config: ScenarioConfig, spec: None, out_dir: Path):
     network, weights = config.network, config.weights
-    settings = config.settings(record_trace=True)
+    settings = config.settings()
     if settings.lam == 0:
         plan, prices = unregularized_solve(network, weights), np.zeros(network.n_sources)
         row = {"iteration": 0, "plan": plan, "prices": prices, "residual": 0.0,
                "objective": planner_objective(plan, weights, 0.0)}
         report = SolveReport(plan, prices, 0, 0.0, True, [row])
     else:
-        report = solve_regularized_ot(network, weights, settings)
+        report = solve_regularized_ot(network, weights, settings, record_trace=True)
     return ot_trace_records(network, report), {
         "converged": report.converged,
         "iterations": report.iterations,

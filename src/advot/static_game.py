@@ -145,10 +145,16 @@ def dispatcher_expected_utility(
     return planner_objective(plan, effective_weights(network, weights, xi, belief), lam)
 
 
-def dispatcher_best_response(spec: GameSpec, xi: np.ndarray) -> SolveReport:
-    """Solve the dispatcher's transport problem under belief-averaged weights."""
+def dispatcher_best_response(
+    spec: GameSpec, xi: np.ndarray, belief: np.ndarray | None = None
+) -> SolveReport:
+    """Solve the dispatcher's transport problem under belief-averaged weights.
+
+    ``belief`` defaults to the spec's prior.
+    """
     xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
-    w = effective_weights(spec.network, spec.weights, xi, spec.belief)
+    belief = spec.belief if belief is None else belief
+    w = effective_weights(spec.network, spec.weights, xi, belief)
     return solve_regularized_ot(spec.network, w, spec.settings)
 
 
@@ -203,17 +209,15 @@ def minimize_node_cost(
     For ``B > 0`` the objective is strictly convex on xi > 0 with unique
     stationary point ``(beta2*A/B)**(1/(1+beta2))``, clipped into the box.
     With no flow (``B == 0``) the objective only decays, so the cap is optimal.
+    ``A``, ``B`` and the caps broadcast against each other.
     """
-    scale = np.atleast_1d(np.asarray(penalty_scale, dtype=float))
+    scale = np.asarray(penalty_scale, dtype=float)
     flow = np.atleast_1d(np.asarray(flow_term, dtype=float))
-    caps = np.broadcast_to(np.asarray(caps, dtype=float), scale.shape)
-    out = np.empty_like(scale)
-    no_flow = flow <= 0
-    out[no_flow] = caps[no_flow]
-    active = ~no_flow
-    stationary = (beta2 * scale[active] / flow[active]) ** (1.0 / (1.0 + beta2))
-    out[active] = np.clip(stationary, PERTURBATION_FLOOR, caps[active])
-    return out
+    caps = np.asarray(caps, dtype=float)
+    # The stationary point is not used where there is no flow, so its 0/0 is silenced.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = (beta2 * scale / flow) ** (1.0 / (1.0 + beta2))
+    return np.where(flow <= 0, caps, np.clip(stationary, PERTURBATION_FLOOR, caps))
 
 
 def threshold_phi(xi_t, xi_prev, tau: float):
@@ -229,15 +233,15 @@ def threshold_phi(xi_t, xi_prev, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-_TYPE_VALUES = np.array([1.0, 2.0])  # minor and major: the type multiplies its action
+TYPE_VALUES = np.array([1.0, 2.0])  # minor and major: the type multiplies its action
 
 
-def _stage_response(network, plan, params, caps, xi_prev, tau: float, types=_TYPE_VALUES):
+def _stage_response(network, plan, params, caps, xi_prev, tau: float):
     """Per-target, per-type tables of the stage cost ``A*z**(-beta2) + B*z`` and its minimizer.
 
-    ``A`` is the penalty scale and ``B = type*S`` the flow term, one column
-    per entry of ``types``; ``caps`` and ``xi_prev`` broadcast against the
-    ``(n_targets, len(types))`` tables.  ``z`` minimizes the cost over the
+    ``A`` is the penalty scale, one column, and ``B = type*S`` the flow
+    term, one column per entry of ``TYPE_VALUES``; ``caps`` and ``xi_prev``
+    broadcast to ``(n_targets, 2)``.  ``z`` minimizes the cost over the
     thresholded actions ``z = phi(xi)``: as ``xi`` ranges over ``[floor,
     cap]``, ``phi(xi)`` covers exactly ``[xi_prev, max(xi_prev, cap - tau)]``,
     and by convexity the minimizer there is the static one on ``[floor,
@@ -246,9 +250,7 @@ def _stage_response(network, plan, params, caps, xi_prev, tau: float, types=_TYP
     if not tau >= 0:  # also rejects NaN
         raise ValidationError("tau must be >= 0")
     scale, flow = node_cost_aggregates(network, plan, params)
-    # A full table: minimize_node_cost broadcasts the caps to the scale's shape.
-    scale = np.repeat(scale[:, None], len(types), axis=1)
-    flow_term = flow[:, None] * types
+    scale, flow_term = scale[:, None], flow[:, None] * TYPE_VALUES
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
     z = np.maximum(minimize_node_cost(scale, flow_term, params.beta2, z_hi), xi_prev)
     return scale, flow_term, z
@@ -265,7 +267,7 @@ def stage_adversary_best_response(
 ) -> np.ndarray:
     """Per-target stage action of one type, minimizing the thresholded cost.
 
-    The one-column case of :func:`best_response_strategy`: the minimizer
+    The type's column of :func:`best_response_strategy`: the minimizer
     ``z`` over the range of ``phi`` (see :func:`_stage_response`) maps back
     through ``xi = z + tau``, except that minimizers stuck at the range's
     lower end stay at the previous action (no incentive to move inside the
@@ -274,10 +276,8 @@ def stage_adversary_best_response(
     if type_value not in (1, 2):
         raise ValidationError("type_value must be 1 (minor) or 2 (major)")
     caps, xi_prev = (np.reshape(np.asarray(a, dtype=float), (-1, 1)) for a in (caps, xi_prev))
-    _, _, z = _stage_response(
-        network, plan, params, caps, xi_prev, tau, np.array([float(type_value)])
-    )
-    return np.where(z > xi_prev, z + tau, xi_prev)[:, 0]
+    _, _, z = _stage_response(network, plan, params, caps, xi_prev, tau)
+    return np.where(z > xi_prev, z + tau, xi_prev)[:, type_value - 1]
 
 
 def best_response_strategy(
@@ -403,9 +403,9 @@ def stage_equilibrium(
     """Iterate both best responses of one stage, Anderson-accelerated, until they settle.
 
     The adversary's trial action ``x`` starts at its caps (worst case for the
-    dispatcher) and the dispatcher at ``plan``.  Each round solves transport
-    at ``x`` thresholded against ``xi_prev`` and weighed under ``belief``
-    (starting from the exact capacity prices of its weights), then takes the
+    dispatcher) and the dispatcher at ``plan``.  Each round takes the
+    dispatcher's best response (:func:`dispatcher_best_response`) to ``x``
+    thresholded against ``xi_prev`` and weighed under ``belief``, then the
     adversary's best response ``g`` to that plan.  The loop stops when
     neither the plan nor the residual ``g - x`` moves more than
     ``PROFILE_TOL``; otherwise the next ``x`` is :func:`_anderson_step`
@@ -422,9 +422,7 @@ def stage_equilibrium(
     settled = inner_converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        effective = threshold_phi(x, xi_prev, tau)
-        w_eff = effective_weights(spec.network, spec.weights, effective, belief)
-        report = solve_regularized_ot(spec.network, w_eff, spec.settings)
+        report = dispatcher_best_response(spec, threshold_phi(x, xi_prev, tau), belief)
         plan_new, inner_converged = report.plan, report.converged
         xi = best_response_strategy(spec, plan_new, xi_prev, tau)
         residual = xi - x

@@ -37,7 +37,6 @@ class SolverSettings:
     gamma: float = 0.05
     tol: float = 1e-8
     max_iter: int = 50_000
-    record_trace: bool = False
 
     def __post_init__(self):
         # Written so that NaN, which fails every comparison, is rejected too.
@@ -155,6 +154,7 @@ def solve_regularized_ot(
     network: BipartiteNetwork,
     weights: np.ndarray,
     settings: SolverSettings = SolverSettings(),
+    record_trace: bool = False,
 ) -> SolveReport:
     """Start from the exact capacity prices and alternate primal and dual updates.
 
@@ -171,6 +171,8 @@ def solve_regularized_ot(
         Perceived intensity per edge (utility per resource unit).
     settings : SolverSettings
         Requires ``settings.lam > 0``.
+    record_trace : bool
+        Keep one record per iteration in the report's ``trace``.
 
     Returns
     -------
@@ -204,7 +206,7 @@ def solve_regularized_ot(
         # iteration 1 has no earlier plan to compare with
         primal_change = 0.0 if x is None else float(np.max(np.abs(x_new - x)))
         x = x_new
-        if settings.record_trace:
+        if record_trace:
             trace.append(
                 {
                     "iteration": iteration,

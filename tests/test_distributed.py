@@ -545,3 +545,24 @@ def test_schedule_independence_of_the_limit(paper_spec):
         assert np.max(np.abs(report.plan - central.plan)) <= 1e-3
     spread = np.max(np.abs(np.ptp(np.stack(plans), axis=0)))
     assert spread <= 2e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_refresh_residual_is_the_unticked_agents_stationarity_term(seed):
+    """With more sources than ``refresh_every``, round-robin leaves agents unticked.
+
+    Such an agent has rates 0 and price 0, so its stationarity term is
+    ``max exp(w/lam - 1)`` over its row of the starting effective weights.
+    The term is not 0, and it is what the first refresh logs.
+    """
+    spec = make_random_spec(np.random.default_rng(seed), n_sources=13, n_targets=4)
+    schedule = Schedule(mode="round-robin", seed=seed, refresh_every=10)
+    report, _ = run_distributed(spec, schedule)
+    network = spec.network
+    weights = effective_weights(network, spec.weights, spec.caps(), spec.belief)
+    unticked = np.isin(network.edge_source, np.arange(schedule.refresh_every, network.n_sources))
+    term = float(np.max(np.exp(weights[unticked] / spec.settings.lam - 1.0)))
+    first = report.trace[0]
+    assert first["tick"] == schedule.refresh_every
+    assert term > 1.0
+    assert first["residual"] == term

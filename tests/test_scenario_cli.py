@@ -722,3 +722,15 @@ def test_minimal_scenario_supports_all_commands(tmp_path):
     for command in ("solve-ot", "static-eq", "dynamic-sim", "distributed-sim"):
         out = tmp_path / command
         assert run_cli(command, "--config", MINIMAL, "--out", out) == 0
+
+
+@pytest.mark.parametrize("edge", [[["j1"], "q1"], ["j1", {"id": "q1"}], [True, "q1"]])
+def test_cli_rejects_an_edge_endpoint_that_is_not_an_id(tmp_path, capsys, edge):
+    config = json.loads(PAPER.read_text())
+    config["network"]["edges"][0] = edge
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("static-eq", "--config", path, "--out", out) == 1
+    assert capsys.readouterr().err == "advot: edge endpoints must be string or integer ids\n"
+    assert not out.exists()

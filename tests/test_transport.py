@@ -183,8 +183,7 @@ def test_solve_kkt_conditions(paper_network, paper_edge_weights):
 
 def test_solve_objective_matches_oracle_in_one_iteration(paper_network, paper_edge_weights):
     # started from the exact prices, the trace holds the one checking step
-    settings = SolverSettings(record_trace=True)
-    report = solve_regularized_ot(paper_network, paper_edge_weights, settings)
+    report = solve_regularized_ot(paper_network, paper_edge_weights, record_trace=True)
     assert report.iterations == 1
     (row,) = report.trace
     assert row["objective"] == pytest.approx(
