@@ -2,9 +2,11 @@
 
 Each source node runs as an agent that only ever sees its own price,
 capacity and incident edges, and sets its exact price from that row alone;
-target nodes answer with refreshed effective weights.  A seeded random-subset scheduler activates half the agents per
-tick on average, yet the assembled plan lands within solver tolerance of the
-centralized equilibrium, and the message log replays bit-exactly.
+target nodes answer with refreshed effective weights.  An agent with no new
+weights since its last tick stays silent.  A seeded random-subset scheduler
+activates half the agents per tick on average, yet the assembled plan lands
+within solver tolerance of the centralized equilibrium, and the message log
+replays bit-exactly.
 
 Run from the repository root:  python demos/distributed_pricing.py
 """

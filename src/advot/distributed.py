@@ -4,7 +4,10 @@ Each source node is an agent owning only its own price, capacity and plan
 row; target nodes recompute the adversary's per-node actions from the rates
 they have received.  A seeded scheduler drives activations and every exchange
 goes through an append-only message log, so a run is fully determined by
-(scenario, schedule, seed) and can be reconstructed from the log alone.
+(scenario, schedule, seed) and can be reconstructed from the log alone.  An
+activated agent with no new weights stays silent: its tick would reproduce
+the price and rates it last sent, so the log holds only new values and
+the replayed report is still bit-exact.
 """
 
 from __future__ import annotations
@@ -414,12 +417,15 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
 
     Activated agents set the exact price of their own row (``capacity_prices``
     on that row alone) and mail their new rates to the target nodes they
-    touch; every ``refresh_every`` ticks each target recomputes its per-type
-    best response from the rates it has seen and mails updated effective
-    weights back.  Terminates once the global residual (stationarity,
-    complementary slackness and action change) drops below
-    ``spec.settings.tol``, returning the assembled plan, or comes back with
-    ``converged=False`` at ``max_ticks``.
+    touch.  An agent ticks and sends only at its first activation and when
+    weights were delivered since its last tick; any other tick would resend
+    the same values, so it stays silent, and the trajectory and :func:`replay`
+    of the log stay bit-exact.  Every ``refresh_every`` ticks each target
+    recomputes its per-type best response from the rates it has seen and
+    mails updated effective weights back.  Terminates once the global
+    residual (stationarity, complementary slackness and action change) drops
+    below ``spec.settings.tol``, returning the assembled plan, or comes back
+    with ``converged=False`` at ``max_ticks``.
     """
     network = spec.network
     settings = spec.settings
@@ -465,9 +471,13 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     converged = False
     residual = float("inf")
     tick = 0
+    ticked = [False] * n
     for tick in range(1, schedule.max_ticks + 1):
         for j in _active_agents(schedule, tick, rng, n):
             agent = agents[j]
+            if ticked[j] and not agent.inbox:
+                continue  # a tick would resend the same price and rates
+            ticked[j] = True
             agent.tick()
             append(tick, PRICE, j, agent.price)
             prices_seen[j] = agent.price

@@ -25,7 +25,7 @@ from .distributed import SCHEDULE_MODES, Schedule, run_distributed
 from .dynamic_game import StageOutcome, run_dynamic_game
 from .errors import ParseError, StageNotConverged, ValidationError
 from .network import AdversaryCostParams, BipartiteNetwork, build_network, uniform_belief
-from .static_game import GameSpec, solve_bayesian_equilibrium
+from .static_game import GameSpec, best_response_strategy, deviation_check, solve_bayesian_equilibrium
 from .transport import SolveReport, SolverSettings, planner_objective, solve_regularized_ot, unregularized_solve
 
 logger = logging.getLogger(__name__)
@@ -578,6 +578,8 @@ def _run_dynamic_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
 def _run_distributed_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
     report, log = run_distributed(spec, config.schedule())
     (out_dir / "messages.log").write_text(log.to_text(), encoding="utf-8")
+    # the static game's certificate of the final plan against the adversary's best response
+    gap = deviation_check(spec, report.plan, best_response_strategy(spec, report.plan))
     return distributed_trace_records(spec.network, report), {
         "converged": report.converged,
         "ticks": report.iterations,
@@ -585,6 +587,7 @@ def _run_distributed_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
         "messages": len(log),
         "plan": report.plan.tolist(),
         "prices": report.prices.tolist(),
+        "deviation_gap": gap,
     }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,19 @@ from advot import (
     uniform_belief,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark's ``perfbench/`` directory, which is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 PAPER_WEIGHTS = np.array([[1.0, 3.0, 5.0], [2.0, 5.0, 1.0]])
 PAPER_CAPACITIES = (4.0, 3.0)

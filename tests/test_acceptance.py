@@ -33,7 +33,7 @@ from advot.cli import main as cli_main
 from advot.dynamic_game import belief_update
 from conftest import SCENARIO_DIR, make_random_spec
 from oracles import grid_min_cost, slsqp_regularized_plan
-from test_distributed import reference_sync_run
+from test_distributed import logged_iterates, reference_sync_run, sending_ticks
 
 PAPER = SCENARIO_DIR / "paper_2x3.json"
 
@@ -262,20 +262,13 @@ def test_criterion_distributed_centralized_equivalence(paper_game, paper_equilib
         pinned, Schedule(mode="synchronous", seed=0, max_ticks=ticks, refresh_every=10)
     )
     ref_prices, ref_rates = reference_sync_run(pinned, ticks, 10)
-    prices_by_tick: dict[int, dict] = {}
-    rates_by_tick: dict[int, dict] = {}
-    for message in log:
-        if message.kind == "price":
-            prices_by_tick.setdefault(message.tick, {})[message.payload["source"]] = (
-                message.payload["price"]
-            )
-        elif message.kind == "rate":
-            key = (message.payload["source"], message.payload["target"])
-            rates_by_tick.setdefault(message.tick, {})[key] = message.payload["rate"]
+    got_prices, got_rates, sent = logged_iterates(pinned, log, ticks)
+    if sent != sending_ticks(ticks, 10):
+        failures.append(f"synchronous agents sent at ticks {sent}, not only after new weights")
     for tick in range(1, ticks + 1):
-        got_p = [prices_by_tick[tick][s] for s in pinned.network.source_ids]
-        got_x = [rates_by_tick[tick][e] for e in pinned.network.edges]
-        if got_p != list(ref_prices[tick - 1]) or got_x != list(ref_rates[tick - 1]):
+        if got_prices[tick - 1] != list(ref_prices[tick - 1]) or (
+            got_rates[tick - 1] != list(ref_rates[tick - 1])
+        ):
             failures.append(f"synchronous iterates diverge from centralized at tick {tick}")
             break
     _verdict(

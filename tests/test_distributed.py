@@ -22,13 +22,14 @@ from advot import (
     build_network,
     capacity_prices,
     effective_weights,
+    parse_scenario,
     replay,
     run_distributed,
     solve_bayesian_equilibrium,
     uniform_belief,
 )
 from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPOLOGY, TRACE, WEIGHT
-from conftest import make_random_spec
+from conftest import load_perfbench, make_random_spec
 from oracles import agent_tick, reference_log_text
 
 
@@ -190,26 +191,35 @@ def test_schedule_rejects_a_negative_seed():
 
 
 def logged_iterates(spec: GameSpec, log: MessageLog, ticks: int):
-    """Per tick, the logged prices in source order and rates in edge order."""
-    prices_by_tick: dict[int, dict[str, float]] = {}
-    rates_by_tick: dict[int, dict[tuple, float]] = {}
+    """The hub's view after each tick, and the ticks at which any agent sent.
+
+    Per tick, the latest logged price of each source in source order and the
+    latest rate of each edge in edge order.  An agent that stays silent keeps
+    the values it last sent; one that has never sent reads ``None``.
+    """
+    source_slot = {sid: i for i, sid in enumerate(spec.network.source_ids)}
+    edge_slot = {edge: i for i, edge in enumerate(spec.network.edges)}
+    sent: dict[int, list] = {}
     for message in log:
-        if message.kind == "price":
-            prices_by_tick.setdefault(message.tick, {})[message.payload["source"]] = (
-                message.payload["price"]
-            )
-        elif message.kind == "rate":
-            key = (message.payload["source"], message.payload["target"])
-            rates_by_tick.setdefault(message.tick, {})[key] = message.payload["rate"]
-    prices = [
-        [prices_by_tick[tick][sid] for sid in spec.network.source_ids]
-        for tick in range(1, ticks + 1)
-    ]
-    rates = [
-        [rates_by_tick[tick][edge] for edge in spec.network.edges]
-        for tick in range(1, ticks + 1)
-    ]
-    return prices, rates
+        if message.kind in ("price", "rate"):
+            sent.setdefault(message.tick, []).append(message.payload)
+    latest_prices = [None] * spec.network.n_sources
+    latest_rates = [None] * spec.network.n_edges
+    prices, rates = [], []
+    for tick in range(1, ticks + 1):
+        for payload in sent.get(tick, ()):
+            if "price" in payload:
+                latest_prices[source_slot[payload["source"]]] = payload["price"]
+            else:
+                latest_rates[edge_slot[(payload["source"], payload["target"])]] = payload["rate"]
+        prices.append(list(latest_prices))
+        rates.append(list(latest_rates))
+    return prices, rates, sorted(sent)
+
+
+def sending_ticks(ticks: int, refresh_every: int) -> list[int]:
+    """When a synchronous run sends: tick 1, then each tick right after a refresh."""
+    return [1, *range(refresh_every + 1, ticks + 1, refresh_every)]
 
 
 def synchronous_run(spec: GameSpec, ticks: int):
@@ -225,7 +235,8 @@ def test_synchronous_run_matches_reference_tick_for_tick(paper_spec):
     ticks = 120
     spec, _, log = synchronous_run(paper_spec, ticks)
     ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
-    prices, rates = logged_iterates(spec, log, ticks)
+    prices, rates, sent = logged_iterates(spec, log, ticks)
+    assert sent == sending_ticks(ticks, 10)
     for tick in range(1, ticks + 1):
         assert prices[tick - 1] == list(ref_prices[tick - 1]), f"price mismatch at tick {tick}"
         assert rates[tick - 1] == list(ref_rates[tick - 1]), f"rate mismatch at tick {tick}"
@@ -238,7 +249,8 @@ def test_synchronous_run_on_wide_targets_matches_reference():
     wide = make_random_spec(np.random.default_rng(20), 9, 3)
     spec, report, log = synchronous_run(wide, ticks)
     ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
-    prices, rates = logged_iterates(spec, log, ticks)
+    prices, rates, sent = logged_iterates(spec, log, ticks)
+    assert sent == sending_ticks(ticks, 10)
     np.testing.assert_allclose(prices, ref_prices, rtol=1e-12, atol=0)
     np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=0)
     assert_replays_exactly(log, report)
@@ -267,6 +279,50 @@ def test_single_source_network_matches_centralized():
         report, _ = run_distributed(spec, Schedule(mode=mode, seed=1))
         assert report.converged
         assert np.max(np.abs(report.plan - central.plan)) <= 1e-6
+
+
+def first_activations(schedule: Schedule, n: int) -> list[int]:
+    """The tick at which each agent first activates, drawn as the scheduler draws."""
+    if schedule.mode == "synchronous":
+        return [1] * n
+    if schedule.mode == "round-robin":
+        return list(range(1, n + 1))
+    rng = np.random.default_rng(schedule.seed)
+    first = [0] * n
+    tick = 0
+    while 0 in first:
+        tick += 1
+        for j in np.flatnonzero(rng.random(n) < schedule.activation):
+            first[j] = first[j] or tick
+    return first
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+@pytest.mark.parametrize("dense", [False, True], ids=["paper", "dense-5x10"])
+def test_an_agent_prices_only_at_its_first_activation_or_after_new_weights(
+    paper_spec, dense, mode
+):
+    generate = load_perfbench("generate")
+    spec = (
+        parse_scenario(generate.scenario_text(generate.dense_pool(5, 10, 7, 1)[0])).game_spec()
+        if dense else paper_spec
+    )
+    sources = spec.network.source_ids
+    for seed in (0, 7, 42):
+        schedule = Schedule(mode=mode, seed=seed)
+        _, log = run_distributed(spec, schedule)
+        first_price: dict[str, int] = {}
+        new_weights = dict.fromkeys(sources, False)  # since the source's last price
+        for message in log:
+            if message.kind == "weight":
+                new_weights[message.payload["source"]] = True
+            elif message.kind == "price":
+                sid = message.payload["source"]
+                if sid in first_price:
+                    assert new_weights[sid], f"{sid} resent its price at tick {message.tick}"
+                first_price.setdefault(sid, message.tick)
+                new_weights[sid] = False
+        assert [first_price[sid] for sid in sources] == first_activations(schedule, len(sources))
 
 
 def test_price_nonnegative_at_every_tick(paper_spec):
