@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import AdvotError
-from .scenario import SUBCOMMANDS, parse_scenario, run_command
+from .scenario import SUBCOMMANDS, TRACE_FORMATS, parse_scenario, run_command
 
 _SCHEDULE_ALIASES = {"sync": "synchronous", "async": "random-subset", "roundrobin": "round-robin"}
 
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--schedule", choices=sorted(_SCHEDULE_ALIASES), default=None,
                          help="override the distributed schedule")
         sub.add_argument("--seed", type=int, default=None, help="override the schedule seed")
-        sub.add_argument("--emit", choices=("csv", "json"), default="csv",
+        sub.add_argument("--emit", choices=TRACE_FORMATS, default="csv",
                          help="trace file format")
     return parser
 

@@ -16,6 +16,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -102,24 +103,17 @@ def _fragments(sources, targets, edges) -> tuple[list, list, list, list]:
     two parts of its edge's fragment pair.  Sender and receiver follow from
     the node or edge, so the fragments carry them too.
     """
-    strategy = [
-        f',"target":{_json(t)}}},"receiver":"hub","sender":{_json(f"tgt:{t}")},"tick":'
-        for t in targets
-    ]
-    price = [
-        f',"source":{_json(s)}}},"receiver":"hub","sender":{_json(f"src:{s}")},"tick":'
-        for s in sources
-    ]
-    rate = [
-        f',"source":{_json(s)},"target":{_json(t)}}},'
-        f'"receiver":{_json(f"tgt:{t}")},"sender":{_json(f"src:{s}")},"tick":'
-        for s, t in edges
-    ]
-    weight = [
-        (f'"source":{_json(s)},"target":{_json(t)},"weight":',
-         f'}},"receiver":{_json(f"src:{s}")},"sender":{_json(f"tgt:{t}")},"tick":')
-        for s, t in edges
-    ]
+    # each node's id and its src:/tgt: label as JSON text, encoded once
+    src = {s: (_json(s), _json(f"src:{s}")) for s in sources}
+    tgt = {t: (_json(t), _json(f"tgt:{t}")) for t in targets}
+    strategy = [f',"target":{t}}},"receiver":"hub","sender":{tl},"tick":' for t, tl in tgt.values()]
+    price = [f',"source":{s}}},"receiver":"hub","sender":{sl},"tick":' for s, sl in src.values()]
+    rate, weight = [], []
+    for s, t in edges:
+        (s, s_label), (t, t_label) = src[s], tgt[t]
+        rate.append(f',"source":{s},"target":{t}}},"receiver":{t_label},"sender":{s_label},"tick":')
+        weight.append((f'"source":{s},"target":{t},"weight":',
+                       f'}},"receiver":{s_label},"sender":{t_label},"tick":'))
     return strategy, price, rate, weight
 
 
@@ -166,11 +160,11 @@ def _read_topology(line: str) -> tuple:
         raise CorruptLog("log line 1 is not a topology record")
     try:
         payload = obj["payload"]
-        topology = (
-            tuple(payload["sources"]),
-            tuple(payload["targets"]),
-            tuple((s, t) for s, t in payload["edges"]),
-        )
+        sources, targets = tuple(payload["sources"]), tuple(payload["targets"])
+        # each edge takes its ends' listed ids: a dangling or respelled end fails
+        source_of, target_of = dict(zip(sources, sources)), dict(zip(targets, targets))
+        edges = tuple((source_of[s], target_of[t]) for s, t in payload["edges"])
+        topology = (sources, targets, edges)
         unique = all(len(set(part)) == len(part) for part in topology)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptLog("log line 1: topology record is malformed") from exc
@@ -221,9 +215,9 @@ class MessageLog:
     def append(self, tick: int, kind: int, index: int = 0, value=None, value2=0.0) -> None:
         """Record one message.
 
-        The topology record passes ``value = (sources, targets, edges)``; the
-        final marker passes the residual and the converged flag, at the tick
-        count.
+        The topology record passes ``value = (sources, targets, edges)``, each
+        edge a pair of listed ids; the final marker passes the residual and
+        the converged flag, at the tick count.
         """
         if kind < TOPOLOGY:
             self.ticks.append(tick)
@@ -441,27 +435,23 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     for q, (minor, major) in enumerate(xi.tolist()):
         append(0, STRATEGY, q, minor, major)
 
-    agent_edges = [network.edges_from(j) for j in range(n)]
+    # Edges are in row-major order: agent j's row is the block start[j]:start[j + 1].
+    start = [0, *accumulate(np.bincount(network.edge_source, minlength=n).tolist())]
     weights = effective_weights(network, spec.weights, xi, spec.belief)
     agents = [
         SourceAgent(
             capacity=float(network.capacities[j]),
             lam=settings.lam,
-            weights=weights[idx],
-            rates=np.zeros(len(idx)),
+            weights=weights[start[j]:start[j + 1]].copy(),
+            rates=np.zeros(start[j + 1] - start[j]),
         )
-        for j, idx in enumerate(agent_edges)
+        for j in range(n)
     ]
-
-    # Each edge's slot in its agent's row, and (edge, agent, slot) per target.
-    agent_edge_lists = [idx.tolist() for idx in agent_edges]
-    local_slot = np.empty(network.n_edges, dtype=int)
-    for idx in agent_edges:
-        local_slot[idx] = np.arange(len(idx))
-    target_edges = [network.edges_into(q) for q in range(m)]
+    # (edge, agent, slot in the agent's row) of every edge into each target
+    edge_source = network.edge_source.tolist()
     inbound = [
-        list(zip(idx.tolist(), network.edge_source[idx].tolist(), local_slot[idx].tolist()))
-        for idx in target_edges
+        [(e, edge_source[e], e - start[edge_source[e]]) for e in network.edges_into(q).tolist()]
+        for q in range(m)
     ]
 
     rates_seen = np.zeros(network.n_edges)  # latest rate message per edge
@@ -481,9 +471,9 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             agent.tick()
             append(tick, PRICE, j, agent.price)
             prices_seen[j] = agent.price
-            for e, rate in zip(agent_edge_lists[j], agent.rates.tolist()):
+            for e, rate in enumerate(agent.rates.tolist(), start[j]):
                 append(tick, RATE, e, rate)
-            rates_seen[agent_edges[j]] = agent.rates
+            rates_seen[start[j]:start[j + 1]] = agent.rates
         if tick % schedule.refresh_every != 0:
             continue
 

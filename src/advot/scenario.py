@@ -31,6 +31,7 @@ from .transport import SolveReport, SolverSettings, planner_objective, solve_reg
 logger = logging.getLogger(__name__)
 
 SUBCOMMANDS = ("solve-ot", "static-eq", "dynamic-sim", "distributed-sim")
+TRACE_FORMATS = ("csv", "json")
 
 #: The types of a node id: JSON strings and integers, not booleans.
 _ID_TYPES = frozenset((str, int))
@@ -277,21 +278,20 @@ class ScenarioConfig:
         """New config with command-line overrides applied and revalidated.
 
         Overrides touch only the scalar blocks, so only those are read and
-        checked again; the network, weights and adversary are shared with
-        this config.  Returns this config itself when every override is
-        ``None``.
+        checked again, by the same readers as a scenario file's values; the
+        network, weights and adversary are shared with this config.  Returns
+        this config itself when every override is ``None``.
         """
         if all(v is None for v in (lam, gamma, tol, stages, tau, mode, seed)):
             return self
         raw = {name: dict(self.data[name]) for name in _SCALAR_BLOCKS}
-        for block, key, value, cast in (
-            ("solver", "lambda", lam, float), ("solver", "gamma", gamma, float),
-            ("solver", "tol", tol, float), ("dynamic", "stages", stages, int),
-            ("dynamic", "tau", tau, float), ("distributed", "mode", mode, str),
-            ("distributed", "seed", seed, int),
+        for block, key, value in (
+            ("solver", "lambda", lam), ("solver", "gamma", gamma), ("solver", "tol", tol),
+            ("dynamic", "stages", stages), ("dynamic", "tau", tau),
+            ("distributed", "mode", mode), ("distributed", "seed", seed),
         ):
             if value is not None:
-                raw[block][key] = cast(value)
+                raw[block][key] = value
         return ScenarioConfig({**self.data, **_scalar_blocks(raw)}, self.network, self.spec)
 
 
@@ -416,6 +416,11 @@ def _check_columns(network: BipartiteNetwork) -> None:
         seen.add(name)
 
 
+def _check_trace_format(fmt: str) -> None:
+    if fmt not in TRACE_FORMATS:
+        raise ValidationError(f"unknown trace format {fmt!r}")
+
+
 def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) -> Path:
     """Write a run's trace table as CSV or JSON-lines with 12-digit floats.
 
@@ -426,8 +431,7 @@ def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) 
     the file is opened, so a bad row writes nothing; the rows are then
     written one at a time.
     """
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown trace format {fmt!r}")
+    _check_trace_format(fmt)
     for step, values in rows:
         if len(values) != len(columns):
             raise ValidationError(
@@ -609,6 +613,7 @@ def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "c
     """
     if subcommand not in _RUNNERS:
         raise ValidationError(f"unknown subcommand {subcommand!r}")
+    _check_trace_format(emit)
     # The games' inputs (the adversary block, lam > 0) are checked before any file is written.
     spec = None if subcommand == "solve-ot" else config.game_spec()
     out_dir = Path(out_dir)

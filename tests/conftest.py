@@ -64,14 +64,18 @@ def paper_spec(paper_network, paper_edge_weights):
     )
 
 
-def make_random_spec(rng, n_sources=2, n_targets=2, lam=3.0):
-    """Small random game instance with parameters in the reference ranges."""
+def make_random_spec(rng, n_sources=2, n_targets=2, lam=3.0, edges=None):
+    """Small random game instance with parameters in the reference ranges.
+
+    ``edges`` lists ``(s<i>, t<k>)`` id pairs; by default every source is
+    joined to every target.
+    """
     sources = [f"s{i}" for i in range(n_sources)]
     targets = [f"t{i}" for i in range(n_targets)]
     network = build_network(
         sources,
         targets,
-        all_edges(sources, targets),
+        all_edges(sources, targets) if edges is None else edges,
         rng.uniform(1.0, 5.0, size=n_sources),
     )
     weights = rng.uniform(1.0, 5.0, size=network.n_edges)

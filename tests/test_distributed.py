@@ -257,6 +257,37 @@ def test_synchronous_run_on_wide_targets_matches_reference():
     assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
 
 
+def uneven_spec(seed: int) -> GameSpec:
+    """A random 6x8 game on a sparse network whose sources have unequal degrees.
+
+    Each source keeps about a third of the targets, and every node keeps at
+    least one edge.
+    """
+    rng = np.random.default_rng(seed)
+    keep = rng.random((6, 8)) < 0.35
+    keep[rng.integers(6, size=8), np.arange(8)] = True  # every target
+    keep[np.arange(6), rng.integers(8, size=6)] = True  # every source
+    edges = [(f"s{j}", f"t{q}") for j, q in zip(*np.nonzero(keep))]
+    spec = make_random_spec(rng, 6, 8, edges=edges)
+    assert len(set(np.bincount(spec.network.edge_source).tolist())) > 1
+    return spec
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_synchronous_run_on_uneven_source_degrees_matches_reference(seed):
+    # each agent's row is its own block of the canonical edge order, and rows
+    # of unequal width make a wrong block offset or slot show
+    ticks = 120
+    spec, report, log = synchronous_run(uneven_spec(seed), ticks)
+    ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
+    prices, rates, sent = logged_iterates(spec, log, ticks)
+    assert sent == sending_ticks(ticks, 10)
+    for tick in range(1, ticks + 1):
+        assert prices[tick - 1] == list(ref_prices[tick - 1]), f"price mismatch at tick {tick}"
+        assert rates[tick - 1] == list(ref_rates[tick - 1]), f"rate mismatch at tick {tick}"
+    assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
+
+
 def test_random_subset_converges_to_centralized(paper_spec):
     central = solve_bayesian_equilibrium(paper_spec)
     schedule = Schedule(mode="random-subset", activation=0.5, seed=42)
@@ -578,6 +609,19 @@ def test_reader_rejects_a_non_canonical_line(paper_log_lines, edit):
     lines[i] = edit(lines[i])
     with pytest.raises(CorruptLog, match=rf"line {i + 1}\b"):
         MessageLog.from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edge", ['[3,"q"]', '[true,"q"]', '[1.0,"q"]'])
+def test_reader_rejects_a_topology_edge_that_names_no_listed_id(edge):
+    # 3 is not a source; true and 1.0 equal the source 1 but are not its text
+    log = MessageLog()
+    log.append(0, TOPOLOGY, value=([1, 2], ["q"], [(1, "q"), (2, "q")]))
+    log.append(1, RATE, 0, 0.5)
+    text = log.to_text()
+    assert MessageLog.from_text(text) == log
+    assert text.count('[1,"q"]') == 1
+    with pytest.raises(CorruptLog, match=r"line 1\b"):
+        MessageLog.from_text(text.replace('[1,"q"]', edge))
 
 
 def test_reader_rejects_records_after_the_final_marker(paper_log_lines):

@@ -373,5 +373,9 @@ def test_tracer_installs_on_every_entry_point(tmp_path):
     assert tracer.counts["dynamic_game.stages"] > 0
     assert tracer.counts["transport.unconverged"] == 0
     times = tracer.layer_times()
-    for name in ("scenario.trace_records_s", "scenario.emit_s", "distributed.replay_s"):
+    for name in (
+        "scenario.trace_records_s", "scenario.emit_s", "distributed.replay_s",
+        "distributed.agent_tick_s", "distributed.refresh_br_s", "distributed.log_append_s",
+        "distributed.log_write_s", "distributed.log_read_s",
+    ):
         assert times[name] > 0, name

@@ -166,6 +166,30 @@ def test_overrides_apply_and_revalidate():
         config.with_overrides(mode="bogus")
 
 
+# Override values of the wrong type: the scenario file rejects each of them.
+WRONG_TYPE_OVERRIDES = {
+    "stages-float": ("dynamic", "stages", "stages", 2.7),
+    "seed-float": ("distributed", "seed", "seed", 3.9),
+    "seed-bool": ("distributed", "seed", "seed", True),
+    "tau-string": ("dynamic", "tau", "tau", "0.25"),
+    "lambda-string": ("solver", "lambda", "lam", "3"),
+    "tol-bool": ("solver", "tol", "tol", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_OVERRIDES))
+def test_overrides_are_read_as_the_scenario_file_reads_them(name):
+    block, key, keyword, value = WRONG_TYPE_OVERRIDES[name]
+    data = json.loads(PAPER.read_text())
+    data[block][key] = value
+    with pytest.raises(ValidationError) as from_file:
+        parse_scenario(json.dumps(data))
+    with pytest.raises(ValidationError) as from_override:
+        parse_scenario(PAPER.read_text()).with_overrides(**{keyword: value})
+    assert str(from_override.value) == str(from_file.value)
+    assert str(from_file.value).startswith(f"'{block}.{key}' must be")
+
+
 def test_no_overrides_keep_the_config():
     config = parse_scenario(PAPER.read_text())
     assert config.with_overrides() is config
@@ -509,6 +533,46 @@ def test_cli_distributed_sim_results_are_pinned_apart_from_the_log(tmp_path, fla
     assert (_sha256(out / "trace.csv"), result) == (DENSE_TRACE_SHA256, DENSE_RESULT_SHA256)
 
 
+# Source s<j> of dense_pool(5, 10, 7, 1)[0] keeps these targets: degrees 10, 2, 6, 1, 3.
+UNEVEN_TARGETS = [range(10), (0, 1), range(2, 8), (9,), (3, 5, 8)]
+
+
+def uneven_5x10(tmp_path):
+    """The dense 5x10 game with edges dropped, so the agents' rows have unequal widths."""
+    data = generate.dense_pool(5, 10, 7, 1)[0]
+    keep = [q in UNEVEN_TARGETS[j] for j in range(5) for q in range(10)]
+    for holder, key in (
+        (data["network"], "edges"), (data, "weights"), (data["adversary"], "punishment_coeff"),
+    ):
+        holder[key] = [value for value, kept in zip(holder[key], keep) if kept]
+    path = tmp_path / "uneven_5x10.json"
+    path.write_text(generate.scenario_text(data), encoding="utf-8")
+    return path
+
+
+# sha256 of trace.csv and messages.log of distributed-sim on uneven_5x10, per
+# schedule.  Every schedule meets the same iterates at each refresh (130
+# ticks, 792 messages), so the trace is shared; the logs' orders differ.
+UNEVEN_TRACE_SHA256 = "2d14ba351b71ade3da811a332cbda07d965597c962776b3a3c2ecd2d4f354955"
+UNEVEN_LOG_SHA256 = {
+    "sync": "61b4ea00b421a064203947dc62262306637361c6fa4ff86ce56d00457b096a87",
+    "async --seed 42": "4f6d8b647cc15fbb6217885ca65836c734fd6e703b335d227036c699a4b76ef3",
+    "roundrobin --seed 3": "b3051c5253bf82b00945b1c180aa5488f027d17cbd8c9d079d4f5afa09eed84c",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(UNEVEN_LOG_SHA256))
+def test_cli_distributed_sim_bytes_on_uneven_source_degrees_are_pinned(tmp_path, flags):
+    out = tmp_path / "uneven"
+    assert run_cli(
+        "distributed-sim", "--config", uneven_5x10(tmp_path), "--out", out,
+        "--schedule", *flags.split(),
+    ) == 0
+    assert (_sha256(out / "trace.csv"), _sha256(out / "messages.log")) == (
+        UNEVEN_TRACE_SHA256, UNEVEN_LOG_SHA256[flags]
+    )
+
+
 @pytest.mark.parametrize("schedule", ["sync", "async", "roundrobin"])
 @pytest.mark.parametrize("dense", [False, True], ids=["paper", "dense-5x10"])
 def test_cli_distributed_sim_certifies_its_plan(tmp_path, dense, schedule):
@@ -756,6 +820,15 @@ def test_run_command_rejects_unknown_subcommand(tmp_path):
     config = parse_scenario(MINIMAL.read_text())
     with pytest.raises(ValidationError):
         run_command("fix-everything", config, tmp_path)
+
+
+def test_run_command_rejects_an_unknown_trace_format_before_writing(tmp_path):
+    config = parse_scenario(PAPER.read_text())
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ValidationError, match="unknown trace format 'xml'"):
+        run_command("distributed-sim", config, out, emit="xml")
+    assert list(out.iterdir()) == []
 
 
 def test_minimal_scenario_supports_all_commands(tmp_path):
