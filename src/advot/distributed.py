@@ -8,6 +8,13 @@ goes through an append-only message log, so a run is fully determined by
 activated agent with no new weights stays silent: its tick would reproduce
 the price and rates it last sent, so the log holds only new values and
 the replayed report is still bit-exact.
+
+The hub refreshes the targets' actions as soon as every agent has answered
+its latest weights (an event-triggered refresh), so each refresh sees the
+exact Jacobi iterate whatever the schedule, and it takes the same
+Anderson-accelerated step as the centralized equilibrium loop.  The plan,
+the prices, the message count and every trace row apart from its tick are
+therefore the same under every schedule.
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import CorruptLog, ValidationError
+from .errors import CorruptLog, NonFiniteIterate, ValidationError
+from .network import PERTURBATION_FLOOR
 from .static_game import (
-    TYPE_VALUES, GameSpec, effective_weights, minimize_node_cost, node_cost_aggregates,
+    TYPE_VALUES, GameSpec, _anderson_step, effective_weights, minimize_node_cost,
+    node_cost_aggregates,
 )
 from .transport import SolveReport, row_prices
 
@@ -43,15 +52,14 @@ class Schedule:
     activation: float = 0.5
     seed: int = 0
     max_ticks: int = 50_000
-    refresh_every: int = 10
 
     def __post_init__(self):
         if self.mode not in SCHEDULE_MODES:
             raise ValidationError(f"unknown schedule mode {self.mode!r}")
         if not (0.0 < self.activation <= 1.0):
             raise ValidationError("activation probability must lie in (0, 1]")
-        if self.max_ticks < 1 or self.refresh_every < 1:
-            raise ValidationError("max_ticks and refresh_every must be >= 1")
+        if self.max_ticks < 1:
+            raise ValidationError("max_ticks must be >= 1")
         if self.seed < 0:  # numpy's generator takes no negative seed
             raise ValidationError("seed must be >= 0")
 
@@ -411,15 +419,21 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
 
     Activated agents set the exact price of their own row (``capacity_prices``
     on that row alone) and mail their new rates to the target nodes they
-    touch.  An agent ticks and sends only at its first activation and when
-    weights were delivered since its last tick; any other tick would resend
+    touch.  An agent ticks and sends only while it holds weights it has not
+    priced (at first, and after each refresh); any other tick would resend
     the same values, so it stays silent, and the trajectory and :func:`replay`
-    of the log stay bit-exact.  Every ``refresh_every`` ticks each target
-    recomputes its per-type best response from the rates it has seen and
-    mails updated effective weights back.  Terminates once the global
-    residual (stationarity, complementary slackness and action change) drops
-    below ``spec.settings.tol``, returning the assembled plan, or comes back
-    with ``converged=False`` at ``max_ticks``.
+    of the log stay bit-exact.  The hub refreshes as soon as every agent has
+    priced its latest weights, so it sees exact Jacobi iterates and the
+    result does not depend on the schedule.  At a refresh each target takes
+    its per-type best response ``g`` to the rates seen, and the next action,
+    :func:`_anderson_step` of ``g`` and ``f = g - xi`` clipped into ``[floor,
+    caps]``, is mailed back as effective weights.  Terminates once the global
+    residual (stationarity, complementary slackness and ``max|f|``) drops to
+    ``spec.settings.tol``, returning the assembled plan; comes back with
+    ``converged=False`` when ``g`` equals the action held bit for bit while
+    the residual is above ``tol`` (every later tick would repeat the state),
+    or at ``max_ticks``.  Raises :class:`NonFiniteIterate` at a refresh whose
+    rates are not finite.
     """
     network = spec.network
     settings = spec.settings
@@ -447,39 +461,47 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         )
         for j in range(n)
     ]
-    # (edge, agent, slot in the agent's row) of every edge into each target
+    # (edge, agent, slot in the agent's row) of every edge into each target, in edge order
     edge_source = network.edge_source.tolist()
+    into = np.argsort(network.edge_target, kind="stable").tolist()
+    bounds = [0, *accumulate(np.bincount(network.edge_target, minlength=m).tolist())]
     inbound = [
-        [(e, edge_source[e], e - start[edge_source[e]]) for e in network.edges_into(q).tolist()]
+        [(e, edge_source[e], e - start[edge_source[e]]) for e in into[bounds[q]:bounds[q + 1]]]
         for q in range(m)
     ]
 
     rates_seen = np.zeros(network.n_edges)  # latest rate message per edge
     prices_seen = np.zeros(n)  # latest price message per agent
     rng = np.random.default_rng(schedule.seed)
+    history: list = []  # the hub's Anderson memory
     trace: list[dict] = []
     converged = False
     residual = float("inf")
     tick = 0
-    ticked = [False] * n
+    # Agents that have not priced their latest weights.  Every source has an
+    # edge, so each refresh mails every agent new weights.
+    waiting = set(range(n))
     for tick in range(1, schedule.max_ticks + 1):
         for j in _active_agents(schedule, tick, rng, n):
-            agent = agents[j]
-            if ticked[j] and not agent.inbox:
+            if j not in waiting:
                 continue  # a tick would resend the same price and rates
-            ticked[j] = True
+            waiting.discard(j)
+            agent = agents[j]
             agent.tick()
             append(tick, PRICE, j, agent.price)
             prices_seen[j] = agent.price
             for e, rate in enumerate(agent.rates.tolist(), start[j]):
                 append(tick, RATE, e, rate)
             rates_seen[start[j]:start[j + 1]] = agent.rates
-        if tick % schedule.refresh_every != 0:
+        if waiting:
             continue
 
+        if not np.all(np.isfinite(rates_seen)):
+            raise NonFiniteIterate(tick, f"rates became non-finite at tick {tick}")
         scale, flow = node_cost_aggregates(network, rates_seen, params)
         flow_term = flow[:, None] * TYPE_VALUES
-        xi_new = minimize_node_cost(scale[:, None], flow_term, params.beta2, caps)
+        g = minimize_node_cost(scale[:, None], flow_term, params.beta2, caps)
+        f = g - xi
 
         stationarity = 0.0
         slackness = 0.0
@@ -488,16 +510,18 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             stationarity = max(stationarity, float(np.max(np.abs(agent.rates - fixed_point))))
             slack = agent.capacity - float(np.sum(agent.rates))
             slackness = max(slackness, abs(min(agent.price, slack)))
-        residual = max(stationarity, slackness, float(np.max(np.abs(xi_new - xi))))
+        residual = max(stationarity, slackness, float(np.max(np.abs(f))))
+        stalled = np.array_equal(g, xi)
 
-        weights = effective_weights(network, spec.weights, xi_new, spec.belief).tolist()
-        for q, (minor, major) in enumerate(xi_new.tolist()):
+        xi = np.clip(_anderson_step(history, g, f), PERTURBATION_FLOOR, caps)
+        weights = effective_weights(network, spec.weights, xi, spec.belief).tolist()
+        for q, (minor, major) in enumerate(xi.tolist()):
             append(tick, STRATEGY, q, minor, major)
             for e, j, local in inbound[q]:
                 weight = weights[e]
                 append(tick, WEIGHT, e, weight)
                 agents[j].deliver(local, weight)
-        xi = xi_new
+        waiting.update(range(n))
 
         objective = float(np.dot(spec.weights, rates_seen))
         append(tick, TRACE, 0, residual, objective)
@@ -505,10 +529,19 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         if residual <= settings.tol:
             converged = True
             break
+        if stalled:
+            # f = 0 fits gamma = 0, so the mailed weights are the ones held and
+            # every later tick would repeat this state
+            logger.warning(
+                "distributed run stalled at tick %d: the targets' best response equals the "
+                "action held, with residual %.3e above tol %.3e",
+                tick, residual, settings.tol,
+            )
+            break
+    else:
+        logger.info("distributed run hit max_ticks=%d (residual %.3e)", schedule.max_ticks, residual)
 
     append(tick, FINAL, 0, residual, converged)
-    if not converged:
-        logger.info("distributed run hit max_ticks=%d (residual %.3e)", schedule.max_ticks, residual)
     report = SolveReport(
         plan=rates_seen.copy(),
         prices=prices_seen.copy(),

@@ -90,7 +90,6 @@ _SCALAR_BLOCKS = {
         "activation": (Schedule.activation, _as_float),
         "seed": (Schedule.seed, _as_int),
         "max_ticks": (Schedule.max_ticks, _as_int),
-        "refresh_every": (Schedule.refresh_every, _as_int),
     },
 }
 

@@ -14,6 +14,7 @@ from advot import (
     CorruptLog,
     GameSpec,
     MessageLog,
+    NonFiniteIterate,
     PERTURBATION_FLOOR,
     Schedule,
     SolverSettings,
@@ -33,53 +34,85 @@ from conftest import load_perfbench, make_random_spec
 from oracles import agent_tick, reference_log_text
 
 
-def reference_sync_run(spec: GameSpec, max_ticks: int, refresh_every: int):
+def reference_sync_run(spec: GameSpec, max_ticks: int):
     """Plain all-rows numpy loop mirroring the synchronous protocol.
 
-    Written independently of the agent/scheduler machinery: dense arrays,
-    explicit per-row updates, periodic per-node action refresh.
+    Written independently of the agent/scheduler machinery: dense arrays and
+    explicit per-row and per-target updates.  Under the synchronous schedule
+    every agent prices its weights at each tick, so the hub refreshes after
+    every tick: each target's best response ``g`` to the rates, then a
+    type-II Anderson step (memory 5, history cleared when ``|f|`` grows) on
+    ``f = g - xi``, clipped into the caps.  Sums add one term at a time in
+    edge order, as ``np.bincount`` does.  The loop stops after the refresh
+    at which ``g`` equals ``xi``; with ``tol`` below every nonzero residual
+    that is where the run stops too.  Returns each tick's prices and rates
+    and each refresh's mailed action.
     """
     network = spec.network
     lam = spec.settings.lam
     caps = np.stack([spec.lower_caps, spec.upper_caps], axis=1)
+    coeff = spec.cost_params.punishment_coeff
     beta1, beta2 = spec.cost_params.beta1, spec.cost_params.beta2
+
+    def perceived(xi):
+        delta = spec.belief[:, 0] * 1.0 * xi[:, 0] + spec.belief[:, 1] * 2.0 * xi[:, 1]
+        return spec.weights + delta[network.edge_target]
+
     xi = caps.copy()
-    delta = spec.belief[:, 0] * 1.0 * xi[:, 0] + spec.belief[:, 1] * 2.0 * xi[:, 1]
-    weights = spec.weights + delta[network.edge_target]
+    weights = perceived(xi)
     prices = np.zeros(network.n_sources)
     plan = np.zeros(network.n_edges)
-    price_history, rate_history = [], []
-    for tick in range(1, max_ticks + 1):
+    best, residuals = [], []  # the Anderson memory, oldest first
+    price_history, rate_history, actions = [], [], []
+    for _ in range(max_ticks):
         for j in range(network.n_sources):
             idx = network.edges_from(j)
             exponent = weights[idx] / lam - 1.0
             shift = np.max(exponent)
-            mass = np.sum(np.exp(exponent - shift))
+            mass = 0.0
+            for term in np.exp(exponent - shift):
+                mass += term
             prices[j] = max(0.0, lam * (shift + np.log(mass) - np.log(network.capacities[j])))
             plan[idx] = np.exp((weights[idx] - prices[j]) / lam - 1.0)
         price_history.append(prices.copy())
         rate_history.append(plan.copy())
-        if tick % refresh_every == 0:
-            for q in range(network.n_targets):
-                idx = network.edges_into(q)
-                seen = plan[idx]
-                scale = float(np.sum(spec.cost_params.punishment_coeff[idx] * seen ** beta1))
-                flow = float(np.sum(seen))
-                for t in (1, 2):
-                    b = t * flow
-                    if b <= 0:
-                        xi[q, t - 1] = caps[q, t - 1]
-                    else:
-                        # the ufunc's pow, as in the library's array code: the
-                        # scalar ``**`` can differ from it in the last bit
-                        stationary = np.power(beta2 * scale / b, 1.0 / (1.0 + beta2))
-                        xi[q, t - 1] = min(max(stationary, PERTURBATION_FLOOR), caps[q, t - 1])
-                node_delta = float(
-                    spec.belief[q, 0] * 1.0 * xi[q, 0] + spec.belief[q, 1] * 2.0 * xi[q, 1]
-                )
-                for e in idx:
-                    weights[e] = float(spec.weights[e] + node_delta)
-    return price_history, rate_history
+
+        g = np.empty_like(xi)
+        for q in range(network.n_targets):
+            idx = network.edges_into(q)
+            scale = flow = 0.0
+            # the ufunc's pow, as in the library's array code: the scalar
+            # ``**`` can differ from it in the last bit
+            for penalty, rate in zip(coeff[idx] * plan[idx] ** beta1, plan[idx]):
+                scale += penalty
+                flow += rate
+            for t in (1, 2):
+                b = t * flow
+                if b <= 0:
+                    g[q, t - 1] = caps[q, t - 1]
+                else:
+                    stationary = np.power(beta2 * scale / b, 1.0 / (1.0 + beta2))
+                    g[q, t - 1] = min(max(stationary, PERTURBATION_FLOOR), caps[q, t - 1])
+        f = g - xi
+        if residuals and np.linalg.norm(f) > np.linalg.norm(residuals[-1]):
+            best.clear()
+            residuals.clear()
+        best.append(g.ravel())
+        residuals.append(f.ravel())
+        del best[:-6], residuals[:-6]
+        step = g
+        if len(best) > 1:
+            d_g = np.diff(np.array(best).T, axis=1)
+            d_f = np.diff(np.array(residuals).T, axis=1)
+            gamma = np.linalg.lstsq(d_f, f.ravel(), rcond=None)[0]
+            step = g - (d_g @ gamma).reshape(g.shape)
+        stalled = np.array_equal(g, xi)
+        xi = np.clip(step, PERTURBATION_FLOOR, caps)
+        actions.append(xi.copy())
+        weights = perceived(xi)
+        if stalled:
+            break
+    return price_history, rate_history, actions
 
 
 def single_edge_spec(lam=3.0):
@@ -217,44 +250,42 @@ def logged_iterates(spec: GameSpec, log: MessageLog, ticks: int):
     return prices, rates, sorted(sent)
 
 
-def sending_ticks(ticks: int, refresh_every: int) -> list[int]:
-    """When a synchronous run sends: tick 1, then each tick right after a refresh."""
-    return [1, *range(refresh_every + 1, ticks + 1, refresh_every)]
+SYNC_MAX_TICKS = 200
 
 
-def synchronous_run(spec: GameSpec, ticks: int):
-    """A synchronous run of ``ticks`` ticks, with a tolerance too tiny to stop it early."""
+def assert_synchronous_run_matches_reference(spec: GameSpec):
+    """A synchronous run, with a tolerance too tiny to meet, equals the reference bit for bit.
+
+    Both stop where the targets' best response equals the action held, or
+    at ``SYNC_MAX_TICKS``; every tick refreshes, so every tick sends.
+    """
     spec = dataclasses.replace(spec, settings=dataclasses.replace(spec.settings, tol=1e-300))
-    schedule = Schedule(mode="synchronous", seed=0, max_ticks=ticks, refresh_every=10)
+    schedule = Schedule(mode="synchronous", seed=0, max_ticks=SYNC_MAX_TICKS)
     report, log = run_distributed(spec, schedule)
-    assert report.iterations == ticks
-    return spec, report, log
-
-
-def test_synchronous_run_matches_reference_tick_for_tick(paper_spec):
-    ticks = 120
-    spec, _, log = synchronous_run(paper_spec, ticks)
-    ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
+    ref_prices, ref_rates, ref_actions = reference_sync_run(spec, SYNC_MAX_TICKS)
+    ticks = report.iterations
+    assert not report.converged and ticks == len(ref_prices)
     prices, rates, sent = logged_iterates(spec, log, ticks)
-    assert sent == sending_ticks(ticks, 10)
+    assert sent == list(range(1, ticks + 1))
+    assert [row["tick"] for row in report.trace] == sent
     for tick in range(1, ticks + 1):
         assert prices[tick - 1] == list(ref_prices[tick - 1]), f"price mismatch at tick {tick}"
         assert rates[tick - 1] == list(ref_rates[tick - 1]), f"rate mismatch at tick {tick}"
+        row, action = report.trace[tick - 1], ref_actions[tick - 1]
+        assert (row["xi_minor"], row["xi_major"]) == (
+            tuple(action[:, 0]), tuple(action[:, 1])
+        ), f"action mismatch at tick {tick}"
+    assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
+
+
+def test_synchronous_run_matches_reference_tick_for_tick(paper_spec):
+    assert_synchronous_run_matches_reference(paper_spec)
 
 
 def test_synchronous_run_on_wide_targets_matches_reference():
     # 9 edges into every target: the refresh's per-target sums see more
     # than 8 terms, where summation order can move the last bits
-    ticks = 120
-    wide = make_random_spec(np.random.default_rng(20), 9, 3)
-    spec, report, log = synchronous_run(wide, ticks)
-    ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
-    prices, rates, sent = logged_iterates(spec, log, ticks)
-    assert sent == sending_ticks(ticks, 10)
-    np.testing.assert_allclose(prices, ref_prices, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=0)
-    assert_replays_exactly(log, report)
-    assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
+    assert_synchronous_run_matches_reference(make_random_spec(np.random.default_rng(20), 9, 3))
 
 
 def uneven_spec(seed: int) -> GameSpec:
@@ -277,15 +308,7 @@ def uneven_spec(seed: int) -> GameSpec:
 def test_synchronous_run_on_uneven_source_degrees_matches_reference(seed):
     # each agent's row is its own block of the canonical edge order, and rows
     # of unequal width make a wrong block offset or slot show
-    ticks = 120
-    spec, report, log = synchronous_run(uneven_spec(seed), ticks)
-    ref_prices, ref_rates = reference_sync_run(spec, ticks, 10)
-    prices, rates, sent = logged_iterates(spec, log, ticks)
-    assert sent == sending_ticks(ticks, 10)
-    for tick in range(1, ticks + 1):
-        assert prices[tick - 1] == list(ref_prices[tick - 1]), f"price mismatch at tick {tick}"
-        assert rates[tick - 1] == list(ref_rates[tick - 1]), f"rate mismatch at tick {tick}"
-    assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
+    assert_synchronous_run_matches_reference(uneven_spec(seed))
 
 
 def test_random_subset_converges_to_centralized(paper_spec):
@@ -449,11 +472,8 @@ NODE_ID = st.one_of(
     mode=st.sampled_from(SCHEDULE_MODES),
     seed=st.integers(0, 2**32 - 1),
     max_ticks=st.integers(1, 60),
-    refresh_every=st.integers(1, 12),
 )
-def test_log_text_matches_reference_and_round_trips(
-    sources, targets, mode, seed, max_ticks, refresh_every
-):
+def test_log_text_matches_reference_and_round_trips(sources, targets, mode, seed, max_ticks):
     spec = make_random_spec(np.random.default_rng(seed), len(sources), len(targets))
     net = spec.network
     network = build_network(
@@ -462,7 +482,7 @@ def test_log_text_matches_reference_and_round_trips(
         net.capacities,
     )
     spec = dataclasses.replace(spec, network=network)
-    schedule = Schedule(mode=mode, seed=seed, max_ticks=max_ticks, refresh_every=refresh_every)
+    schedule = Schedule(mode=mode, seed=seed, max_ticks=max_ticks)
     report, log = run_distributed(spec, schedule)
     text = log.to_text()
     assert text == reference_log_text(log)
@@ -472,13 +492,14 @@ def test_log_text_matches_reference_and_round_trips(
 
 
 def test_run_stopped_before_its_first_refresh_logs_infinite_residual(paper_spec):
-    report, log = run_distributed(paper_spec, Schedule(seed=3, max_ticks=4, refresh_every=10))
-    assert not report.converged and report.residual == float("inf")
+    # round-robin ticks one of the two agents at tick 1, so the hub still waits
+    report, log = run_distributed(paper_spec, Schedule(mode="round-robin", max_ticks=1))
+    assert not report.converged and report.residual == float("inf") and not report.trace
     text = log.to_text()
     assert text == reference_log_text(log)
     assert text.splitlines()[-1] == (
-        '{"kind":"final","payload":{"converged":false,"residual":Infinity,"ticks":4},'
-        '"receiver":"hub","sender":"hub","tick":4}'
+        '{"kind":"final","payload":{"converged":false,"residual":Infinity,"ticks":1},'
+        '"receiver":"hub","sender":"hub","tick":1}'
     )
     assert_replays_exactly(MessageLog.from_text(text), report)
 
@@ -647,22 +668,114 @@ def test_schedule_independence_of_the_limit(paper_spec):
     assert spread <= 2e-3
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_first_refresh_residual_is_the_unticked_agents_stationarity_term(seed):
-    """With more sources than ``refresh_every``, round-robin leaves agents unticked.
+def held_state_at_each_refresh(spec: GameSpec, log: MessageLog):
+    """Per refresh, each edge's weight mailed before it, last rate and its source's last price.
 
-    Such an agent has rates 0 and price 0, so its stationarity term is
-    ``max exp(w/lam - 1)`` over its row of the starting effective weights.
-    The term is not 0, and it is what the first refresh logs.
+    The weights start at those of the caps.
+    """
+    held = effective_weights(spec.network, spec.weights, spec.caps(), spec.belief)
+    mailed = held.copy()
+    rates = np.full(spec.network.n_edges, np.nan)
+    prices = np.full(spec.network.n_sources, np.nan)
+    states = []
+    for kind, i, value in zip(log.kinds, log.index, log.value):
+        if kind == WEIGHT:
+            mailed[i] = value
+        elif kind == RATE:
+            rates[i] = value
+        elif kind == PRICE:
+            prices[i] = value
+        elif kind == TRACE:
+            states.append((held, rates.copy(), prices[spec.network.edge_source]))
+            held = mailed.copy()
+    return states
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stationarity_term_is_exactly_zero_at_every_refresh(mode, seed):
+    """The hub refreshes only once every agent has priced its latest weights.
+
+    So at each refresh every rate the hub holds is ``exp((w - p)/lam - 1)``
+    of the last weights mailed to its edge and its source's last price, bit
+    for bit.  13 sources make round-robin take 13 ticks per refresh.
     """
     spec = make_random_spec(np.random.default_rng(seed), n_sources=13, n_targets=4)
-    schedule = Schedule(mode="round-robin", seed=seed, refresh_every=10)
-    report, _ = run_distributed(spec, schedule)
-    network = spec.network
-    weights = effective_weights(network, spec.weights, spec.caps(), spec.belief)
-    unticked = np.isin(network.edge_source, np.arange(schedule.refresh_every, network.n_sources))
-    term = float(np.max(np.exp(weights[unticked] / spec.settings.lam - 1.0)))
-    first = report.trace[0]
-    assert first["tick"] == schedule.refresh_every
-    assert term > 1.0
-    assert first["residual"] == term
+    report, log = run_distributed(spec, Schedule(mode=mode, seed=seed))
+    assert report.converged
+    states = held_state_at_each_refresh(spec, log)
+    assert len(states) == len(report.trace) > 1
+    for weights, rates, price in states:
+        fixed_point = np.exp((weights - price) / spec.settings.lam - 1.0)
+        assert np.max(np.abs(rates - fixed_point)) == 0.0
+
+
+def large_capacity_spec() -> GameSpec:
+    """``dense_pool(5, 10, 7, 1)[0]`` with every weight raised by 60 and every capacity x1e8.
+
+    At these capacities float64 cannot meet the default ``tol`` on the
+    absolute slack, so the run reaches the targets' fixed point unconverged.
+    """
+    generate = load_perfbench("generate")
+    data = generate.dense_pool(5, 10, 7, 1)[0]
+    data["weights"] = [w + 60 for w in data["weights"]]
+    data["network"]["capacities"] = [c * 1e8 for c in data["network"]["capacities"]]
+    return parse_scenario(generate.scenario_text(data)).game_spec()
+
+
+@pytest.mark.parametrize(
+    ("mode", "ticks"), [("synchronous", 7), ("random-subset", 27), ("round-robin", 35)]
+)
+def test_a_run_whose_state_stops_changing_ends_unconverged(mode, ticks, caplog):
+    # it used to refresh until max_ticks (50,000 ticks) with the same residual
+    spec = large_capacity_spec()
+    with caplog.at_level("WARNING", logger="advot.distributed"):
+        report, log = run_distributed(spec, Schedule(mode=mode, seed=3))
+    assert not report.converged
+    assert spec.settings.tol < report.residual < 2e-6
+    last, before = report.trace[-1], report.trace[-2]
+    # the mailed action repeats the one held, so every later tick would repeat the state
+    assert (last["xi_minor"], last["xi_major"]) == (before["xi_minor"], before["xi_major"])
+    assert len(report.trace) == 7 and len(log) == 824
+    assert report.iterations == ticks
+    assert any("stalled" in r.getMessage() and r.levelname == "WARNING" for r in caplog.records)
+    assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+def test_non_finite_rates_raise_at_the_hub(paper_spec, mode):
+    # at lam = 1e-300 no row can fill its capacity; the run used to cycle
+    # for max_ticks with finite prices
+    spec = dataclasses.replace(
+        paper_spec, settings=dataclasses.replace(paper_spec.settings, lam=1e-300)
+    )
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate, match="rates"):
+        run_distributed(spec, Schedule(mode=mode, seed=1))
+
+
+def without_ticks(report) -> list:
+    return [{k: v for k, v in row.items() if k != "tick"} for row in report.trace]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sources=st.integers(1, 6),
+    n_targets=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    activation=st.floats(0.05, 1.0),
+)
+def test_every_schedule_meets_the_same_iterates(n_sources, n_targets, seed, activation):
+    # each refresh sees every agent's answer to the last weights: exact Jacobi iterates
+    spec = make_random_spec(np.random.default_rng(seed), n_sources, n_targets)
+    runs = [
+        run_distributed(spec, Schedule(mode=mode, seed=seed, activation=activation))
+        for mode in SCHEDULE_MODES
+    ]
+    (first, first_log), *others = runs
+    assert first.converged
+    for report, log in others:
+        assert_same_bits(report.plan, first.plan)
+        assert_same_bits(report.prices, first.prices)
+        assert (report.residual, report.converged) == (first.residual, first.converged)
+        assert repr(without_ticks(report)) == repr(without_ticks(first))
+        assert len(log) == len(first_log)

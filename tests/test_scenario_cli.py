@@ -195,6 +195,20 @@ def test_no_overrides_keep_the_config():
     assert config.with_overrides() is config
 
 
+def test_a_scenario_that_sets_the_retired_refresh_clock_is_rejected(tmp_path, capsys):
+    # the hub refreshes once every agent has answered, so refresh_every sets nothing
+    data = json.loads(PAPER.read_text())
+    data["distributed"]["refresh_every"] = 10
+    with pytest.raises(ValidationError, match="unknown field 'refresh_every' in 'distributed'"):
+        parse_scenario(json.dumps(data))
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert run_cli("distributed-sim", "--config", path, "--out", out) == 1
+    assert not out.exists()
+    assert "refresh_every" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # trace emission
 
@@ -256,7 +270,7 @@ def test_emit_trace_with_percent_ids_matches_per_value_format(tmp_path, fmt):
     config = parse_scenario(json.dumps(data))
     report, _ = run_distributed(config.game_spec(), Schedule(seed=1, max_ticks=40))
     columns, rows = distributed_trace_records(config.network, report)
-    assert any("%" in name for name in columns) and len(rows) == 4
+    assert any("%" in name for name in columns) and len(rows) == 6
     special = [float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 1e-300, 123456789012.5]
     rows.append((41, (special * len(columns))[: len(columns)]))
     path = emit_trace("distributed-sim", columns, rows, fmt, tmp_path / f"trace.{fmt}")
@@ -447,11 +461,11 @@ def test_cli_distributed_sim_log_bytes_are_pinned(tmp_path):
     out = tmp_path / "dist"
     assert run_cli("distributed-sim", "--config", PAPER, "--out", out, "--seed", 42) == 0
     data = (out / "messages.log").read_bytes()
-    assert len(data) == 22_072
-    assert data.count(b"\n") == 167
-    assert json.loads((out / "report.json").read_text())["messages"] == 167
+    assert len(data) == 14_881
+    assert data.count(b"\n") == 113
+    assert json.loads((out / "report.json").read_text())["messages"] == 113
     assert hashlib.sha256(data).hexdigest() == (
-        "54811888434ea21f1d5181331ca377961bd546a996456ce6b65b009b3d6d700e"
+        "6666ddc2e5ad10fe238671fa02810fa546d8a441f9a58865763f00f2d3a839b6"
     )
 
 
@@ -470,11 +484,11 @@ OUTPUT_SHA256 = {
         "trace.csv": "4f997e862d293717366432c535b1b1b6718b99a01ebc6375a8a2c09781d79e3d",
     },
     "distributed-sim": {
-        "report.json": "b6ddcc67e8bbc43234d743a6b88a67ec2eab115586bf9e358ea495487847913f",
-        "trace.csv": "e5560d4e22f34153e61787e8d0bbf77da6727eec2578f08210e7581fc8f1a773",
+        "report.json": "77bdcfa60dee241cc828143c9eeab9baded141f513b65de7528cb351008dc68d",
+        "trace.csv": "7a94506651a26f5ff02dd5645a43884130cfbdf3b6f8f87aaebb5ec29d326214",
     },
 }
-PAPER_ECHO_SHA256 = "796aeb7c873a3461c91a57cf31dd1e880f5a8bd1c340bdc562767c876ecb6ba3"
+PAPER_ECHO_SHA256 = "ec7f0da9305c3477fac051e239d8dd908f5b0bb58b5e384e618d3d7c1489d93f"
 STATIC_JSONL_SHA256 = "73a3397783a9e17bec7317bae556158165f785f38ab80a792adb1606eb8ea250"
 
 
@@ -499,11 +513,12 @@ def test_cli_json_trace_bytes_are_pinned(tmp_path):
 
 @pytest.mark.parametrize(
     ("schedule", "ticks", "messages"),
-    [("sync", 90, 167), ("async", 90, 167), ("roundrobin", 90, 167)],
+    [("sync", 6, 113), ("async", 18, 113), ("roundrobin", 12, 113)],
 )
 def test_cli_distributed_sim_work_counts_are_pinned(tmp_path, schedule, ticks, messages):
-    # exact prices leave only the targets' refresh to converge: 9 refreshes of 10 ticks.
-    # Each agent sends only after new weights, once per refresh on every schedule.
+    # exact prices leave only the targets' refresh to converge: 6 refreshes, each
+    # once both agents have priced their last weights, so the messages are the
+    # same on every schedule.
     out = tmp_path / schedule
     assert run_cli(
         "distributed-sim", "--config", PAPER, "--out", out, "--schedule", schedule, "--seed", 42,
@@ -512,15 +527,22 @@ def test_cli_distributed_sim_work_counts_are_pinned(tmp_path, schedule, ticks, m
     assert (report["ticks"], report["messages"]) == (ticks, messages)
 
 
-# sha256 of a dense 5x10 run's trace.csv and of its report.json fields other
-# than ``messages`` and ``deviation_gap``.  Agents with nothing new stay
-# silent, which moves only the log; here every schedule meets the same
-# iterates at each refresh, so all three share one pin.
-DENSE_TRACE_SHA256 = "2b44ec83fdf9016f9b59c43554c0c240b277b55b5341b854a1d26e93c4d5011c"
-DENSE_RESULT_SHA256 = "79ff87223ce8c49028f7660cce2a61ca0db21faa93f1df4aaecb916388ec78b2"
+def _sha256_without_steps(path) -> str:
+    """sha256 of a trace.csv with its step column (the tick of a distributed row) cut out."""
+    rows = (line.split(",") for line in path.read_text().splitlines())
+    return hashlib.sha256("\n".join(",".join(r[:1] + r[2:]) for r in rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("flags", ["sync", "async --seed 42", "roundrobin --seed 3"])
+# sha256 of a dense 5x10 run's trace.csv without its step column and of its
+# report.json fields other than ``ticks``, ``messages`` and ``deviation_gap``.
+# Every schedule meets the same iterates at each refresh, so all three share
+# one pin; the ticks they take differ.
+DENSE_TRACE_SHA256 = "b0b580a17b2d2245fb5fc491b59436c14bad32daa66149a5538d4d84711d4a23"
+DENSE_RESULT_SHA256 = "c79d17fedb044ba7da7234c426b09cf93bb6c9874561c5e924220cd23af4d211"
+DENSE_TICKS = {"sync": 8, "async --seed 42": 26, "roundrobin --seed 3": 40}
+
+
+@pytest.mark.parametrize("flags", sorted(DENSE_TICKS))
 def test_cli_distributed_sim_results_are_pinned_apart_from_the_log(tmp_path, flags):
     out = tmp_path / "dense"
     assert run_cli(
@@ -528,9 +550,12 @@ def test_cli_distributed_sim_results_are_pinned_apart_from_the_log(tmp_path, fla
         "--schedule", *flags.split(),
     ) == 0
     report = json.loads((out / "report.json").read_text())
+    ticks = report.pop("ticks")
     del report["messages"], report["deviation_gap"]
     result = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert (_sha256(out / "trace.csv"), result) == (DENSE_TRACE_SHA256, DENSE_RESULT_SHA256)
+    assert (_sha256_without_steps(out / "trace.csv"), result, ticks) == (
+        DENSE_TRACE_SHA256, DENSE_RESULT_SHA256, DENSE_TICKS[flags]
+    )
 
 
 # Source s<j> of dense_pool(5, 10, 7, 1)[0] keeps these targets: degrees 10, 2, 6, 1, 3.
@@ -550,14 +575,15 @@ def uneven_5x10(tmp_path):
     return path
 
 
-# sha256 of trace.csv and messages.log of distributed-sim on uneven_5x10, per
-# schedule.  Every schedule meets the same iterates at each refresh (130
-# ticks, 792 messages), so the trace is shared; the logs' orders differ.
-UNEVEN_TRACE_SHA256 = "2d14ba351b71ade3da811a332cbda07d965597c962776b3a3c2ecd2d4f354955"
+# sha256 of trace.csv without its step column and of messages.log of
+# distributed-sim on uneven_5x10, per schedule.  Every schedule meets the same
+# iterates at each refresh (8 refreshes, 492 messages), so that part of the
+# trace is shared; the logs' ticks and orders differ.
+UNEVEN_TRACE_SHA256 = "e7d356d5d95d755a5398a4c43ad83329bc06f4a82e01819b9d6a29ea731bd365"
 UNEVEN_LOG_SHA256 = {
-    "sync": "61b4ea00b421a064203947dc62262306637361c6fa4ff86ce56d00457b096a87",
-    "async --seed 42": "4f6d8b647cc15fbb6217885ca65836c734fd6e703b335d227036c699a4b76ef3",
-    "roundrobin --seed 3": "b3051c5253bf82b00945b1c180aa5488f027d17cbd8c9d079d4f5afa09eed84c",
+    "sync": "6991a4ff25b7c19811474dc371841476a1a799a2e2691b4b6d278a1e0386ece8",
+    "async --seed 42": "0f323c385fa828c5a1ff4212ed8f3376bfaed5d3b73e44f3754354dc00df447e",
+    "roundrobin --seed 3": "f330e5b505da50f27e8efe82b19424d40b40e9b92b27cc25cb189e2c666bc208",
 }
 
 
@@ -568,7 +594,7 @@ def test_cli_distributed_sim_bytes_on_uneven_source_degrees_are_pinned(tmp_path,
         "distributed-sim", "--config", uneven_5x10(tmp_path), "--out", out,
         "--schedule", *flags.split(),
     ) == 0
-    assert (_sha256(out / "trace.csv"), _sha256(out / "messages.log")) == (
+    assert (_sha256_without_steps(out / "trace.csv"), _sha256(out / "messages.log")) == (
         UNEVEN_TRACE_SHA256, UNEVEN_LOG_SHA256[flags]
     )
 
