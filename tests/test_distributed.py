@@ -20,8 +20,10 @@ from advot import (
     SolverSettings,
     SourceAgent,
     ValidationError,
+    best_response_strategy,
     build_network,
     capacity_prices,
+    deviation_check,
     effective_weights,
     parse_scenario,
     replay,
@@ -30,6 +32,7 @@ from advot import (
     uniform_belief,
 )
 from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPOLOGY, TRACE, WEIGHT
+from advot.static_game import DEVIATION_TOL
 from conftest import load_perfbench, make_random_spec
 from oracles import agent_tick, reference_log_text
 
@@ -283,8 +286,8 @@ def test_synchronous_run_matches_reference_tick_for_tick(paper_spec):
 
 
 def test_synchronous_run_on_wide_targets_matches_reference():
-    # 9 edges into every target: the refresh's per-target sums see more
-    # than 8 terms, where summation order can move the last bits
+    # 9 edges into every target: the refresh's per-target sums see more than
+    # 8 terms, where np.sum's pairwise order would move the last bits
     assert_synchronous_run_matches_reference(make_random_spec(np.random.default_rng(20), 9, 3))
 
 
@@ -773,6 +776,8 @@ def test_every_schedule_meets_the_same_iterates(n_sources, n_targets, seed, acti
     ]
     (first, first_log), *others = runs
     assert first.converged
+    gap = deviation_check(spec, first.plan, best_response_strategy(spec, first.plan))
+    assert gap <= DEVIATION_TOL
     for report, log in others:
         assert_same_bits(report.plan, first.plan)
         assert_same_bits(report.prices, first.prices)
