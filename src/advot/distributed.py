@@ -33,7 +33,7 @@ from .static_game import (
     TYPE_VALUES, GameSpec, _anderson_step, effective_weights, minimize_node_cost,
     node_cost_aggregates,
 )
-from .transport import SolveReport, row_prices
+from .transport import SolveReport, _check_integer, row_prices
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +58,10 @@ class Schedule:
             raise ValidationError(f"unknown schedule mode {self.mode!r}")
         if not (0.0 < self.activation <= 1.0):
             raise ValidationError("activation probability must lie in (0, 1]")
+        _check_integer(self.max_ticks, "max_ticks")
         if self.max_ticks < 1:
             raise ValidationError("max_ticks must be >= 1")
+        _check_integer(self.seed, "seed")
         if self.seed < 0:  # numpy's generator takes no negative seed
             raise ValidationError("seed must be >= 0")
 
@@ -428,8 +430,10 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     its per-type best response ``g`` to the rates seen, and the next action,
     :func:`_anderson_step` of ``g`` and ``f = g - xi`` clipped into ``[floor,
     caps]``, is mailed back as effective weights.  Terminates once the global
-    residual (stationarity, complementary slackness and ``max|f|``) drops to
-    ``spec.settings.tol``, returning the assembled plan; comes back with
+    residual, the complementary slackness of the prices and rates the hub
+    received and ``max|f|``, drops to ``spec.settings.tol`` (each refresh
+    waits until every agent has priced the weights it was last sent, so no
+    stationarity term is needed), returning the assembled plan; comes back with
     ``converged=False`` when ``g`` equals the action held bit for bit while
     the residual is above ``tol`` (every later tick would repeat the state),
     or at ``max_ticks``.  Raises :class:`NonFiniteIterate` at a refresh whose
@@ -451,10 +455,11 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
 
     # Edges are in row-major order: agent j's row is the block start[j]:start[j + 1].
     start = [0, *accumulate(np.bincount(network.edge_source, minlength=n).tolist())]
+    capacities = network.capacities.tolist()
     weights = effective_weights(network, spec.weights, xi, spec.belief)
     agents = [
         SourceAgent(
-            capacity=float(network.capacities[j]),
+            capacity=capacities[j],
             lam=settings.lam,
             weights=weights[start[j]:start[j + 1]].copy(),
             rates=np.zeros(start[j + 1] - start[j]),
@@ -503,14 +508,11 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         g = minimize_node_cost(scale[:, None], flow_term, params.beta2, caps)
         f = g - xi
 
-        stationarity = 0.0
-        slackness = 0.0
-        for agent in agents:
-            fixed_point = np.exp((agent.weights - agent.price) / agent.lam - 1.0)
-            stationarity = max(stationarity, float(np.max(np.abs(agent.rates - fixed_point))))
-            slack = agent.capacity - float(np.sum(agent.rates))
-            slackness = max(slackness, abs(min(agent.price, slack)))
-        residual = max(stationarity, slackness, float(np.max(np.abs(f))))
+        slackness = max(
+            abs(min(price, capacity - float(np.sum(rates_seen[a:b]))))
+            for price, capacity, a, b in zip(prices_seen.tolist(), capacities, start, start[1:])
+        )
+        residual = max(slackness, float(np.max(np.abs(f))))
         stalled = np.array_equal(g, xi)
 
         xi = np.clip(_anderson_step(history, g, f), PERTURBATION_FLOOR, caps)

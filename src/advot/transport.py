@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +23,12 @@ from .errors import DimensionMismatch, NonFiniteIterate, ValidationError, ZeroLa
 from .network import BipartiteNetwork, check_plan
 
 logger = logging.getLogger(__name__)
+
+
+def _check_integer(value, name: str) -> None:
+    """Reject a count that is not a Python or numpy integer (bool included)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,7 @@ class SolverSettings:
             raise ValidationError("gamma must be finite and > 0")
         if not 0 < self.tol < np.inf:
             raise ValidationError("tol must be finite and > 0")
+        _check_integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be a positive integer")
 

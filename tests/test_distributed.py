@@ -222,6 +222,23 @@ def test_schedule_rejects_a_negative_seed():
         Schedule(seed=-1)
 
 
+@pytest.mark.parametrize(
+    ("make", "field", "value"),
+    [
+        (Schedule, "max_ticks", 2.5),
+        (Schedule, "max_ticks", True),
+        (Schedule, "seed", 1.5),
+        (SolverSettings, "max_iter", 2.5),
+        (SolverSettings, "max_iter", np.float64(3.0)),
+    ],
+)
+def test_counts_must_be_integers(make, field, value):
+    # a float count would otherwise fail mid-run, from range or default_rng
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        make(**{field: value})
+    assert getattr(make(**{field: np.int64(3)}), field) == 3
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -713,6 +730,57 @@ def test_stationarity_term_is_exactly_zero_at_every_refresh(mode, seed):
         assert np.max(np.abs(rates - fixed_point)) == 0.0
 
 
+def messages_at_each_refresh(spec: GameSpec, log: MessageLog):
+    """Per refresh: the last rates and prices sent, the action held and the logged residual.
+
+    The action held is the one the previous refresh mailed, the caps before
+    the first.
+    """
+    rates = np.full(spec.network.n_edges, np.nan)
+    prices = np.full(spec.network.n_sources, np.nan)
+    held, mailed = spec.caps(), spec.caps()
+    states = []
+    for kind, i, value, value2 in zip(log.kinds, log.index, log.value, log.value2):
+        if kind == RATE:
+            rates[i] = value
+        elif kind == PRICE:
+            prices[i] = value
+        elif kind == STRATEGY:
+            mailed[i] = (value, value2)
+        elif kind == TRACE:
+            states.append((rates.copy(), prices.copy(), held, value))
+            held = mailed.copy()
+    return states
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+@pytest.mark.parametrize("game", ["paper", "uneven0", "uneven1", "uneven2", "large-capacity"])
+def test_residual_follows_from_the_logged_messages(paper_spec, game, mode):
+    """Each logged residual is the slackness of the logged prices and rates and max|g - xi|.
+
+    ``g`` is the targets' best response to the logged rates, so the stop
+    decision can be rechecked from the log and the spec alone.  On the
+    large-capacity input the slackness is the larger term.
+    """
+    if game == "paper":
+        spec = paper_spec
+    elif game == "large-capacity":
+        spec = large_capacity_spec()
+    else:
+        spec = uneven_spec(int(game[-1]))
+    report, log = run_distributed(spec, Schedule(mode=mode, seed=1))
+    network = spec.network
+    states = messages_at_each_refresh(spec, log)
+    assert len(states) == len(report.trace) > 1
+    for rates, prices, held, logged in states:
+        slackness = max(
+            abs(min(price, capacity - float(np.sum(rates[network.edge_source == j]))))
+            for j, (price, capacity) in enumerate(zip(prices.tolist(), network.capacities.tolist()))
+        )
+        action_change = float(np.max(np.abs(best_response_strategy(spec, rates) - held)))
+        assert max(slackness, action_change).hex() == logged.hex()
+
+
 def large_capacity_spec() -> GameSpec:
     """``dense_pool(5, 10, 7, 1)[0]`` with every weight raised by 60 and every capacity x1e8.
 
@@ -743,6 +811,14 @@ def test_a_run_whose_state_stops_changing_ends_unconverged(mode, ticks, caplog):
     assert report.iterations == ticks
     assert any("stalled" in r.getMessage() and r.levelname == "WARNING" for r in caplog.records)
     assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+def test_large_capacity_residual_bits_are_pinned(mode):
+    # rows of 10 edges, where a sum in another order than each row's np.sum
+    # moves the slackness that sets this residual (9.5367431640625e-07)
+    report, _ = run_distributed(large_capacity_spec(), Schedule(mode=mode, seed=3))
+    assert report.residual == float.fromhex("0x1.1p-20")  # 1.0132789611816406e-06
 
 
 @pytest.mark.parametrize("mode", SCHEDULE_MODES)
