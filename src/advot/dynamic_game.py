@@ -25,7 +25,7 @@ from .static_game import (
     stage_payoffs,
     threshold_phi,
 )
-from .transport import solve_regularized_ot
+from .transport import _check_integer, solve_regularized_ot
 
 logger = logging.getLogger(__name__)
 
@@ -87,6 +87,7 @@ def run_dynamic_game(
     raises :class:`StageNotConverged` unless ``abort_on_failure`` is False,
     in which case the stage is recorded as-is and play continues.
     """
+    _check_integer(stages, "stages")
     if stages < 1:
         raise ValidationError("stages must be >= 1")
     if not tau >= 0:  # also rejects NaN

@@ -9,6 +9,7 @@ without further bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -48,7 +49,6 @@ class BipartiteNetwork:
 
     source_ids: tuple[Hashable, ...]
     target_ids: tuple[Hashable, ...]
-    edges: tuple[tuple[Hashable, Hashable], ...]
     capacities: np.ndarray  # (n_sources,)
     edge_source: np.ndarray  # (n_edges,) source index of each edge
     edge_target: np.ndarray  # (n_edges,) target index of each edge
@@ -63,23 +63,19 @@ class BipartiteNetwork:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_source)
 
-    def edges_from(self, source_index: int) -> np.ndarray:
-        """Edge indices leaving the given source, in canonical order."""
-        return np.flatnonzero(self.edge_source == source_index)
-
-    def edges_into(self, target_index: int) -> np.ndarray:
-        """Edge indices entering the given target, in canonical order."""
-        return np.flatnonzero(self.edge_target == target_index)
+    @property
+    def edges(self) -> tuple[tuple[Hashable, Hashable], ...]:
+        """Each edge's (source id, target id) in canonical order, built on each access."""
+        # object arrays keep each id whole, a tuple id included
+        sources = np.fromiter(self.source_ids, object, self.n_sources)[self.edge_source]
+        targets = np.fromiter(self.target_ids, object, self.n_targets)[self.edge_target]
+        return tuple(zip(sources.tolist(), targets.tolist()))
 
     def row_sums(self, plan: np.ndarray) -> np.ndarray:
         """Per-source totals of a per-edge vector (equals incidence @ plan)."""
         return np.bincount(self.edge_source, weights=plan, minlength=self.n_sources)
-
-    def target_sums(self, plan: np.ndarray) -> np.ndarray:
-        """Per-target totals of a per-edge vector."""
-        return np.bincount(self.edge_target, weights=plan, minlength=self.n_targets)
 
     def plan_matrix(self, plan: np.ndarray) -> np.ndarray:
         """Dense (n_sources, n_targets) view of a per-edge vector."""
@@ -109,53 +105,51 @@ def build_network(
     (source index, target index), so identical inputs yield identical
     networks regardless of input ordering.
     """
-    source_ids = tuple(sources)
-    target_ids = tuple(targets)
+    source_ids, target_ids = tuple(sources), tuple(targets)
+    n, m = len(source_ids), len(target_ids)
     if not source_ids or not target_ids:
         raise ValidationError("source and target node sets must be nonempty")
-    if len(set(source_ids)) != len(source_ids):
+    if len(set(source_ids)) != n:
         raise ValidationError("duplicate source ids")
-    if len(set(target_ids)) != len(target_ids):
+    if len(set(target_ids)) != m:
         raise ValidationError("duplicate target ids")
     if not edges:
         raise IsolatedNode("network has no edges")
 
     cap = np.asarray(list(capacities), dtype=float)
-    if cap.shape != (len(source_ids),):
-        raise ValidationError(
-            f"capacities has {cap.size} entries for {len(source_ids)} sources"
-        )
+    if cap.shape != (n,):
+        raise ValidationError(f"capacities has {cap.size} entries for {n} sources")
     if not np.all(np.isfinite(cap)) or np.any(cap <= 0):
         raise NonpositiveCapacity("capacities must be finite and strictly positive")
 
-    source_pos = {s: i for i, s in enumerate(source_ids)}
-    target_pos = {t: i for i, t in enumerate(target_ids)}
-    indexed: list[tuple[int, int]] = []
-    for edge in edges:
-        j, q = edge
-        if j not in source_pos or q not in target_pos:
-            raise DanglingEdge(f"edge {tuple(edge)!r} references an unknown node id")
-        indexed.append((source_pos[j], target_pos[q]))
-    if len(set(indexed)) != len(indexed):
+    source_pos, target_pos = dict(zip(source_ids, range(n))), dict(zip(target_ids, range(m)))
+    try:
+        if set(map(len, edges)) != {2}:
+            raise TypeError("an edge is not a pair")
+        # one flat list: zip(*edges) would keep an iterator per edge alive for the GC to walk
+        ends = list(chain.from_iterable(edges))
+        j = np.fromiter(map(source_pos.__getitem__, ends[0::2]), np.intp, len(edges))
+        q = np.fromiter(map(target_pos.__getitem__, ends[1::2]), np.intp, len(edges))
+    except (KeyError, TypeError):
+        # the first edge, in input order, that is not a pair of listed ids names the fault
+        for edge in edges:
+            head, tail = edge
+            if head not in source_pos or tail not in target_pos:
+                raise DanglingEdge(f"edge {tuple(edge)!r} references an unknown node id") from None
+        raise
+    # row-major order is the order of j * m + q, and a duplicate equals its neighbour
+    keys = np.sort(j * m + q)
+    if np.any(keys[1:] == keys[:-1]):
         raise DuplicateEdge("edge list contains duplicates")
-
-    indexed.sort()
-    used_sources = {j for j, _ in indexed}
-    used_targets = {q for _, q in indexed}
-    for j in range(len(source_ids)):
-        if j not in used_sources:
-            raise IsolatedNode(f"source {source_ids[j]!r} has no edges")
-    for q in range(len(target_ids)):
-        if q not in used_targets:
-            raise IsolatedNode(f"target {target_ids[q]!r} has no edges")
-
-    edge_source = _frozen([j for j, _ in indexed], dtype=np.intp)
-    edge_target = _frozen([q for _, q in indexed], dtype=np.intp)
-    canonical = tuple((source_ids[j], target_ids[q]) for j, q in indexed)
+    edge_source, edge_target = (_frozen(index, np.intp) for index in np.divmod(keys, m))
+    for kind, ids, index in zip(("source", "target"), (source_ids, target_ids),
+                                (edge_source, edge_target)):
+        isolated = np.flatnonzero(np.bincount(index, minlength=len(ids)) == 0)
+        if isolated.size:
+            raise IsolatedNode(f"{kind} {ids[isolated[0]]!r} has no edges")
     return BipartiteNetwork(
         source_ids=source_ids,
         target_ids=target_ids,
-        edges=canonical,
         capacities=_frozen(cap),
         edge_source=edge_source,
         edge_target=edge_target,

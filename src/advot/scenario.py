@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -137,13 +137,10 @@ def _normalize(raw: dict) -> "ScenarioConfig":
         ids = net_raw[key]
         if not isinstance(ids, list) or not _ID_TYPES.issuperset(map(type, ids)):
             raise ValidationError(f"'network.{key}' must be a list of string or integer ids")
-    if not isinstance(net_raw["edges"], list):
+    if not isinstance(edges := net_raw["edges"], list):
         raise ValidationError("'network.edges' must be a list of [source, target] pairs")
-    edges = []
-    for entry in net_raw["edges"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValidationError("every edge must be a [source, target] pair")
-        edges.append(tuple(entry))
+    if not all(map(isinstance, edges, repeat((list, tuple)))) or set(map(len, edges)) - {2}:
+        raise ValidationError("every edge must be a [source, target] pair")
     if not _ID_TYPES.issuperset(map(type, chain.from_iterable(edges))):
         raise ValidationError("edge endpoints must be string or integer ids")
     capacities = _as_array(net_raw["capacities"], "network.capacities")
@@ -154,8 +151,7 @@ def _normalize(raw: dict) -> "ScenarioConfig":
         "network": {
             "sources": list(network.source_ids),
             "targets": list(network.target_ids),
-            "edges": [list(edge) for edge in network.edges],
-            "capacities": [float(c) for c in network.capacities],
+            "capacities": network.capacities.tolist(),
         },
         "weights": weights.tolist(),
     }
@@ -227,10 +223,11 @@ def _scalar_blocks(raw: dict) -> dict:
 class ScenarioConfig:
     """Validated scenario with defaults materialized.
 
-    ``data`` is the normalized key-value tree; two configs are equal exactly
-    when their normalized trees are, which is what makes the echo round-trip
-    meaningful.  ``spec`` is the checked game of the adversary block under
-    default solver settings, or None when the scenario has no such block.
+    ``data`` is the normalized key-value tree without the edge list, which
+    ``network`` holds; two configs are equal exactly when their full trees
+    (:meth:`tree`) are, which is what makes the echo round-trip meaningful.
+    ``spec`` is the checked game of the adversary block under default solver
+    settings, or None when the scenario has no such block.
     """
 
     data: dict
@@ -238,7 +235,7 @@ class ScenarioConfig:
     spec: GameSpec | None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ScenarioConfig) and self.data == other.data
+        return isinstance(other, ScenarioConfig) and self.tree() == other.tree()
 
     @property
     def weights(self) -> np.ndarray:
@@ -262,7 +259,11 @@ class ScenarioConfig:
         return block["stages"], block["tau"], block["on_failure"]
 
     def echo_text(self) -> str:
-        return _json_text(self.data)
+        return _json_text(self.tree())
+
+    def tree(self) -> dict:
+        """The normalized tree, with the edge list encoded from the network once."""
+        return {**self.data, "network": {**self.data["network"], "edges": _edge_list(self.network)}}
 
     def with_overrides(
         self,
@@ -303,6 +304,18 @@ _LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
 _LEAF_LINES = json.JSONEncoder(separators=("\n", ": "))
 
 
+class _Encoded(str):
+    """JSON text that :func:`_indented` laid out at the top level, with ``newline = "\\n"``."""
+
+
+def _edge_list(network: BipartiteNetwork) -> _Encoded:
+    """``_indented(network.edges, "\\n")``, from each node id encoded once."""
+    sources, targets = (np.array(_LEAF_LINES.encode(list(ids))[1:-1].split("\n"), dtype=object)
+                        for ids in (network.source_ids, network.target_ids))
+    rows = sources[network.edge_source] + ",\n    " + targets[network.edge_target]
+    return _Encoded("[\n  [\n    " + "\n  ],\n  [\n    ".join(rows.tolist()) + "\n  ]\n]")
+
+
 def _json_text(payload: dict) -> str:
     """The layout of every JSON file a run writes: sorted keys, two-space indent.
 
@@ -330,6 +343,8 @@ def _indented(value, newline: str) -> str:
     kind = type(value)
     if kind in _LEAF_TYPES:
         return _LEAF_LINES.encode(value)
+    if kind is _Encoded:  # encoded JSON holds no raw newline, so only its layout moves
+        return value.replace("\n", newline)
     inner = newline + "  "
     if kind is dict and value and all(type(key) is str for key in value):
         return "{" + ",".join(
@@ -386,7 +401,9 @@ def _columns(
     each source group (``p_<s>``), one per target for each target group
     (``xi1_<t>``), then the scalars.
     """
-    names = [f"x_{sid}_{tid}" for sid, tid in network.edges]
+    heads = np.array([f"x_{sid}_" for sid in network.source_ids], dtype=object)
+    tails = np.array([f"{tid}" for tid in network.target_ids], dtype=object)
+    names = (heads[network.edge_source] + tails[network.edge_target]).tolist()
     names += [f"{prefix}_{sid}" for prefix in source_prefixes for sid in network.source_ids]
     names += [f"{prefix}_{tid}" for prefix in target_prefixes for tid in network.target_ids]
     return names + list(scalars)
@@ -397,21 +414,21 @@ def _check_columns(network: BipartiteNetwork) -> None:
 
     Each name starts with its group's prefix and an underscore (``x_``,
     ``p_``, ``xi1_``, ...), so names of different groups never clash and one
-    check over every group covers each run kind's table.  The loop runs only
+    check over every group covers each run kind's table.  Ids with unique
+    texts free of underscores and separators give clean, unique names
+    (``x_<s>_<t>`` splits back into its edge); other ids have the names built
     to name the first bad column.
     """
-    names = _columns(network, ("p",), ("xi1", "xi2", "mu2"))
-    joined = "".join(names)
-    if len(set(names)) == len(names) and not any(sep in joined for sep in _CSV_SEPARATORS):
+    texts = [list(map(str, ids)) for ids in (network.source_ids, network.target_ids)]
+    unique = all(len(set(part)) == len(part) for part in texts)
+    if unique and not set("".join(chain(*texts))).intersection(("_", *_CSV_SEPARATORS)):
         return
     seen = set()
-    for name in names:
+    for name in _columns(network, ("p",), ("xi1", "xi2", "mu2")):
         if name in seen:
             raise ValidationError(f"node ids give the trace column {name!r} twice")
         if any(sep in name for sep in _CSV_SEPARATORS):
-            raise ValidationError(
-                f"trace column {name!r} contains a comma, a quote or a line break"
-            )
+            raise ValidationError(f"trace column {name!r} contains a comma, a quote or a line break")
         seen.add(name)
 
 
@@ -617,11 +634,13 @@ def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "c
     spec = None if subcommand == "solve-ot" else config.game_spec()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_echo.json").write_text(config.echo_text(), encoding="utf-8")
+    # The echo and the report both list the edges: encoded once, laid out twice.
+    tree = config.tree()
+    (out_dir / "config_echo.json").write_text(_json_text(tree), encoding="utf-8")
     (columns, rows), fields = _RUNNERS[subcommand](config, spec, out_dir)
     trace_name = "trace.csv" if emit == "csv" else "trace.jsonl"
     emit_trace(subcommand, columns, rows, emit, out_dir / trace_name)
-    header = {key: config.data["network"][key] for key in ("sources", "targets", "edges")}
+    header = {key: tree["network"][key] for key in ("sources", "targets", "edges")}
     report = {"kind": subcommand, **fields, **header}
     (out_dir / "report.json").write_text(_json_text(report), encoding="utf-8")
     status = 0 if fields["converged"] else 2

@@ -29,6 +29,7 @@ from .network import (
     PERTURBATION_FLOOR,
     AdversaryCostParams,
     BipartiteNetwork,
+    _frozen,
     check_belief,
     check_plan,
     check_strategy,
@@ -83,9 +84,7 @@ class GameSpec:
         belief = check_belief(self.belief, n_targets)
         for name, value in (("weights", weights), ("lower_caps", lower),
                             ("upper_caps", upper), ("belief", belief)):
-            value = value.copy()
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _frozen(value))
 
     def caps(self) -> np.ndarray:
         """Per-target (minor, major) action caps as an (n_targets, 2) array."""
@@ -123,8 +122,13 @@ def effective_weights(
     """
     xi = np.asarray(xi, dtype=float)
     belief = check_belief(belief, network.n_targets)
+    return _perceived(network, np.asarray(weights, dtype=float), xi, belief)
+
+
+def _perceived(network, weights, xi, belief) -> np.ndarray:
+    """:func:`effective_weights` of float arrays and a checked belief."""
     node_term = belief[:, 0] * 1.0 * xi[:, 0] + belief[:, 1] * 2.0 * xi[:, 1]
-    return np.asarray(weights, dtype=float) + node_term[network.edge_target]
+    return weights + node_term[network.edge_target]
 
 
 def dispatcher_expected_utility(
@@ -182,8 +186,13 @@ def adversary_cost(
         )
     theta_e = theta[network.edge_target]
     xi_e = xi[network.edge_target, theta_e - 1]
-    penalty = params.punishment_coeff * xi_e ** (-params.beta2) * plan ** params.beta1
-    revenue = (np.asarray(weights, float) + theta_e * xi_e) * plan
+    return _edge_cost(params, plan, plan ** params.beta1, np.asarray(weights, float), theta_e, xi_e)
+
+
+def _edge_cost(params, plan, powered, weights, theta_e, xi_e) -> float:
+    """:func:`adversary_cost` of a checked plan, ``powered = plan**beta1`` and per-edge types."""
+    penalty = params.punishment_coeff * xi_e ** (-params.beta2) * powered
+    revenue = (weights + theta_e * xi_e) * plan
     return float(np.sum(penalty + revenue))
 
 
@@ -191,11 +200,13 @@ def node_cost_aggregates(
     network: BipartiteNetwork, plan: np.ndarray, params: AdversaryCostParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-target penalty scale ``A_q = sum coeff*x**beta1`` and flow ``S_q = sum x``."""
-    plan = check_plan(network, plan)
+    return _aggregates(network, check_plan(network, plan), params)
+
+
+def _aggregates(network, plan, params) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`node_cost_aggregates` of a checked plan."""
     penalty = params.punishment_coeff * plan ** params.beta1
-    scale = np.bincount(network.edge_target, weights=penalty, minlength=network.n_targets)
-    flow = network.target_sums(plan)
-    return scale, flow
+    return tuple(np.bincount(network.edge_target, w, network.n_targets) for w in (penalty, plan))
 
 
 def minimize_node_cost(
@@ -343,32 +354,14 @@ def stage_payoffs(
     spec: GameSpec, belief: np.ndarray, plan: np.ndarray, effective: np.ndarray
 ) -> tuple[float, float, float]:
     """Dispatcher utility and the minor and major types' costs against the effective action."""
-    network, weights = spec.network, spec.weights
-    utility = dispatcher_expected_utility(
-        network, plan, weights, effective, belief, spec.settings.lam
-    )
-    ones = np.ones(network.n_targets, dtype=int)
-    cost_minor, cost_major = (
-        adversary_cost(network, plan, weights, effective, t * ones, spec.cost_params)
-        for t in (1, 2)
-    )
-    return utility, cost_minor, cost_major
-
-
-def _round_record(
-    spec: GameSpec, belief: np.ndarray, rnd: int, plan: np.ndarray,
-    xi: np.ndarray, effective: np.ndarray,
-) -> dict:
-    utility, cost_minor, cost_major = stage_payoffs(spec, belief, plan, effective)
-    return {
-        "round": rnd,
-        "plan": plan,
-        "xi_minor": xi[:, 0],
-        "xi_major": xi[:, 1],
-        "dispatcher_utility": utility,
-        "adversary_cost_minor": cost_minor,
-        "adversary_cost_major": cost_major,
-    }
+    network, weights, params, lam = spec.network, spec.weights, spec.cost_params, spec.settings.lam
+    plan = check_plan(network, plan)
+    belief = check_belief(belief, network.n_targets)
+    utility = planner_objective(plan, _perceived(network, weights, effective, belief), lam)
+    powered = plan ** params.beta1
+    costs = (_edge_cost(params, plan, powered, weights, t, effective[network.edge_target, t - 1])
+             for t in (1, 2))
+    return (utility, *costs)
 
 
 def _anderson_step(history: list, g: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -429,8 +422,10 @@ def stage_equilibrium(
         change = max(float(np.max(np.abs(plan_new - plan))), float(np.max(np.abs(residual))))
         plan = plan_new
         if record_trace:
-            effective = threshold_phi(xi, xi_prev, tau)
-            trace.append(_round_record(spec, belief, rounds, plan, xi, effective))
+            utility, minor, major = stage_payoffs(spec, belief, plan, threshold_phi(xi, xi_prev, tau))
+            trace.append({"round": rounds, "plan": plan, "xi_minor": xi[:, 0], "xi_major": xi[:, 1],
+                          "dispatcher_utility": utility, "adversary_cost_minor": minor,
+                          "adversary_cost_major": major})
         if change <= PROFILE_TOL:
             settled = True
             break

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
@@ -74,21 +75,13 @@ class SolveReport:
     trace: list[dict] = field(default_factory=list)
 
 
-def entropy_sum(plan: np.ndarray) -> float:
-    """sum(x*log x) with the continuous extension 0*log 0 = 0."""
-    x = np.asarray(plan, dtype=float)
-    out = np.zeros_like(x)
-    positive = x > 0
-    out[positive] = x[positive] * np.log(x[positive])
-    return float(out.sum())
-
-
 def planner_objective(plan: np.ndarray, weights: np.ndarray, lam: float) -> float:
-    """Dispatcher utility ``sum(m*x) - lam*sum(x*log x)`` of a plan."""
+    """Dispatcher utility ``sum(m*x) - lam*sum(x*log x)`` of a plan, with ``0*log 0 = 0``."""
     plan = np.asarray(plan, dtype=float)
     if np.any(plan < 0):
         raise ValidationError("plans must be elementwise nonnegative")
-    return float(np.dot(np.asarray(weights, float), plan)) - lam * entropy_sum(plan)
+    entropy = plan * np.log(np.where(plan > 0, plan, 1.0))  # 0 where x = 0
+    return float(np.dot(np.asarray(weights, float), plan)) - lam * float(entropy.sum())
 
 
 def _check_weights(network: BipartiteNetwork, weights) -> np.ndarray:
@@ -242,9 +235,10 @@ def unregularized_solve(network: BipartiteNetwork, weights: np.ndarray) -> np.nd
     """
     w = _check_weights(network, weights)
     plan = np.zeros(network.n_edges)
-    for j in range(network.n_sources):
-        idx = network.edges_from(j)
-        best = idx[int(np.argmax(w[idx]))]
+    # row-major order: source j's edges are the block start[j]:start[j + 1]
+    start = [0, *accumulate(np.bincount(network.edge_source, minlength=network.n_sources).tolist())]
+    for j, (a, b) in enumerate(zip(start, start[1:])):
+        best = a + int(np.argmax(w[a:b]))
         if w[best] > 0:
             plan[best] = network.capacities[j]
     return plan

@@ -4,9 +4,10 @@ Each oracle here deliberately takes a different route than the library:
 general-purpose NLP/LP solvers, dense grid search, bisection on composed
 maps, brute-force enumeration of the joint type space, per-coordinate
 loops over a grid certificate's rows, one type at a time through the stage
-best response's steps, the unaccelerated best-response iteration, and one
-``json.dumps`` per message-log record.  Two thin helpers that only tests
-call, ``adversary_best_response`` and ``agent_tick``, live here too.
+best response's steps, the unaccelerated best-response iteration, one
+``json.dumps`` per message-log record, and the per-edge loop that builds a
+network.  Thin helpers that only tests call, ``adversary_best_response``,
+``agent_tick``, ``edges_from`` and ``edges_into``, live here too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from scipy import optimize
 
 from advot import (
     PERTURBATION_FLOOR,
+    BipartiteNetwork,
+    DanglingEdge,
+    DuplicateEdge,
+    IsolatedNode,
+    NonpositiveCapacity,
+    ValidationError,
     check_belief,
     effective_weights,
     minimize_node_cost,
@@ -52,7 +59,7 @@ def slsqp_regularized_plan(network, weights, lam, x0=None):
 
     constraints = []
     for j in range(network.n_sources):
-        idx = network.edges_from(j)
+        idx = edges_from(network, j)
         cj = float(network.capacities[j])
         constraints.append(
             {"type": "ineq", "fun": lambda x, idx=idx, cj=cj: cj - x[idx].sum()}
@@ -330,3 +337,74 @@ def reference_log_text(log) -> str:
         for m in log
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def edges_from(network, source_index: int) -> np.ndarray:
+    """Edge indices leaving the given source, in canonical order."""
+    return np.flatnonzero(network.edge_source == source_index)
+
+
+def edges_into(network, target_index: int) -> np.ndarray:
+    """Edge indices entering the given target, in canonical order."""
+    return np.flatnonzero(network.edge_target == target_index)
+
+
+def _frozen(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def reference_build_network(sources, targets, edges, capacities):
+    """``build_network`` as a per-edge loop with a set and a sort of index pairs.
+
+    Returns the network and its edges, built here from the sorted pairs.
+    """
+    source_ids = tuple(sources)
+    target_ids = tuple(targets)
+    if not source_ids or not target_ids:
+        raise ValidationError("source and target node sets must be nonempty")
+    if len(set(source_ids)) != len(source_ids):
+        raise ValidationError("duplicate source ids")
+    if len(set(target_ids)) != len(target_ids):
+        raise ValidationError("duplicate target ids")
+    if not edges:
+        raise IsolatedNode("network has no edges")
+
+    cap = np.asarray(list(capacities), dtype=float)
+    if cap.shape != (len(source_ids),):
+        raise ValidationError(
+            f"capacities has {cap.size} entries for {len(source_ids)} sources"
+        )
+    if not np.all(np.isfinite(cap)) or np.any(cap <= 0):
+        raise NonpositiveCapacity("capacities must be finite and strictly positive")
+
+    source_pos = {s: i for i, s in enumerate(source_ids)}
+    target_pos = {t: i for i, t in enumerate(target_ids)}
+    indexed: list[tuple[int, int]] = []
+    for edge in edges:
+        j, q = edge
+        if j not in source_pos or q not in target_pos:
+            raise DanglingEdge(f"edge {tuple(edge)!r} references an unknown node id")
+        indexed.append((source_pos[j], target_pos[q]))
+    if len(set(indexed)) != len(indexed):
+        raise DuplicateEdge("edge list contains duplicates")
+
+    indexed.sort()
+    used_sources = {j for j, _ in indexed}
+    used_targets = {q for _, q in indexed}
+    for j in range(len(source_ids)):
+        if j not in used_sources:
+            raise IsolatedNode(f"source {source_ids[j]!r} has no edges")
+    for q in range(len(target_ids)):
+        if q not in used_targets:
+            raise IsolatedNode(f"target {target_ids[q]!r} has no edges")
+
+    network = BipartiteNetwork(
+        source_ids=source_ids,
+        target_ids=target_ids,
+        capacities=_frozen(cap),
+        edge_source=_frozen([j for j, _ in indexed], dtype=np.intp),
+        edge_target=_frozen([q for _, q in indexed], dtype=np.intp),
+    )
+    return network, tuple((source_ids[j], target_ids[q]) for j, q in indexed)

@@ -34,7 +34,7 @@ from advot import (
 from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPOLOGY, TRACE, WEIGHT
 from advot.static_game import DEVIATION_TOL
 from conftest import load_perfbench, make_random_spec
-from oracles import agent_tick, reference_log_text
+from oracles import agent_tick, edges_from, edges_into, reference_log_text
 
 
 def reference_sync_run(spec: GameSpec, max_ticks: int):
@@ -69,7 +69,7 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
     price_history, rate_history, actions = [], [], []
     for _ in range(max_ticks):
         for j in range(network.n_sources):
-            idx = network.edges_from(j)
+            idx = edges_from(network, j)
             exponent = weights[idx] / lam - 1.0
             shift = np.max(exponent)
             mass = 0.0
@@ -82,7 +82,7 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
 
         g = np.empty_like(xi)
         for q in range(network.n_targets):
-            idx = network.edges_into(q)
+            idx = edges_into(network, q)
             scale = flow = 0.0
             # the ufunc's pow, as in the library's array code: the scalar
             # ``**`` can differ from it in the last bit

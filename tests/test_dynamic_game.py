@@ -21,6 +21,7 @@ from advot import (
     threshold_phi,
     uniform_belief,
 )
+from conftest import make_random_spec
 from oracles import grid_min_thresholded_cost
 
 FLOOR = PERTURBATION_FLOOR
@@ -277,3 +278,20 @@ def test_infinite_tau_keeps_every_action_at_the_floor(paper_spec):
         assert outcome.profile.converged
         np.testing.assert_array_equal(outcome.profile.strategy, FLOOR)
         np.testing.assert_array_equal(outcome.effective_action, FLOOR)
+
+
+@pytest.mark.parametrize("stages", [2.5, True])
+def test_non_integer_stages_are_rejected_before_any_solve(stages, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the stage count was checked")
+
+    monkeypatch.setattr("advot.dynamic_game.solve_regularized_ot", no_solve)
+    spec = make_random_spec(np.random.default_rng(0), 2, 3)
+    with pytest.raises(ValidationError, match="stages must be an integer"):
+        run_dynamic_game(spec, stages, 0.5)
+
+
+@pytest.mark.parametrize("stages", [np.int64(2), np.int32(2)])
+def test_numpy_integer_stages_are_accepted(paper_spec, stages):
+    outcomes = run_dynamic_game(paper_spec, stages, 0.5)
+    assert [o.state.stage for o in outcomes] == [1, 2]

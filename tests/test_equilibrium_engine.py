@@ -32,7 +32,12 @@ from advot import (
 )
 from advot.static_game import DEVIATION_TOL, stage_equilibrium
 from conftest import SCENARIO_DIR, make_random_spec
-from oracles import loop_deviation_gap, per_type_stage_response, plain_best_response_iteration
+from oracles import (
+    edges_from,
+    loop_deviation_gap,
+    per_type_stage_response,
+    plain_best_response_iteration,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -139,7 +144,7 @@ def test_certificate_bounds_and_matches_grid_references(
         if saturated:
             # source 0 ships its whole capacity over one edge: zero slack, so
             # each of its other edges can only stay at 0
-            edges = network.edges_from(0)
+            edges = edges_from(network, 0)
             plan[edges] = 0.0
             plan[edges[0]] = network.capacities[0]
         if decided_by in ("adversary", "neither"):

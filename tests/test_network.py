@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from advot import (
     AdversaryCostParams,
@@ -16,7 +18,7 @@ from advot import (
     uniform_belief,
 )
 from advot.network import check_belief
-from oracles import TypeSpace, incidence
+from oracles import TypeSpace, incidence, reference_build_network
 
 
 def test_paper_network_is_valid(paper_network):
@@ -66,6 +68,54 @@ def test_canonical_order_is_input_independent():
     assert reference.edges == shuffled.edges
     assert reference.edges == (("s1", "t1"), ("s1", "t2"), ("s2", "t1"), ("s2", "t2"))
     np.testing.assert_array_equal(reference.edge_source, shuffled.edge_source)
+
+
+# ids of both JSON kinds, with 1 beside "1" and 0 beside "0"
+NODE_IDS = st.one_of(st.integers(-1, 3), st.sampled_from(["0", "1", "a", "a_b", "b"]))
+
+
+@st.composite
+def raw_networks(draw):
+    """Shuffled edge lists with duplicates, dangling ends, isolated nodes and odd shapes."""
+    sources = draw(st.lists(NODE_IDS, min_size=1, max_size=4, unique=True))
+    targets = draw(st.lists(NODE_IDS, min_size=1, max_size=5, unique=True))
+    pairs = [(s, t) for s in sources for t in targets]
+    keep = draw(st.lists(st.integers(0, 5), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, k in zip(pairs, keep) if k]  # a sixth dropped: isolated nodes
+    # each kind of fault joins about one input in four
+    faults = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=2)) if faults[0] == 3 else []
+    edges += [draw(st.tuples(NODE_IDS, NODE_IDS))] if faults[1] == 3 else []  # perhaps dangling
+    edges += [draw(st.sampled_from([("a",), ("a", "b", "c")]))] if faults[2] == 3 else []
+    edges = draw(st.permutations(edges))
+    # JSON gives lists, direct callers tuples
+    edges = [list(edge) if draw(st.booleans()) else edge for edge in edges]
+    return sources, targets, edges, [1.0 + k for k in range(len(sources))]
+
+
+def _build_outcome(build, raw):
+    try:
+        net, edges = build(*raw)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    arrays = (net.capacities, net.edge_source, net.edge_target)
+    assert not any(arr.flags.writeable for arr in arrays)
+    return edges, *(arr.dtype for arr in arrays), *(arr.tolist() for arr in arrays)
+
+
+def _library_build(*raw):
+    network = build_network(*raw)
+    return network, network.edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_networks())
+@example(([1, "1"], [0, "0"], [("1", 0), (1, "0"), [1, 0], ("1", "0")], [1.0, 2.0]))
+@example(([1, "1"], ["t"], [("1", "t"), [1, "t"], (1, "t")], [1.0, 2.0]))
+@example((["a", "b"], ["t"], [("a", "t"), ("c", "t"), ("a", "t")], [1.0, 2.0]))
+@example((["a", "b"], ["t", "u"], [("a", "t"), ("a", "t"), ("a", "u")], [1.0, 2.0]))
+def test_build_network_matches_the_loop_reference(raw):
+    assert _build_outcome(_library_build, raw) == _build_outcome(reference_build_network, raw)
 
 
 def test_incidence_matches_paper_structure(paper_network):

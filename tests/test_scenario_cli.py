@@ -6,20 +6,29 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advot import (
     ParseError,
     Schedule,
     ValidationError,
+    build_network,
     capacity_prices,
     emit_trace,
     parse_scenario,
     run_command,
     run_distributed,
 )
-from advot.scenario import SUBCOMMANDS, _json_text, distributed_trace_records
+from advot.scenario import (
+    SUBCOMMANDS,
+    _check_columns,
+    _columns,
+    _edge_list,
+    _indented,
+    _json_text,
+    distributed_trace_records,
+)
 from advot.cli import main
 from advot.static_game import DEVIATION_TOL
 from conftest import SCENARIO_DIR, load_perfbench
@@ -100,6 +109,31 @@ def test_echo_round_trip():
     assert parse_scenario(minimal.echo_text()) == minimal
 
 
+def test_configs_that_differ_only_in_their_edges_are_unequal():
+    crossed = [["r", "u"], ["s", "t"]]
+    straight = parse_scenario(_scenario_with_ids(["r", "s"], ["t", "u"], [["r", "t"], ["s", "u"]]))
+    assert straight != parse_scenario(_scenario_with_ids(["r", "s"], ["t", "u"], crossed))
+    assert straight.data == parse_scenario(_scenario_with_ids(["r", "s"], ["t", "u"], crossed)).data
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-9, 10**15), st.text(max_size=4)), min_size=1, max_size=4,
+             unique=True),
+    st.lists(st.one_of(st.integers(-9, 10**15), st.text(max_size=4)), min_size=1, max_size=5,
+             unique=True),
+    st.randoms(use_true_random=False),
+)
+def test_edge_list_and_columns_from_ids_match_the_edge_tuples(sources, targets, rng):
+    """The echo's edge list and the x_<s>_<t> names, built from the ids, as from each edge."""
+    edges = [(s, t) for s in sources for t in targets]
+    rng.shuffle(edges)
+    network = build_network(sources, targets, edges, [1.0] * len(sources))
+    assert _edge_list(network) == _indented(network.edges, "\n")
+    names = _columns(network)
+    assert names == [f"x_{s}_{t}" for s, t in network.edges]
+
+
 def _scenario_with_ids(sources, targets, edges) -> str:
     return json.dumps({
         "network": {
@@ -143,6 +177,48 @@ def test_cli_rejects_clashing_ids_before_any_solve(tmp_path, capsys):
     assert run_cli("solve-ot", "--config", path, "--out", out) == 1
     assert not out.exists()
     assert repr(column) in capsys.readouterr().err
+
+
+# 1 beside "1", underscores that can make x_<s>_<t> ambiguous, and the CSV separators
+COLUMN_IDS = st.one_of(
+    st.integers(-1, 2),
+    st.sampled_from(
+        ["0", "1", "a", "a_", "a_b", "b", "_b", "b_c", "c", "", "_", "a,", 'b"', "c\n", "\r"]
+    ),
+)
+
+
+def _first_bad_column(names: list[str]) -> str | None:
+    """The message for the first name seen twice or holding a separator, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return f"node ids give the trace column {name!r} twice"
+        if any(sep in name for sep in (",", '"', "\n", "\r")):
+            return f"trace column {name!r} contains a comma, a quote or a line break"
+        seen.add(name)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(COLUMN_IDS, min_size=1, max_size=4, unique=True),
+    st.lists(COLUMN_IDS, min_size=1, max_size=4, unique=True),
+)
+@example(["a", "a_b"], ["c", "b_c"])
+@example([1, "1"], ["a"])
+@example(["a"], [0, "0"])
+@example(["a_"], ["_b", "b"])
+def test_column_check_accepts_exactly_unique_clean_names(sources, targets):
+    edges = [(s, t) for s in sources for t in targets]
+    network = build_network(sources, targets, edges, [1.0] * len(sources))
+    expected = _first_bad_column(_columns(network, ("p",), ("xi1", "xi2", "mu2")))
+    if expected is None:
+        _check_columns(network)
+    else:
+        with pytest.raises(ValidationError) as info:
+            _check_columns(network)
+        assert str(info.value) == expected
 
 
 def test_plain_ids_keep_their_column_names(tmp_path):

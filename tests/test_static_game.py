@@ -26,10 +26,12 @@ from advot import (
     solve_regularized_ot,
     uniform_belief,
 )
+from advot.static_game import stage_payoffs
 from conftest import make_random_spec
 from oracles import (
     adversary_best_response,
     bisection_1x1_equilibrium,
+    edges_from,
     enumerated_expected_utility,
     grid_min_cost,
     slsqp_regularized_plan,
@@ -352,7 +354,7 @@ def test_deviation_plan_perturbation_lowers_utility(paper_spec):
     bumped[0] *= 1.1
     # rescale the touched row back into feasibility
     j = int(paper_spec.network.edge_source[0])
-    idx = paper_spec.network.edges_from(j)
+    idx = edges_from(paper_spec.network, j)
     row_sum = bumped[idx].sum()
     bumped[idx] *= paper_spec.network.capacities[j] / row_sum
     perturbed = dispatcher_expected_utility(
@@ -443,3 +445,23 @@ def test_node_cost_aggregates_consistency(paper_spec):
     for q in range(3):
         assert scale[q] == pytest.approx(np.sum(coeff[:, q] * matrix[:, q] ** 0.5))
         assert flow[q] == pytest.approx(matrix[:, q].sum())
+
+
+def test_stage_payoffs_equal_the_public_payoff_functions():
+    """The trace's payoffs, taken with one plan check and one ``plan**beta1``, bit for bit."""
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        spec = make_random_spec(rng, 3, 4)
+        network, weights = spec.network, spec.weights
+        plan = np.where(rng.random(network.n_edges) < 0.2, 0.0, rng.uniform(0, 2, network.n_edges))
+        effective = rng.uniform(PERTURBATION_FLOOR, 6.0, (4, 2))
+        minor = rng.uniform(0, 1, 4)
+        belief = np.stack([minor, 1.0 - minor], axis=1)
+        ones = np.ones(4, dtype=int)
+        assert stage_payoffs(spec, belief, plan, effective) == (
+            dispatcher_expected_utility(
+                network, plan, weights, effective, belief, spec.settings.lam
+            ),
+            adversary_cost(network, plan, weights, effective, ones, spec.cost_params),
+            adversary_cost(network, plan, weights, effective, 2 * ones, spec.cost_params),
+        )

@@ -19,7 +19,7 @@ from advot import (
     unregularized_solve,
 )
 from conftest import all_edges
-from oracles import lp_plan, slsqp_regularized_plan
+from oracles import edges_from, lp_plan, slsqp_regularized_plan
 
 E_INV = 0.36787944117144233  # exp(-1)
 
@@ -339,6 +339,30 @@ def test_unregularized_matches_lp_on_random_instances():
         np.testing.assert_allclose(
             unregularized_solve(net, weights), lp_plan(net, weights), atol=1e-8
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_unregularized_matches_a_per_source_scan(data):
+    """Uneven rows, weights with ties and signs: each row's first largest positive edge ships."""
+    n_sources, n_targets = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    sources, targets = [f"s{j}" for j in range(n_sources)], [f"t{q}" for q in range(n_targets)]
+    rows = [
+        data.draw(st.sets(st.sampled_from(targets), min_size=1)) for _ in sources
+    ]
+    rows[0] |= set(targets)  # every target has an edge
+    edges = [(s, t) for s, row in zip(sources, rows) for t in sorted(row)]
+    net = build_network(sources, targets, edges[::-1], np.arange(1.0, n_sources + 1))
+    weights = np.array(data.draw(st.lists(
+        st.sampled_from([-1.0, 0.0, 2.0, 3.0]), min_size=net.n_edges, max_size=net.n_edges
+    )))
+    expected = np.zeros(net.n_edges)
+    for j in range(n_sources):
+        idx = edges_from(net, j)
+        best = idx[int(np.argmax(weights[idx]))]
+        if weights[best] > 0:
+            expected[best] = net.capacities[j]
+    np.testing.assert_array_equal(unregularized_solve(net, weights), expected)
 
 
 # ---------------------------------------------------------------------------
