@@ -81,8 +81,8 @@ def raw_networks(draw):
     targets = draw(st.lists(NODE_IDS, min_size=1, max_size=5, unique=True))
     pairs = [(s, t) for s in sources for t in targets]
     keep = draw(st.lists(st.integers(0, 5), min_size=len(pairs), max_size=len(pairs)))
-    edges = [pair for pair, k in zip(pairs, keep) if k]  # a sixth dropped: isolated nodes
-    # each kind of fault joins about one input in four
+    edges = [pair for pair, k in zip(pairs, keep) if k]  # dropped pairs leave isolated nodes
+    # each kind of fault joins when its draw is 3
     faults = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
     edges += draw(st.lists(st.sampled_from(pairs), max_size=2)) if faults[0] == 3 else []
     edges += [draw(st.tuples(NODE_IDS, NODE_IDS))] if faults[1] == 3 else []  # perhaps dangling
