@@ -28,7 +28,7 @@ print("\nlam = 0 (pure linear program): one hot link per source")
 print(network.plan_matrix(sparse).round(4))
 
 report = solve_regularized_ot(network, weights, config.settings())
-print(f"\nlam = 3 (entropic smoothing), converged in {report.iterations} iterations:")
+print(f"\nlam = 3 (entropic smoothing), KKT residual {report.residual:.1e}:")
 print(network.plan_matrix(report.plan).round(4))
 print("capacity prices:", report.prices.round(6))
 print("row sums:", network.row_sums(report.plan).round(6), "(<= capacities)")

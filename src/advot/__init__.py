@@ -1,6 +1,6 @@
 """Adversarial regularized optimal transport over bipartite networks.
 
-The package computes entropic-regularized transport plans via dual pricing,
+The package computes entropic-regularized transport plans at their exact prices,
 static Bayesian equilibria between a dispatcher and a typed adversary,
 multistage equilibria with thresholded adversary actions and belief updates,
 and the same fixed points through a simulated asynchronous per-source solver.
@@ -72,7 +72,6 @@ from .transport import (
     SolveReport,
     SolverSettings,
     capacity_prices,
-    dual_update,
     planner_objective,
     primal_update,
     solve_regularized_ot,

@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", required=True, type=Path, help="output directory")
         sub.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="override the smoothing weight")
-        sub.add_argument("--gamma", type=float, default=None, help="override the dual step size")
         sub.add_argument("--tol", type=float, default=None, help="override the convergence tolerance")
         sub.add_argument("--stages", type=int, default=None, help="override the number of stages")
         sub.add_argument("--tau", type=float, default=None, help="override the threshold width")
@@ -74,7 +73,6 @@ def main(argv=None) -> int:
         config = parse_scenario(text)
         config = config.with_overrides(
             lam=args.lam,
-            gamma=args.gamma,
             tol=args.tol,
             stages=args.stages,
             tau=args.tau,

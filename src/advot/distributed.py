@@ -452,7 +452,7 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         append(0, STRATEGY, q, minor, major)
 
     # Edges are in row-major order: agent j's row is the block start[j]:start[j + 1].
-    start = [0, *accumulate(np.bincount(network.edge_source, minlength=n).tolist())]
+    start = network.row_starts
     capacities = network.capacities.tolist()
     weights = _perceived(network, spec.weights, xi, spec.belief)
     agents = [

@@ -9,7 +9,7 @@ without further bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -72,6 +72,15 @@ class BipartiteNetwork:
         sources = np.fromiter(self.source_ids, object, self.n_sources)[self.edge_source]
         targets = np.fromiter(self.target_ids, object, self.n_targets)[self.edge_target]
         return tuple(zip(sources.tolist(), targets.tolist()))
+
+    @property
+    def row_starts(self) -> list[int]:
+        """Source ``j``'s edges are ``row_starts[j]:row_starts[j + 1]`` of the canonical order.
+
+        The running sums of the source degrees, from 0: the order is
+        row-major, so each source's edges form one block.
+        """
+        return [0, *accumulate(np.bincount(self.edge_source, minlength=self.n_sources).tolist())]
 
     def row_sums(self, plan: np.ndarray) -> np.ndarray:
         """Per-source totals of a per-edge vector (equals incidence @ plan)."""

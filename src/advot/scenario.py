@@ -76,9 +76,7 @@ def _one_of(choices, phrase: str):
 _SCALAR_BLOCKS = {
     "solver": {
         "lambda": (SolverSettings.lam, _as_float),
-        "gamma": (SolverSettings.gamma, _as_float),
         "tol": (SolverSettings.tol, _as_float),
-        "max_iter": (SolverSettings.max_iter, _as_int),
     },
     "dynamic": {
         "on_failure": ("abort", _one_of(("abort", "continue"), "'abort' or 'continue'")),
@@ -92,6 +90,10 @@ _SCALAR_BLOCKS = {
         "max_ticks": (Schedule.max_ticks, _as_int),
     },
 }
+
+# Solver fields of the former price ascent, which perfbench/generate.py still
+# writes: accepted so those files parse, but never read and left out of the echo.
+_RETIRED_FIELDS = {"solver": {"gamma", "max_iter"}}
 
 
 def _as_array(value, where: str) -> np.ndarray:
@@ -203,14 +205,13 @@ def _scalar_blocks(raw: dict) -> dict:
     data = {}
     for name, fields in _SCALAR_BLOCKS.items():
         block = raw.get(name, {})
-        _check_block(block, set(fields), set(), name)
+        _check_block(block, set(fields) | _RETIRED_FIELDS.get(name, set()), set(), name)
         data[name] = {
             key: read(block.get(key, default), f"{name}.{key}")
             for key, (default, read) in fields.items()
         }
     # Range rules, checked here so that no run writes an echo it then rejects.
-    solver = data["solver"]
-    SolverSettings(solver["lambda"], solver["gamma"], solver["tol"], solver["max_iter"])
+    SolverSettings(data["solver"]["lambda"], data["solver"]["tol"])
     Schedule(**data["distributed"])
     if data["dynamic"]["stages"] < 1:
         raise ValidationError("stages must be >= 1")
@@ -242,8 +243,7 @@ class ScenarioConfig:
         return np.asarray(self.data["weights"], dtype=float)
 
     def settings(self) -> SolverSettings:
-        solver = self.data["solver"]
-        return SolverSettings(solver["lambda"], solver["gamma"], solver["tol"], solver["max_iter"])
+        return SolverSettings(self.data["solver"]["lambda"], self.data["solver"]["tol"])
 
     def game_spec(self) -> GameSpec:
         """The scenario's game under its solver settings; rejects ``lambda = 0``."""
@@ -268,7 +268,6 @@ class ScenarioConfig:
     def with_overrides(
         self,
         lam: float | None = None,
-        gamma: float | None = None,
         tol: float | None = None,
         stages: int | None = None,
         tau: float | None = None,
@@ -282,11 +281,11 @@ class ScenarioConfig:
         network, weights and adversary are shared with this config.  Returns
         this config itself when every override is ``None``.
         """
-        if all(v is None for v in (lam, gamma, tol, stages, tau, mode, seed)):
+        if all(v is None for v in (lam, tol, stages, tau, mode, seed)):
             return self
         raw = {name: dict(self.data[name]) for name in _SCALAR_BLOCKS}
         for block, key, value in (
-            ("solver", "lambda", lam), ("solver", "gamma", gamma), ("solver", "tol", tol),
+            ("solver", "lambda", lam), ("solver", "tol", tol),
             ("dynamic", "stages", stages), ("dynamic", "tau", tau),
             ("distributed", "mode", mode), ("distributed", "seed", seed),
         ):

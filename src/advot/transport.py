@@ -5,9 +5,8 @@ capacities ``Bx <= c`` and ``x >= 0``.  With ``lam > 0`` the primal update has
 a closed form per edge.  The capacity constraints are per source, so the dual
 splits by source and each optimal price has a closed form too
 (:func:`capacity_prices`, one-marginal Sinkhorn scaling).
-:func:`solve_regularized_ot` starts from those prices and runs projected
-subgradient ascent on them: its first step checks the KKT conditions, and
-further steps only run when the exact prices miss ``tol``.  ``lam == 0``
+:func:`solve_regularized_ot` is one pass: the plan at those prices, and the
+complementary-slackness residual that checks it against ``tol``.  ``lam == 0``
 degenerates to a linear program whose vertex solution is computed greedily.
 """
 
@@ -15,13 +14,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteIterate, ValidationError, ZeroLambda
-from .network import BipartiteNetwork, check_plan
+from .network import BipartiteNetwork
 
 logger = logging.getLogger(__name__)
 
@@ -34,37 +32,30 @@ def _check_integer(value, name: str) -> None:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs for the dual-pricing loop.
+    """Settings of a transport solve.
 
-    ``lam`` is the smoothing weight, ``gamma`` the dual step size, ``tol``
-    bounds both the complementary-slackness residual and the primal change at
-    convergence.
+    ``lam`` is the smoothing weight; ``tol`` bounds the complementary-slackness
+    residual a solve must reach to count as converged.
     """
 
     lam: float = 3.0
-    gamma: float = 0.05
     tol: float = 1e-8
-    max_iter: int = 50_000
 
     def __post_init__(self):
         # Written so that NaN, which fails every comparison, is rejected too.
         if not 0 <= self.lam < np.inf:
             raise ValidationError("lam must be finite and >= 0")
-        if not 0 < self.gamma < np.inf:
-            raise ValidationError("gamma must be finite and > 0")
         if not 0 < self.tol < np.inf:
             raise ValidationError("tol must be finite and > 0")
-        _check_integer(self.max_iter, "max_iter")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be a positive integer")
 
 
 @dataclass
 class SolveReport:
-    """Outcome of a dual-pricing run.
+    """Outcome of a solve: a transport solve, or a distributed run's last refresh.
 
-    ``converged`` implies ``residual <= tol``.  ``trace`` holds one record per
-    iteration when tracing was requested, else stays empty.
+    ``converged`` implies ``residual <= tol``.  ``iterations`` is 1 for a
+    transport solve and the tick count for a distributed run.  ``trace``
+    holds one record per step when tracing was requested, else stays empty.
     """
 
     plan: np.ndarray
@@ -113,19 +104,6 @@ def primal_update(
     return np.exp((w - p[network.edge_source]) / lam - 1.0)
 
 
-def dual_update(
-    network: BipartiteNetwork, prices: np.ndarray, plan: np.ndarray, gamma: float
-) -> np.ndarray:
-    """Projected price ascent: ``p_j <- max(0, p_j + gamma*(row_sum_j - c_j))``.
-
-    The projection keeps every capacity price nonnegative, so overloaded
-    sources get more expensive and slack sources drift back to zero.
-    """
-    x = check_plan(network, plan)
-    rows = network.row_sums(x)
-    return np.maximum(0.0, prices + gamma * (rows - network.capacities))
-
-
 def capacity_prices(network: BipartiteNetwork, weights: np.ndarray, lam: float) -> np.ndarray:
     """Optimal capacity prices: ``p_j = max(0, lam*(logsumexp_e(m_e/lam - 1) - log c_j))``.
 
@@ -157,13 +135,13 @@ def solve_regularized_ot(
     settings: SolverSettings = SolverSettings(),
     record_trace: bool = False,
 ) -> SolveReport:
-    """Start from the exact capacity prices and alternate primal and dual updates.
+    """The plan at the exact capacity prices, checked against ``settings.tol``.
 
-    The prices start at :func:`capacity_prices` of ``weights``, where the KKT
-    conditions hold up to rounding, so the first ascent step is a check and
-    the solve converges in one iteration unless ``tol`` is below what those
-    prices reach.  Further steps take the projected ascent with step
-    ``settings.gamma``.
+    The prices are :func:`capacity_prices` of ``weights`` and the plan is
+    :func:`primal_update` at them, so stationarity holds by construction and
+    primal feasibility and complementary slackness hold up to rounding.  The
+    solve reports how far: its residual is the worst complementary-slackness
+    violation ``|min(p_j, c_j - row_sum_j)|``.
 
     Parameters
     ----------
@@ -173,57 +151,41 @@ def solve_regularized_ot(
     settings : SolverSettings
         Requires ``settings.lam > 0``.
     record_trace : bool
-        Keep one record per iteration in the report's ``trace``.
+        Keep the one step's record in the report's ``trace``.
 
     Returns
     -------
     SolveReport
-        ``plan`` is feasible within ``tol`` and strictly positive; ``residual``
-        is the worst complementary-slackness violation ``|min(p_j, slack_j)|``.
-        When the iteration budget runs out the report comes back with
-        ``converged=False`` rather than raising.
+        One iteration; ``plan`` is strictly positive, and ``converged`` is
+        ``residual <= settings.tol``.  A ``tol`` below the rounding of the
+        exact prices comes back with ``converged=False`` rather than raising.
 
     Raises
     ------
     NonFiniteIterate
-        At the first iteration whose prices are not finite (the plan
-        overflowed, as when ``lam`` is tiny against the weights), instead of
-        returning them.
+        When the prices or the plan are not finite (the plan overflowed, as
+        when ``lam`` is tiny against the weights), instead of returning them.
     """
     if settings.lam <= 0:
         raise ZeroLambda("solve_regularized_ot needs lam > 0; use unregularized_solve")
     w = _check_weights(network, weights)
     prices = row_prices(w, network.edge_source, network.capacities, settings.lam)
-
-    trace: list[dict] = []
-    x = None
-    for iteration in range(1, settings.max_iter + 1):
-        x_new = primal_update(network, w, prices, settings.lam)
-        prices = dual_update(network, prices, x_new, settings.gamma)
-        if not np.all(np.isfinite(prices)):
-            raise NonFiniteIterate(iteration)
-        rows = network.row_sums(x_new)
-        residual = float(np.max(np.abs(np.minimum(prices, network.capacities - rows))))
-        # iteration 1 has no earlier plan to compare with
-        primal_change = 0.0 if x is None else float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if record_trace:
-            trace.append(
-                {
-                    "iteration": iteration,
-                    "plan": x,
-                    "prices": prices,
-                    "residual": residual,
-                    "objective": planner_objective(x, w, settings.lam),
-                }
-            )
-        if residual <= settings.tol and primal_change <= settings.tol:
-            logger.debug("dual pricing converged in %d iterations", iteration)
-            return SolveReport(x, prices, iteration, residual, True, trace)
-    logger.info(
-        "dual pricing hit max_iter=%d with residual %.3e", settings.max_iter, residual
-    )
-    return SolveReport(x, prices, settings.max_iter, residual, False, trace)
+    plan = primal_update(network, w, prices, settings.lam)
+    if not (np.all(np.isfinite(prices)) and np.all(np.isfinite(plan))):
+        raise NonFiniteIterate(1, "prices or plan became non-finite at iteration 1")
+    rows = network.row_sums(plan)
+    residual = float(np.max(np.abs(np.minimum(prices, network.capacities - rows))))
+    trace = [{
+        "iteration": 1,
+        "plan": plan,
+        "prices": prices,
+        "residual": residual,
+        "objective": planner_objective(plan, w, settings.lam),
+    }] if record_trace else []
+    converged = residual <= settings.tol
+    if not converged:
+        logger.info("exact prices leave a residual of %.3e above tol", residual)
+    return SolveReport(plan, prices, 1, residual, converged, trace)
 
 
 def unregularized_solve(network: BipartiteNetwork, weights: np.ndarray) -> np.ndarray:
@@ -235,8 +197,7 @@ def unregularized_solve(network: BipartiteNetwork, weights: np.ndarray) -> np.nd
     """
     w = _check_weights(network, weights)
     plan = np.zeros(network.n_edges)
-    # row-major order: source j's edges are the block start[j]:start[j + 1]
-    start = [0, *accumulate(np.bincount(network.edge_source, minlength=network.n_sources).tolist())]
+    start = network.row_starts
     for j, (a, b) in enumerate(zip(start, start[1:])):
         best = a + int(np.argmax(w[a:b]))
         if w[best] > 0:

@@ -228,8 +228,6 @@ def test_schedule_rejects_a_negative_seed():
         (Schedule, "max_ticks", 2.5),
         (Schedule, "max_ticks", True),
         (Schedule, "seed", 1.5),
-        (SolverSettings, "max_iter", 2.5),
-        (SolverSettings, "max_iter", np.float64(3.0)),
     ],
 )
 def test_counts_must_be_integers(make, field, value):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -237,21 +235,15 @@ def test_stage_actions_respect_interval_structure(paper_spec):
 
 
 def test_stage_failure_raises_with_partial_outcomes(paper_spec):
-    strict = dataclasses.replace(
-        paper_spec, settings=dataclasses.replace(paper_spec.settings, max_iter=5)
-    )
     with pytest.raises(StageNotConverged) as excinfo:
-        run_dynamic_game(strict, stages=2, tau=0.5, max_rounds=2)
+        run_dynamic_game(paper_spec, stages=2, tau=0.5, max_rounds=2)
     assert excinfo.value.stage == 1
     assert excinfo.value.outcomes == []
 
 
 def test_stage_failure_can_continue(paper_spec):
-    strict = dataclasses.replace(
-        paper_spec, settings=dataclasses.replace(paper_spec.settings, max_iter=5)
-    )
     outcomes = run_dynamic_game(
-        strict, stages=2, tau=0.5, max_rounds=2, abort_on_failure=False
+        paper_spec, stages=2, tau=0.5, max_rounds=2, abort_on_failure=False
     )
     assert len(outcomes) == 2
     assert not any(o.profile.converged for o in outcomes)

@@ -12,7 +12,6 @@ from advot import (
     ZeroLambda,
     build_network,
     capacity_prices,
-    dual_update,
     planner_objective,
     primal_update,
     solve_regularized_ot,
@@ -58,28 +57,6 @@ def test_primal_update_rejects_zero_lambda():
     net = one_edge_network()
     with pytest.raises(ZeroLambda):
         primal_update(net, np.zeros(1), np.zeros(1), lam=0.0)
-
-
-# ---------------------------------------------------------------------------
-# dual update
-
-
-def test_dual_update_zero_subgradient_at_boundary():
-    net = one_edge_network(capacity=1.0)
-    p = dual_update(net, np.zeros(1), np.array([1.0]), gamma=0.1)
-    assert p[0] == 0.0
-
-
-def test_dual_update_ascends_on_overload():
-    net = one_edge_network(capacity=1.0)
-    p = dual_update(net, np.zeros(1), np.array([2.0]), gamma=0.1)
-    assert p[0] == pytest.approx(0.1, abs=1e-15)
-
-
-def test_dual_update_projection_active():
-    net = one_edge_network(capacity=2.0)
-    p = dual_update(net, np.array([0.05]), np.array([1.0]), gamma=0.1)
-    assert p[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +172,21 @@ def test_solve_objective_matches_oracle_in_one_iteration(paper_network, paper_ed
     )
 
 
-def test_solve_reports_not_converged_when_budget_exhausted(paper_network, paper_edge_weights):
-    report = solve_regularized_ot(
-        paper_network, paper_edge_weights, SolverSettings(tol=1e-300, max_iter=3)
-    )
+def test_solve_reports_not_converged_below_the_exact_residual(paper_network, paper_edge_weights):
+    # the exact prices leave a residual of rounding size, which tol = 1e-300 is below
+    exact = solve_regularized_ot(paper_network, paper_edge_weights)
+    report = solve_regularized_ot(paper_network, paper_edge_weights, SolverSettings(tol=1e-300))
     assert not report.converged
-    assert report.iterations == 3
+    assert report.iterations == 1
+    assert report.residual == exact.residual > 1e-300
+    np.testing.assert_array_equal(report.plan, exact.plan)
+    np.testing.assert_array_equal(report.prices, exact.prices)
 
 
 @pytest.mark.parametrize(
     ("settings_", "converged"),
-    [(SolverSettings(), True), (SolverSettings(tol=1e-300, max_iter=3), False)],
-    ids=["exact-start", "budget"],
+    [(SolverSettings(), True), (SolverSettings(tol=1e-300), False)],
+    ids=["exact-start", "below-residual"],
 )
 def test_solve_computes_one_plan_per_iteration(
     monkeypatch, paper_network, paper_edge_weights, settings_, converged
@@ -390,7 +370,7 @@ def test_smoothing_spreads_allocations(paper_network, paper_edge_weights):
     assert np.all(smooth > 0.01)
 
 
-@pytest.mark.parametrize("field", ["lam", "gamma", "tol"])
+@pytest.mark.parametrize("field", ["lam", "tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_settings_reject_non_finite_values(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
