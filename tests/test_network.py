@@ -144,6 +144,34 @@ def test_row_sums_match_incidence_product(paper_network):
         np.testing.assert_allclose(paper_network.row_sums(plan), via_matrix, atol=1e-12)
 
 
+# (sources, targets, edges, capacities) and the row_starts each must give
+ROW_STARTS = {
+    "one-edge": ((["j"], ["t"], [("j", "t")], [1.0]), [0, 1]),
+    "one-wide-source": ((["s"], list("vwxyz"), [("s", t) for t in "zyxwv"], [1.0]), [0, 5]),
+    "complete-2x3": (
+        (["j1", "j2"], ["q1", "q2", "q3"],
+         [(j, q) for q in ("q3", "q1", "q2") for j in ("j2", "j1")], [1.0, 2.0]),
+        [0, 3, 6],
+    ),
+    "uneven-shuffled": (
+        (["a", "b", "c"], ["x", "y", "z"],
+         [("c", "z"), ("b", "y"), ("a", "x"), ("b", "z"), ("c", "y"), ("b", "x")],
+         [1.0, 2.0, 3.0]),
+        [0, 1, 4, 6],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_STARTS))
+def test_row_starts_bound_each_sources_block(name):
+    raw, expected = ROW_STARTS[name]
+    network = build_network(*raw)
+    starts = network.row_starts
+    assert starts == expected
+    for j, (a, b) in enumerate(zip(starts, starts[1:])):
+        assert network.edge_source[a:b].tolist() == [j] * (b - a)
+
+
 def test_feasibility_zero_plan(paper_network):
     ok, slack = feasibility_check(np.zeros(6), paper_network)
     assert ok

@@ -77,6 +77,25 @@ def test_retired_solver_fields_parse_to_nothing():
     assert json.loads(config.echo_text())["solver"] == {"lambda": 3.0, "tol": 1e-8}
 
 
+# Values the ascent's range rules used to reject: the parser no longer reads them.
+RETIRED_VALUES = {
+    "gamma-inf": ("gamma", float("inf")),
+    "gamma-zero": ("gamma", 0),
+    "max_iter-zero": ("max_iter", 0),
+    "max_iter-fractional": ("max_iter", 2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_VALUES))
+def test_retired_solver_fields_ignore_their_values(name):
+    key, value = RETIRED_VALUES[name]
+    data = json.loads(PAPER.read_text())
+    data["solver"][key] = value
+    config = parse_scenario(json.dumps(data))
+    assert config == parse_scenario(PAPER.read_text())
+    assert key not in json.loads(config.echo_text())["solver"]
+
+
 def test_parse_empty_file_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_scenario("")
@@ -271,6 +290,11 @@ def test_overrides_are_read_as_the_scenario_file_reads_them(name):
         parse_scenario(PAPER.read_text()).with_overrides(**{keyword: value})
     assert str(from_override.value) == str(from_file.value)
     assert str(from_file.value).startswith(f"'{block}.{key}' must be")
+
+
+def test_overrides_have_no_ascent_step():
+    with pytest.raises(TypeError, match="gamma"):
+        parse_scenario(PAPER.read_text()).with_overrides(gamma=0.05)
 
 
 def test_no_overrides_keep_the_config():
@@ -888,6 +912,17 @@ def test_cli_rejects_invalid_values_before_writing(tmp_path, capsys, name):
     assert run_cli(command, "--config", path, "--out", out, *flags) == 1
     assert capsys.readouterr().err == f"advot: {message}\n"
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_has_no_gamma_flag(tmp_path, capsys, command):
+    # the ascent's step size is gone: an old command line fails rather than runs
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(command, "--config", PAPER, "--out", out, "--gamma", 0.05)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --gamma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_zero_lambda_rejected_for_games(tmp_path, capsys):

@@ -375,3 +375,10 @@ def test_smoothing_spreads_allocations(paper_network, paper_edge_weights):
 def test_settings_reject_non_finite_values(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
         SolverSettings(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["gamma", "max_iter"])
+def test_settings_have_no_ascent_fields(field):
+    # a solve takes no steps, so it has no step size and no step budget
+    with pytest.raises(TypeError, match=field):
+        SolverSettings(**{field: 1})
