@@ -81,11 +81,12 @@ def run_dynamic_game(
 
     Play starts with the previous action at the floor.  Each stage solves its
     fixed point against the belief it inherited, starting from the previous
-    stage's plan (stage 1 from the adversary-free plan); the
-    dispatcher's weights use the thresholded action, the revealed (raw)
-    action then drives the belief update.  A stage that fails to settle
-    raises :class:`StageNotConverged` unless ``abort_on_failure`` is False,
-    in which case the stage is recorded as-is and play continues.
+    stage's plan (stage 1 from the adversary-free plan) and the adversary's
+    stage best response to it; the dispatcher's weights use the thresholded
+    action, the revealed (raw) action then drives the belief update.  A
+    stage that fails to settle raises :class:`StageNotConverged` unless
+    ``abort_on_failure`` is False, in which case the stage is recorded as-is
+    and play continues.
     """
     _check_integer(stages, "stages")
     if stages < 1:

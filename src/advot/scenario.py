@@ -135,18 +135,32 @@ def _normalize(raw: dict) -> "ScenarioConfig":
         {"sources", "targets", "edges", "capacities"},
         "network",
     )
+    id_types = set()
     for key in ("sources", "targets"):
         ids = net_raw[key]
-        if not isinstance(ids, list) or not _ID_TYPES.issuperset(map(type, ids)):
+        if not isinstance(ids, list) or not _ID_TYPES.issuperset(types := set(map(type, ids))):
             raise ValidationError(f"'network.{key}' must be a list of string or integer ids")
+        id_types |= types
     if not isinstance(edges := net_raw["edges"], list):
         raise ValidationError("'network.edges' must be a list of [source, target] pairs")
     if not all(map(isinstance, edges, repeat((list, tuple)))) or set(map(len, edges)) - {2}:
         raise ValidationError("every edge must be a [source, target] pair")
-    if not _ID_TYPES.issuperset(map(type, chain.from_iterable(edges))):
-        raise ValidationError("edge endpoints must be string or integer ids")
-    capacities = _as_array(net_raw["capacities"], "network.capacities")
-    network = build_network(net_raw["sources"], net_raw["targets"], edges, capacities)
+
+    def check_endpoints():
+        if not _ID_TYPES.issuperset(map(type, chain.from_iterable(edges))):
+            raise ValidationError("edge endpoints must be string or integer ids")
+
+    # Of the JSON values only a string equals a string id, so without integer
+    # ids an endpoint of another type fails to build; the scan then runs
+    # before the failure is raised, and its message still comes first.
+    if int in id_types:
+        check_endpoints()
+    try:
+        capacities = _as_array(net_raw["capacities"], "network.capacities")
+        network = build_network(net_raw["sources"], net_raw["targets"], edges, capacities)
+    except (ValidationError, TypeError):
+        check_endpoints()
+        raise
     _check_columns(network)
     weights = _edge_values(network, raw["weights"], "weights")
     data: dict = {

@@ -395,27 +395,32 @@ def stage_equilibrium(
 ) -> EquilibriumProfile:
     """Iterate both best responses of one stage, Anderson-accelerated, until they settle.
 
-    The adversary's trial action ``x`` starts at its caps (worst case for the
-    dispatcher) and the dispatcher at ``plan``.  Each round takes the
-    dispatcher's best response (:func:`dispatcher_best_response`) to ``x``
-    thresholded against ``xi_prev`` and weighed under ``belief``, then the
-    adversary's best response ``g`` to that plan.  The loop stops when
-    neither the plan nor the residual ``g - x`` moves more than
-    ``PROFILE_TOL``; otherwise the next ``x`` is :func:`_anderson_step`
-    clipped into ``[floor, caps]``.  The profile is the last plan and ``g``,
-    and a traced round records them with the payoffs at ``phi(g)``.
+    The adversary's trial action ``x`` starts at its stage best response
+    (:func:`best_response_strategy`) to the handed ``plan``, and the
+    dispatcher at ``plan``.  Each round solves the dispatcher's transport
+    problem at ``x`` thresholded against ``xi_prev`` and weighed under
+    ``belief``, then takes the adversary's best response ``g`` to that plan.
+    The loop stops when neither the plan nor the residual ``g - x`` moves
+    more than ``PROFILE_TOL``; otherwise the next ``x`` is
+    :func:`_anderson_step` clipped into ``[floor, caps]``.  The belief and
+    the first thresholded trial action are checked once, on entry; every
+    later trial action lies in the box.  The profile is the last plan and
+    ``g``, and a traced round records them with the payoffs at ``phi(g)``.
     :func:`deviation_check` then certifies the profile; ``converged``
     requires the loop to settle, the last transport solve to converge and
     the deviation gap to be within tolerance.
     """
-    caps = spec.caps()
-    x = xi = caps
+    network, weights, settings, caps = spec.network, spec.weights, spec.settings, spec.caps()
+    x = xi = best_response_strategy(spec, plan, xi_prev, tau)
+    check_strategy(threshold_phi(x, xi_prev, tau), spec.lower_caps, spec.upper_caps)
+    belief = check_belief(belief, network.n_targets)
     history: list = []
     trace: list[dict] = []
     settled = inner_converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        report = dispatcher_best_response(spec, threshold_phi(x, xi_prev, tau), belief)
+        w_eff = _perceived(network, weights, threshold_phi(x, xi_prev, tau), belief)
+        report = solve_regularized_ot(network, w_eff, settings)
         plan_new, inner_converged = report.plan, report.converged
         xi = best_response_strategy(spec, plan_new, xi_prev, tau)
         residual = xi - x

@@ -239,10 +239,12 @@ def per_type_stage_response(network, plan, params, caps, type_value, xi_prev, ta
 def plain_best_response_iteration(spec, belief, xi_prev, tau, plan, tol=PROFILE_TOL):
     """The unaccelerated equilibrium loop ``xi <- BR(plan(xi))``, one type at a time.
 
-    Starts where the library's loop does, with the actions at their caps and
-    the given plan; each round solves transport at the thresholded actions,
-    takes each type's response with :func:`per_type_stage_response`, and the
-    loop stops once neither the plan nor the actions move more than ``tol``.
+    Starts with the actions at their caps and the given plan, not where the
+    library's loop does (the adversary's best response to that plan), so it
+    stays an independent reference.  Each round solves transport at the
+    thresholded actions, takes each type's response with
+    :func:`per_type_stage_response`, and the loop stops once neither the
+    plan nor the actions move more than ``tol``.
     Returns ``(plan, xi, rounds)``.
     """
     caps = spec.caps()

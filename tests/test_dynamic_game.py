@@ -243,7 +243,7 @@ def test_stage_failure_raises_with_partial_outcomes(paper_spec):
 
 def test_stage_failure_can_continue(paper_spec):
     outcomes = run_dynamic_game(
-        paper_spec, stages=2, tau=0.5, max_rounds=2, abort_on_failure=False
+        paper_spec, stages=2, tau=0.5, max_rounds=1, abort_on_failure=False
     )
     assert len(outcomes) == 2
     assert not any(o.profile.converged for o in outcomes)

@@ -583,12 +583,12 @@ OUTPUT_SHA256 = {
         "trace.csv": "6f0db6a3b535dbf6c55989740dbbd27e485b45ed7ac69afa8695ba7afcfe9376",
     },
     "static-eq": {
-        "report.json": "159e23d9e57f08b9a5e7393cdf43945755c9f5e0d64fbf811e2b5fc6a28e4e81",
-        "trace.csv": "1971f56d66459ad7b3ff327c34c072557ffc1193ec18d8c47a9140ea26feed63",
+        "report.json": "7cb1818a768e4457992645fca610b86c01eba7d1b70336d1f4da437f95c43939",
+        "trace.csv": "97718259daf5330aa3ccbb107938c28212476a384f47101c01a3d00e6f489ba7",
     },
     "dynamic-sim": {
-        "report.json": "14e00927660c395a9c40b04ee18419dfaa50d07fa1a21ef358a3e7a9a4309ffd",
-        "trace.csv": "4f997e862d293717366432c535b1b1b6718b99a01ebc6375a8a2c09781d79e3d",
+        "report.json": "cf36ef5cd0abe04872303c3cd5a29c1a11d66da2bc79d0a49856afcac6580db0",
+        "trace.csv": "527750575cbb8a02d2d477ca730c184d480774e40e285f7e0f8d7c3906f4cdcf",
     },
     "distributed-sim": {
         "report.json": "77bdcfa60dee241cc828143c9eeab9baded141f513b65de7528cb351008dc68d",
@@ -596,7 +596,7 @@ OUTPUT_SHA256 = {
     },
 }
 PAPER_ECHO_SHA256 = "19e2b3644e2d0704187f2224f83308709cd0ac90eb95c8965c748d014c560b35"
-STATIC_JSONL_SHA256 = "73a3397783a9e17bec7317bae556158165f785f38ab80a792adb1606eb8ea250"
+STATIC_JSONL_SHA256 = "d3b6c7c513ef1aa084b5accf8f0033cf660fe99b708f0cf39fa414a508acbf48"
 
 
 def _sha256(path) -> str:
@@ -1013,3 +1013,35 @@ def test_cli_rejects_an_edge_endpoint_that_is_not_an_id(tmp_path, capsys, edge):
     assert run_cli("static-eq", "--config", path, "--out", out) == 1
     assert capsys.readouterr().err == "advot: edge endpoints must be string or integer ids\n"
     assert not out.exists()
+
+
+def _integer_ids(config):
+    """The scenario with sources and targets renamed to integers, edges to match."""
+    network = config["network"]
+    rename = {i: k for k, i in enumerate(network["sources"] + network["targets"])}
+    for key in ("sources", "targets"):
+        network[key] = [rename[i] for i in network[key]]
+    network["edges"] = [[rename[a], rename[b]] for a, b in network["edges"]]
+    return config
+
+
+@pytest.mark.parametrize(
+    ("integer_ids", "endpoint", "capacities"),
+    [
+        (False, 1.5, [4, 3]),
+        (False, True, [4]),  # the endpoint's fault is named before the capacities'
+        (False, None, [-1, 3]),
+        (True, 1.0, [4, 3]),  # equal to the source id 1, so only the type scan rejects it
+        (True, False, [4, 3]),  # equal to the source id 0
+        (True, 1.5, "four"),
+    ],
+)
+def test_an_endpoint_of_another_type_is_named_first(integer_ids, endpoint, capacities):
+    config = json.loads(PAPER.read_text())
+    if integer_ids:
+        config = _integer_ids(config)
+    config["network"]["edges"][-1][0] = endpoint
+    config["network"]["capacities"] = capacities
+    with pytest.raises(ValidationError) as excinfo:
+        parse_scenario(json.dumps(config))
+    assert str(excinfo.value) == "edge endpoints must be string or integer ids"
