@@ -14,7 +14,6 @@ Run from the repository root:  python demos/static_equilibrium.py
 from pathlib import Path
 
 from advot import (
-    dispatcher_best_response,
     parse_scenario,
     planner_objective,
     solve_bayesian_equilibrium,
@@ -45,7 +44,11 @@ for row in profile.trace[:5]:
 # utility comparison at the true (unperturbed) perception weights
 lam = spec.settings.lam
 free = solve_regularized_ot(network, spec.weights, spec.settings).plan
-worst = dispatcher_best_response(spec, spec.caps()).plan
+# actions at the caps, weighed under the prior: m + mu_minor*cap_minor + 2*mu_major*cap_major
+belief, caps = spec.belief, spec.caps()
+node_term = belief[:, 0] * caps[:, 0] + belief[:, 1] * 2.0 * caps[:, 1]
+perceived = spec.weights + node_term[network.edge_target]
+worst = solve_regularized_ot(network, perceived, spec.settings).plan
 u_free = planner_objective(free, spec.weights, lam)
 u_eq = planner_objective(profile.plan, spec.weights, lam)
 u_worst = planner_objective(worst, spec.weights, lam)

@@ -44,7 +44,6 @@ from .network import (
     build_network,
     check_belief,
     check_strategy,
-    feasibility_check,
     uniform_belief,
 )
 from .scenario import (
@@ -56,14 +55,9 @@ from .scenario import (
 from .static_game import (
     EquilibriumProfile,
     GameSpec,
-    adversary_cost,
     best_response_strategy,
     deviation_check,
-    dispatcher_best_response,
-    dispatcher_expected_utility,
-    effective_weights,
     minimize_node_cost,
-    node_cost_aggregates,
     solve_bayesian_equilibrium,
     stage_adversary_best_response,
     threshold_phi,
@@ -71,7 +65,6 @@ from .static_game import (
 from .transport import (
     SolveReport,
     SolverSettings,
-    capacity_prices,
     planner_objective,
     primal_update,
     solve_regularized_ot,

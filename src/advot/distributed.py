@@ -417,7 +417,7 @@ def _snapshot_row(tick, plan, prices, xi, residual, objective) -> dict:
 def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, MessageLog]:
     """Drive the agents to the centralized fixed point through messages only.
 
-    Activated agents set the exact price of their own row (``capacity_prices``
+    Activated agents set the exact price of their own row (:func:`row_prices`
     on that row alone) and mail their new rates to the target nodes they
     touch.  An agent ticks and sends only while it holds weights it has not
     priced (at first, and after each refresh); any other tick would resend

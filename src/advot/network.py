@@ -175,20 +175,6 @@ def check_plan(network: BipartiteNetwork, plan: np.ndarray) -> np.ndarray:
     return arr
 
 
-def feasibility_check(
-    plan: np.ndarray, network: BipartiteNetwork, tol: float = 1e-9
-) -> tuple[bool, np.ndarray]:
-    """Whether a plan respects nonnegativity and capacities, plus per-source slack.
-
-    Feasible iff every rate is >= -tol and every row sum is <= capacity + tol.
-    The returned slack is capacity minus the corresponding row sum.
-    """
-    arr = check_plan(network, plan)
-    slack = network.capacities - network.row_sums(arr)
-    feasible = bool(np.all(arr >= -tol) and np.all(slack >= -tol))
-    return feasible, slack
-
-
 def uniform_belief(n_targets: int) -> np.ndarray:
     """Per-target (minor, major) probabilities, all set to one half."""
     return np.full((n_targets, 2), 0.5)
@@ -213,7 +199,7 @@ def check_belief(belief: np.ndarray, n_targets: int) -> np.ndarray:
 def check_strategy(
     xi: np.ndarray, lower_caps: np.ndarray, upper_caps: np.ndarray
 ) -> np.ndarray:
-    """Validate a per-target, per-type action table against floor and caps.
+    """Validate a finite per-target, per-type action table against floor and caps.
 
     Column 0 holds the minor type's action (capped by ``lower_caps``),
     column 1 the major type's (capped by ``upper_caps``).
@@ -229,6 +215,8 @@ def check_strategy(
     caps = np.stack([np.asarray(lower_caps, float), np.asarray(upper_caps, float)], axis=1)
     if np.any(arr > caps * (1 + 1e-12)):
         raise ValidationError("an action exceeds its per-type cap")
+    if not np.all(np.isfinite(arr)):  # last, so that only NaN reaches it
+        raise ValidationError("actions must be finite")
     return arr
 
 

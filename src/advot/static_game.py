@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PerturbationBelowFloor, ValidationError
+from .errors import DimensionMismatch, PerturbationBelowFloor, ValidationError
 from .network import (
     PERTURBATION_FLOOR,
     AdversaryCostParams,
@@ -34,7 +34,7 @@ from .network import (
     check_plan,
     check_strategy,
 )
-from .transport import SolveReport, SolverSettings, planner_objective, solve_regularized_ot
+from .transport import SolverSettings, planner_objective, solve_regularized_ot
 
 logger = logging.getLogger(__name__)
 
@@ -109,102 +109,29 @@ class EquilibriumProfile:
     trace: list[dict] = field(default_factory=list)
 
 
-def effective_weights(
-    network: BipartiteNetwork,
-    weights: np.ndarray,
-    xi: np.ndarray,
-    belief: np.ndarray,
-) -> np.ndarray:
+def _perceived(network, weights, xi, belief) -> np.ndarray:
     """Belief-averaged perception per edge: ``m + mu1*xi_minor + 2*mu2*xi_major``.
 
     The type multiplies its own action (major counts twice), so this is the
     expected per-edge coefficient the dispatcher actually optimizes against.
     """
-    xi = np.asarray(xi, dtype=float)
-    belief = check_belief(belief, network.n_targets)
-    return _perceived(network, np.asarray(weights, dtype=float), xi, belief)
-
-
-def _perceived(network, weights, xi, belief) -> np.ndarray:
-    """:func:`effective_weights` of float arrays and a checked belief."""
     node_term = belief[:, 0] * 1.0 * xi[:, 0] + belief[:, 1] * 2.0 * xi[:, 1]
     return weights + node_term[network.edge_target]
 
 
-def dispatcher_expected_utility(
-    network: BipartiteNetwork,
-    plan: np.ndarray,
-    weights: np.ndarray,
-    xi: np.ndarray,
-    belief: np.ndarray,
-    lam: float,
-) -> float:
-    """Expected utility of a plan against a typed action profile.
-
-    Equals ``sum(m_eff * x) - lam*sum(x*log x)`` with the entropic term
-    counted once per edge (a type-independent term keeps its value under the
-    expectation).
-    """
-    plan = check_plan(network, plan)
-    return planner_objective(plan, effective_weights(network, weights, xi, belief), lam)
-
-
-def dispatcher_best_response(
-    spec: GameSpec, xi: np.ndarray, belief: np.ndarray | None = None
-) -> SolveReport:
-    """Solve the dispatcher's transport problem under belief-averaged weights.
-
-    ``belief`` defaults to the spec's prior.
-    """
-    xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
-    belief = spec.belief if belief is None else belief
-    w = effective_weights(spec.network, spec.weights, xi, belief)
-    return solve_regularized_ot(spec.network, w, spec.settings)
-
-
-def adversary_cost(
-    network: BipartiteNetwork,
-    plan: np.ndarray,
-    weights: np.ndarray,
-    xi: np.ndarray,
-    theta: np.ndarray,
-    params: AdversaryCostParams,
-) -> float:
-    """Cost of a joint type's actions: expected punishment plus handed-over revenue.
-
-    Per edge this is ``coeff * xi_q(theta_q)**(-beta2) * x**beta1 +
-    (m + theta_q * xi_q(theta_q)) * x``; the adversary is a minimizer.
-    """
-    plan = check_plan(network, plan)
-    xi = np.asarray(xi, dtype=float)
-    theta = np.asarray(theta, dtype=int)
-    if theta.shape != (network.n_targets,) or not np.all((theta == 1) | (theta == 2)):
-        raise ValidationError("theta must assign type 1 or 2 to every target")
-    if np.any(xi < PERTURBATION_FLOOR):
-        raise PerturbationBelowFloor(
-            f"actions must stay >= {PERTURBATION_FLOOR} to keep the penalty finite"
-        )
-    theta_e = theta[network.edge_target]
-    xi_e = xi[network.edge_target, theta_e - 1]
-    return _edge_cost(params, plan, plan ** params.beta1, np.asarray(weights, float), theta_e, xi_e)
-
-
 def _edge_cost(params, plan, powered, weights, theta_e, xi_e) -> float:
-    """:func:`adversary_cost` of a checked plan, ``powered = plan**beta1`` and per-edge types."""
+    """Adversary cost ``sum coeff*xi_e**(-beta2)*powered + (m + theta_e*xi_e)*x``.
+
+    Per edge: expected punishment plus handed-over revenue, with ``powered =
+    x**beta1`` and ``theta_e``, ``xi_e`` the type and action at its target.
+    """
     penalty = params.punishment_coeff * xi_e ** (-params.beta2) * powered
     revenue = (weights + theta_e * xi_e) * plan
     return float(np.sum(penalty + revenue))
 
 
-def node_cost_aggregates(
-    network: BipartiteNetwork, plan: np.ndarray, params: AdversaryCostParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-target penalty scale ``A_q = sum coeff*x**beta1`` and flow ``S_q = sum x``."""
-    return _aggregates(network, check_plan(network, plan), params)
-
-
 def _aggregates(network, plan, params) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`node_cost_aggregates` of a checked plan."""
+    """Per-target penalty scale ``A_q = sum coeff*x**beta1`` and flow ``S_q = sum x``."""
     penalty = params.punishment_coeff * plan ** params.beta1
     return tuple(np.bincount(network.edge_target, w, network.n_targets) for w in (penalty, plan))
 
@@ -260,7 +187,7 @@ def _stage_response(network, plan, params, caps, xi_prev, tau: float):
     """
     if not tau >= 0:  # also rejects NaN
         raise ValidationError("tau must be >= 0")
-    scale, flow = node_cost_aggregates(network, plan, params)
+    scale, flow = _aggregates(network, check_plan(network, plan), params)
     scale, flow_term = scale[:, None], flow[:, None] * TYPE_VALUES
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
     z = np.maximum(minimize_node_cost(scale, flow_term, params.beta2, z_hi), xi_prev)
@@ -282,7 +209,8 @@ def stage_adversary_best_response(
     ``z`` over the range of ``phi`` (see :func:`_stage_response`) maps back
     through ``xi = z + tau``, except that minimizers stuck at the range's
     lower end stay at the previous action (no incentive to move inside the
-    flat region).
+    flat region).  Nothing in the package calls it: it stays only because
+    the benchmark's tracer wraps it by name in :mod:`advot.dynamic_game`.
     """
     if type_value not in (1, 2):
         raise ValidationError("type_value must be 1 (minor) or 2 (major)")
@@ -329,11 +257,11 @@ def deviation_check(
     network, lam = spec.network, spec.settings.lam
     plan = check_plan(network, plan)
     xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
-    belief = spec.belief if belief is None else belief
+    belief = check_belief(spec.belief if belief is None else belief, network.n_targets)
     xi_prev = np.asarray(xi_prev, dtype=float)
     effective = threshold_phi(xi, xi_prev, tau)
 
-    w_eff = effective_weights(network, spec.weights, effective, belief)
+    w_eff = _perceived(network, spec.weights, effective, belief)
     slack = network.capacities - network.row_sums(plan)
     hi = np.maximum(plan + slack[network.edge_source], 0.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -402,17 +330,24 @@ def stage_equilibrium(
     ``belief``, then takes the adversary's best response ``g`` to that plan.
     The loop stops when neither the plan nor the residual ``g - x`` moves
     more than ``PROFILE_TOL``; otherwise the next ``x`` is
-    :func:`_anderson_step` clipped into ``[floor, caps]``.  The belief and
-    the first thresholded trial action are checked once, on entry; every
-    later trial action lies in the box.  The profile is the last plan and
+    :func:`_anderson_step` clipped into ``[floor, caps]``.  The anchor
+    ``xi_prev``, broadcast to ``(n_targets, 2)``, and the belief are checked
+    once, on entry: with the anchor in ``[floor, caps]`` every thresholded
+    trial action lies there too.  The profile is the last plan and
     ``g``, and a traced round records them with the payoffs at ``phi(g)``.
     :func:`deviation_check` then certifies the profile; ``converged``
     requires the loop to settle, the last transport solve to converge and
     the deviation gap to be within tolerance.
     """
     network, weights, settings, caps = spec.network, spec.weights, spec.settings, spec.caps()
+    try:
+        anchor = np.broadcast_to(np.asarray(xi_prev, dtype=float), caps.shape)
+    except ValueError:
+        raise DimensionMismatch(
+            f"anchor has shape {np.shape(xi_prev)}, which does not broadcast to {caps.shape}"
+        ) from None
+    check_strategy(anchor, spec.lower_caps, spec.upper_caps)
     x = xi = best_response_strategy(spec, plan, xi_prev, tau)
-    check_strategy(threshold_phi(x, xi_prev, tau), spec.lower_caps, spec.upper_caps)
     belief = check_belief(belief, network.n_targets)
     history: list = []
     trace: list[dict] = []

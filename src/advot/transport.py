@@ -4,7 +4,7 @@ The dispatcher maximizes ``sum(m*x) - lam*sum(x*log x)`` subject to per-source
 capacities ``Bx <= c`` and ``x >= 0``.  With ``lam > 0`` the primal update has
 a closed form per edge.  The capacity constraints are per source, so the dual
 splits by source and each optimal price has a closed form too
-(:func:`capacity_prices`, one-marginal Sinkhorn scaling).
+(:func:`row_prices`, one-marginal Sinkhorn scaling).
 :func:`solve_regularized_ot` is one pass: the plan at those prices, and the
 complementary-slackness residual that checks it against ``tol``.  ``lam == 0``
 degenerates to a linear program whose vertex solution is computed greedily.
@@ -104,24 +104,16 @@ def primal_update(
     return np.exp((w - p[network.edge_source]) / lam - 1.0)
 
 
-def capacity_prices(network: BipartiteNetwork, weights: np.ndarray, lam: float) -> np.ndarray:
+def row_prices(weights, edge_source, capacities, lam: float) -> np.ndarray:
     """Optimal capacity prices: ``p_j = max(0, lam*(logsumexp_e(m_e/lam - 1) - log c_j))``.
 
-    The logsumexp runs over the edges leaving source ``j``.  At that price
-    the closed-form plan ``exp((m - p_j)/lam - 1)`` fills the capacity
-    exactly, or the price is 0 because the unpriced plan already fits; either
-    way the KKT conditions hold.  Each source's exponents are shifted by
-    their maximum, so the prices stay finite when ``m/lam`` is large.  This
-    is the one-marginal case of Sinkhorn scaling.
+    The logsumexp runs over the edges leaving source ``j``, edge ``e`` leaving
+    ``edge_source[e]``.  At that price the closed-form plan ``exp((m -
+    p_j)/lam - 1)`` fills the capacity exactly, or the price is 0 because the
+    unpriced plan already fits; either way the KKT conditions hold.  Each
+    source's exponents are shifted by their maximum, so the prices stay
+    finite when ``m/lam`` is large: one-marginal Sinkhorn scaling.
     """
-    if lam <= 0:
-        raise ZeroLambda("capacity prices need lam > 0; use unregularized_solve")
-    w = _check_weights(network, weights)
-    return row_prices(w, network.edge_source, network.capacities, lam)
-
-
-def row_prices(weights, edge_source, capacities, lam: float) -> np.ndarray:
-    """:func:`capacity_prices` on bare arrays: edge ``e`` leaves source ``edge_source[e]``."""
     exponent = weights / lam - 1.0
     shift = np.full(len(capacities), -np.inf)
     np.maximum.at(shift, edge_source, exponent)
@@ -137,7 +129,7 @@ def solve_regularized_ot(
 ) -> SolveReport:
     """The plan at the exact capacity prices, checked against ``settings.tol``.
 
-    The prices are :func:`capacity_prices` of ``weights`` and the plan is
+    The prices are :func:`row_prices` of ``weights`` and the plan is
     :func:`primal_update` at them, so stationarity holds by construction and
     primal feasibility and complementary slackness hold up to rounding.  The
     solve reports how far: its residual is the worst complementary-slackness

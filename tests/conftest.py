@@ -11,8 +11,10 @@ from advot import (
     GameSpec,
     SolverSettings,
     build_network,
+    solve_regularized_ot,
     uniform_belief,
 )
+from advot.static_game import _perceived
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -91,3 +93,9 @@ def make_random_spec(rng, n_sources=2, n_targets=2, lam=3.0, edges=None):
         belief=uniform_belief(n_targets),
         settings=SolverSettings(lam=lam),
     )
+
+
+def perceived_solve(spec, xi):
+    """The dispatcher's transport solve against the actions ``xi``, weighed under the spec's prior."""
+    weights = _perceived(spec.network, spec.weights, xi, spec.belief)
+    return solve_regularized_ot(spec.network, weights, spec.settings)

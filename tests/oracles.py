@@ -4,10 +4,14 @@ Each oracle here deliberately takes a different route than the library:
 general-purpose NLP/LP solvers, dense grid search, bisection on composed
 maps, brute-force enumeration of the joint type space, per-coordinate
 loops over a grid certificate's rows, one type at a time through the stage
-best response's steps, the unaccelerated best-response iteration, one
-``json.dumps`` per message-log record, and the per-edge loop that builds a
-network.  Thin helpers that only tests call, ``adversary_best_response``,
-``agent_tick``, ``edges_from`` and ``edges_into``, live here too.
+best response's steps, the unaccelerated best-response iteration, a joint
+type's adversary cost one edge at a time, one ``json.dumps`` per
+message-log record, and the per-edge loop that builds a network.  Where an
+oracle needs the perceived weights or the per-target cost aggregates as a
+building block, it calls the kernel the engine runs,
+``advot.static_game._perceived`` or ``_aggregates``.  Thin helpers that
+only tests call, ``adversary_best_response``, ``agent_tick``,
+``edges_from`` and ``edges_into``, live here too.
 """
 
 from __future__ import annotations
@@ -31,14 +35,12 @@ from advot import (
     NonpositiveCapacity,
     ValidationError,
     check_belief,
-    effective_weights,
     minimize_node_cost,
-    node_cost_aggregates,
     solve_regularized_ot,
     stage_adversary_best_response,
     threshold_phi,
 )
-from advot.static_game import PROFILE_TOL
+from advot.static_game import PROFILE_TOL, _aggregates, _perceived
 
 
 @contextmanager
@@ -185,6 +187,23 @@ def enumerated_expected_utility(network, plan, weights, xi, belief, lam):
     return total - lam * entropy
 
 
+def per_edge_adversary_cost(network, plan, weights, xi, theta, params):
+    """A joint type's cost, one edge at a time: expected punishment plus handed-over revenue.
+
+    The edge ``e`` into target ``q`` of type ``t = theta[q]``, acting at
+    ``a = xi[q, t - 1]``, costs ``coeff_e * a**(-beta2) * x_e**beta1 +
+    (m_e + t*a) * x_e``.
+    """
+    total = 0.0
+    for e in range(network.n_edges):
+        q = int(network.edge_target[e])
+        t = int(theta[q])
+        action, x = float(xi[q, t - 1]), float(plan[e])
+        total += params.punishment_coeff[e] * action ** -params.beta2 * x ** params.beta1
+        total += (weights[e] + t * action) * x
+    return total
+
+
 def loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=21):
     """Coordinate-wise grid certificate, one ``np.linspace`` row at a time.
 
@@ -195,7 +214,8 @@ def loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=21):
     approaches it as the grid is refined.
     """
     effective = threshold_phi(xi, xi_prev, tau)
-    w_eff = effective_weights(spec.network, spec.weights, effective, belief)
+    belief = check_belief(belief, spec.network.n_targets)
+    w_eff = _perceived(spec.network, spec.weights, effective, belief)
     rows = spec.network.row_sums(plan)
     slack = spec.network.capacities - rows
     lam = spec.settings.lam
@@ -206,7 +226,7 @@ def loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=21):
         ent = np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0)
         base = w_eff[e] * plan[e] - lam * (plan[e] * np.log(plan[e]) if plan[e] > 0 else 0.0)
         best = max(best, float(np.max(w_eff[e] * grid - lam * ent - base)))
-    scale, flow = node_cost_aggregates(spec.network, plan, spec.cost_params)
+    scale, flow = _aggregates(spec.network, plan, spec.cost_params)
     beta2 = spec.cost_params.beta2
     caps = spec.caps()
     for q in range(spec.network.n_targets):
@@ -229,7 +249,7 @@ def per_type_stage_response(network, plan, params, caps, type_value, xi_prev, ta
     ``xi_prev``; and mapped back through ``xi = z + tau`` wherever it moved
     above ``xi_prev``.
     """
-    scale, flow = node_cost_aggregates(network, plan, params)
+    scale, flow = _aggregates(network, plan, params)
     xi_prev = np.asarray(xi_prev, dtype=float)
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
     z = np.maximum(minimize_node_cost(scale, type_value * flow, params.beta2, z_hi), xi_prev)
@@ -249,10 +269,11 @@ def plain_best_response_iteration(spec, belief, xi_prev, tau, plan, tol=PROFILE_
     """
     caps = spec.caps()
     xi_prev = np.broadcast_to(np.asarray(xi_prev, dtype=float), caps.shape)
+    belief = check_belief(belief, spec.network.n_targets)
     xi = caps
     for rounds in range(1, 10_001):
         effective = threshold_phi(xi, xi_prev, tau)
-        w_eff = effective_weights(spec.network, spec.weights, effective, belief)
+        w_eff = _perceived(spec.network, spec.weights, effective, belief)
         new_plan = solve_regularized_ot(spec.network, w_eff, spec.settings).plan
         new_xi = np.stack([
             per_type_stage_response(

@@ -6,17 +6,14 @@ pytest with ``-s`` to see them inline), then asserts.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 import pytest
 
 from advot import (
-    MessageLog,
     PERTURBATION_FLOOR,
     Schedule,
-    SolverSettings,
     minimize_node_cost,
     parse_scenario,
     planner_objective,
@@ -31,7 +28,7 @@ from advot import (
 )
 from advot.cli import main as cli_main
 from advot.dynamic_game import belief_update
-from conftest import SCENARIO_DIR, make_random_spec
+from conftest import SCENARIO_DIR, make_random_spec, perceived_solve
 from oracles import grid_min_cost, slsqp_regularized_plan
 from test_distributed import logged_iterates, reference_sync_run
 
@@ -170,9 +167,7 @@ def test_criterion_attack_degrades_utility(paper_game, paper_equilibrium):
     free_plan = solve_regularized_ot(network, weights, paper_game.settings).plan
     utility_free = planner_objective(free_plan, weights, lam)
     utility_eq = planner_objective(paper_equilibrium.plan, weights, lam)
-    from advot import dispatcher_best_response
-
-    worst_plan = dispatcher_best_response(paper_game, paper_game.caps()).plan
+    worst_plan = perceived_solve(paper_game, paper_game.caps()).plan
     utility_worst = planner_objective(worst_plan, weights, lam)
     if not utility_eq > utility_worst:
         failures.append(

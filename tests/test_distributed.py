@@ -22,9 +22,7 @@ from advot import (
     ValidationError,
     best_response_strategy,
     build_network,
-    capacity_prices,
     deviation_check,
-    effective_weights,
     parse_scenario,
     replay,
     run_distributed,
@@ -32,7 +30,8 @@ from advot import (
     uniform_belief,
 )
 from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPOLOGY, TRACE, WEIGHT
-from advot.static_game import DEVIATION_TOL
+from advot.static_game import DEVIATION_TOL, _perceived
+from advot.transport import row_prices
 from conftest import load_perfbench, make_random_spec
 from oracles import agent_tick, edges_from, edges_into, reference_log_text
 
@@ -186,7 +185,7 @@ def test_agent_one_tick_price_is_the_exact_capacity_price(n_edges, top, lam, log
     capacity = float(np.exp(log_capacity))
     targets = [f"t{i}" for i in range(n_edges)]
     net = build_network(["s"], targets, [("s", t) for t in targets], [capacity])
-    expected = float(capacity_prices(net, weights, lam)[0])
+    expected = float(row_prices(weights, net.edge_source, net.capacities, lam)[0])
     agent = agent_tick(make_agent(capacity=capacity, weights=weights, lam=lam))
     assert agent.price == pytest.approx(expected, rel=1e-12, abs=0)
     assert np.all(np.isfinite(agent.rates))
@@ -583,7 +582,7 @@ def overflow_spec():
 def applied_weights(spec: GameSpec, log: MessageLog) -> np.ndarray:
     """The weights the single agent of ``spec`` held at its last tick, read from the log."""
     caps = spec.caps()
-    weights = effective_weights(spec.network, spec.weights, caps, spec.belief)
+    weights = _perceived(spec.network, spec.weights, caps, spec.belief)
     last_tick = max(t for t, kind in zip(log.ticks, log.kinds) if kind == PRICE)
     for tick, kind, e, value in zip(log.ticks, log.kinds, log.index, log.value):
         if kind == WEIGHT and tick < last_tick:
@@ -599,7 +598,9 @@ def test_overflow_input_converges_with_the_exact_finite_price(mode):
     assert report.converged
     price = float(report.prices[0])
     assert np.isfinite(price) and price > 0
-    expected = float(capacity_prices(spec.network, applied_weights(spec, log), spec.settings.lam)[0])
+    weights = applied_weights(spec, log)
+    network = spec.network
+    expected = float(row_prices(weights, network.edge_source, network.capacities, spec.settings.lam)[0])
     assert price == pytest.approx(expected, rel=1e-12, abs=0)
     assert np.max(np.abs(report.plan - central.plan)) <= 1e-6
     assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
@@ -691,7 +692,7 @@ def held_state_at_each_refresh(spec: GameSpec, log: MessageLog):
 
     The weights start at those of the caps.
     """
-    held = effective_weights(spec.network, spec.weights, spec.caps(), spec.belief)
+    held = _perceived(spec.network, spec.weights, spec.caps(), spec.belief)
     mailed = held.copy()
     rates = np.full(spec.network.n_edges, np.nan)
     prices = np.full(spec.network.n_sources, np.nan)

@@ -17,12 +17,12 @@ import advot.cli  # the tracer wraps the CLI too
 from advot import (
     PERTURBATION_FLOOR,
     AdversaryCostParams,
+    DimensionMismatch,
     PerturbationBelowFloor,
     StageNotConverged,
+    ValidationError,
     best_response_strategy,
     deviation_check,
-    dispatcher_best_response,
-    effective_weights,
     parse_scenario,
     run_dynamic_game,
     solve_bayesian_equilibrium,
@@ -30,7 +30,7 @@ from advot import (
     stage_adversary_best_response,
     threshold_phi,
 )
-from advot.static_game import DEVIATION_TOL, stage_equilibrium
+from advot.static_game import DEVIATION_TOL, MAX_ROUNDS, _perceived, stage_equilibrium
 from conftest import SCENARIO_DIR, make_random_spec
 from oracles import (
     edges_from,
@@ -148,9 +148,7 @@ def test_certificate_bounds_and_matches_grid_references(
             plan[edges] = 0.0
             plan[edges[0]] = network.capacities[0]
         if decided_by in ("adversary", "neither"):
-            w_eff = effective_weights(
-                network, spec.weights, threshold_phi(xi, xi_prev, tau), belief
-            )
+            w_eff = _perceived(network, spec.weights, threshold_phi(xi, xi_prev, tau), belief)
             plan = solve_regularized_ot(network, w_eff, spec.settings).plan
         if decided_by in ("dispatcher", "neither"):
             xi = best_response_strategy(spec, plan, xi_prev, tau)
@@ -276,7 +274,7 @@ def test_loop_first_plays_the_best_response_to_the_handed_plan(staged, monkeypat
     first = threshold_phi(best_response_strategy(spec, plan, xi_prev, tau), xi_prev, tau)
     assert not np.allclose(first, threshold_phi(spec.caps(), xi_prev, tau))
     np.testing.assert_array_equal(
-        solved[0], effective_weights(spec.network, spec.weights, first, belief)
+        solved[0], _perceived(spec.network, spec.weights, first, belief)
     )
 
 
@@ -323,8 +321,36 @@ def test_caps_below_the_action_floor_are_rejected(paper_spec):
         dataclasses.replace(paper_spec, lower_caps=np.full(3, 0.5 * PERTURBATION_FLOOR))
 
 
+@pytest.mark.parametrize(
+    ("anchor", "tau", "max_rounds", "error", "message"),
+    [
+        (0.0, 0.5, MAX_ROUNDS, PerturbationBelowFloor, "actions must stay >= "),
+        (5e-7, 0.5, MAX_ROUNDS, PerturbationBelowFloor, "actions must stay >= "),
+        (5e-7, 0.0, MAX_ROUNDS, PerturbationBelowFloor, "actions must stay >= "),
+        (np.nan, 0.5, 0, ValidationError, "actions must be finite"),
+        (np.full((5, 2), 1.0), 0.5, MAX_ROUNDS, DimensionMismatch, r"shape \(5, 2\)"),
+        (9.0, 0.5, MAX_ROUNDS, ValidationError, "an action exceeds its per-type cap"),
+    ],
+    ids=["zero", "below-floor", "below-floor-static", "nan", "wrong-shape", "above-a-cap"],
+)
+def test_stage_rejects_an_anchor_outside_the_action_box(
+    paper_spec, anchor, tau, max_rounds, error, message
+):
+    """The anchor ``xi_prev`` is checked on entry, before any round is played.
+
+    Unchecked, an anchor below the floor leaves thresholded actions where the
+    penalty ``z**(-beta2)`` is not meant to be evaluated, yet the profile
+    can come back converged; a NaN anchor gives a NaN gap.  An anchor that
+    does not broadcast to ``(n_targets, 2)`` is a ``DimensionMismatch``.
+    """
+    plan = _free_plan(paper_spec)
+    with pytest.raises(error, match=message) as excinfo:
+        stage_equilibrium(paper_spec, paper_spec.belief, anchor, tau, plan, max_rounds)
+    assert excinfo.type is error
+
+
 # ---------------------------------------------------------------------------
-# every transport solve of the engine is priced exactly: one ascent step
+# every transport solve of the engine is one exact pricing pass
 
 
 @pytest.fixture
@@ -349,19 +375,18 @@ def _play(config):
     static = solve_bayesian_equilibrium(spec)
     outcomes = run_dynamic_game(spec, stages, tau)
     assert static.converged and all(o.profile.converged for o in outcomes)
-    dispatcher_best_response(spec, spec.caps())
     return static.iterations, [o.profile.iterations for o in outcomes]
 
 
-def test_paper_equilibrium_solves_take_one_ascent_step(engine_solves):
+def test_paper_equilibrium_prices_each_solve_in_one_pass(engine_solves):
     config = parse_scenario((SCENARIO_DIR / "paper_2x3.json").read_text())
     assert _play(config) == (5, [5, 2, 2, 2, 2])
-    # a base solve per game, one solve per round, one best response
-    assert len(engine_solves) == (1 + 5) + (1 + 13) + 1
+    # a base solve per game and one solve per round
+    assert len(engine_solves) == (1 + 5) + (1 + 13)
     assert all(r.iterations == 1 and r.converged for r in engine_solves)
 
 
-def test_sparse_equilibrium_solves_take_one_ascent_step(engine_solves):
+def test_sparse_equilibrium_prices_each_solve_in_one_pass(engine_solves):
     generate = _load_perfbench("generate")
     config = parse_scenario(generate.scenario_text(generate.sparse_pool(1, 1)[0]))
     assert max(np.bincount(config.network.edge_source)) == generate.SPARSE_MAX_DEGREE

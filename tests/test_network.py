@@ -14,10 +14,9 @@ from advot import (
     NonpositiveCapacity,
     ValidationError,
     build_network,
-    feasibility_check,
     uniform_belief,
 )
-from advot.network import check_belief
+from advot.network import check_belief, check_plan
 from oracles import TypeSpace, incidence, reference_build_network
 
 
@@ -173,28 +172,26 @@ def test_row_starts_bound_each_sources_block(name):
 
 
 def test_feasibility_zero_plan(paper_network):
-    ok, slack = feasibility_check(np.zeros(6), paper_network)
-    assert ok
+    slack = paper_network.capacities - paper_network.row_sums(np.zeros(6))
     np.testing.assert_array_equal(slack, paper_network.capacities)
 
 
 def test_feasibility_at_capacity_boundary(paper_network):
     plan = paper_network.edge_vector([[4.0, 0, 0], [0, 3.0, 0]])
-    ok, slack = feasibility_check(plan, paper_network)
-    assert ok
+    slack = paper_network.capacities - paper_network.row_sums(plan)
     np.testing.assert_allclose(slack, [0.0, 0.0], atol=1e-12)
 
 
 def test_feasibility_detects_overload(paper_network):
     plan = paper_network.edge_vector([[4.1, 0, 0], [0, 3.0, 0]])
-    ok, slack = feasibility_check(plan, paper_network, tol=1e-9)
-    assert not ok
+    slack = paper_network.capacities - paper_network.row_sums(plan)
     assert slack[0] == pytest.approx(-0.1)
+    assert slack[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_feasibility_dimension_mismatch(paper_network):
     with pytest.raises(DimensionMismatch):
-        feasibility_check(np.zeros(5), paper_network)
+        check_plan(paper_network, np.zeros(5))
 
 
 def test_network_arrays_are_immutable(paper_network):

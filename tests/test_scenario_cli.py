@@ -14,7 +14,6 @@ from advot import (
     Schedule,
     ValidationError,
     build_network,
-    capacity_prices,
     emit_trace,
     parse_scenario,
     run_command,
@@ -31,6 +30,7 @@ from advot.scenario import (
 )
 from advot.cli import main
 from advot.static_game import DEVIATION_TOL
+from advot.transport import row_prices
 from conftest import SCENARIO_DIR, load_perfbench
 
 PAPER = SCENARIO_DIR / "paper_2x3.json"
@@ -833,7 +833,8 @@ def test_cli_solve_ot_solves_the_overflow_input(tmp_path, overflow_config):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
     config = parse_scenario(overflow_config.read_text())
-    expected = capacity_prices(config.network, config.weights, 3.0)[0]
+    network = config.network
+    expected = row_prices(config.weights, network.edge_source, network.capacities, 3.0)[0]
     assert np.isfinite(report["prices"][0])
     assert report["prices"][0] == pytest.approx(expected, rel=1e-12, abs=0)
 

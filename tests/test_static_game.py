@@ -12,28 +12,25 @@ from advot import (
     GameSpec,
     PerturbationBelowFloor,
     SolverSettings,
-    adversary_cost,
+    ValidationError,
     best_response_strategy,
     build_network,
     deviation_check,
-    dispatcher_best_response,
-    dispatcher_expected_utility,
-    effective_weights,
     minimize_node_cost,
-    node_cost_aggregates,
     primal_update,
     solve_bayesian_equilibrium,
     solve_regularized_ot,
     uniform_belief,
 )
-from advot.static_game import stage_payoffs
-from conftest import make_random_spec
+from advot.static_game import _aggregates, _perceived, stage_payoffs
+from conftest import make_random_spec, perceived_solve
 from oracles import (
     adversary_best_response,
     bisection_1x1_equilibrium,
     edges_from,
     enumerated_expected_utility,
     grid_min_cost,
+    per_edge_adversary_cost,
     slsqp_regularized_plan,
 )
 
@@ -60,14 +57,14 @@ def one_edge_game(m=2.0, c=1.5, lower=1.0, upper=4.0, coeff=2.0, lam=3.0):
 def test_effective_weights_direct_arithmetic():
     net = build_network(["s"], ["t"], [("s", "t")], [1.0])
     xi = np.array([[2.0, 4.0]])
-    out = effective_weights(net, np.array([1.0]), xi, uniform_belief(1))
+    out = _perceived(net, np.array([1.0]), xi, uniform_belief(1))
     assert out[0] == pytest.approx(6.0)
 
 
 def test_effective_weights_floor_case():
     net = build_network(["s"], ["t"], [("s", "t")], [1.0])
     xi = np.full((1, 2), PERTURBATION_FLOOR)
-    out = effective_weights(net, np.array([1.0]), xi, uniform_belief(1))
+    out = _perceived(net, np.array([1.0]), xi, uniform_belief(1))
     assert out[0] == pytest.approx(1.0 + 1.5e-6, abs=1e-12)
 
 
@@ -75,24 +72,20 @@ def test_effective_weights_degenerate_belief():
     net = build_network(["s"], ["t"], [("s", "t")], [1.0])
     xi = np.array([[3.0, 7.0]])
     belief = np.array([[1.0, 0.0]])
-    out = effective_weights(net, np.array([1.0]), xi, belief)
+    out = _perceived(net, np.array([1.0]), xi, belief)
     assert out[0] == pytest.approx(4.0)  # major action ignored entirely
 
 
 def test_expected_utility_zero_plan(paper_spec):
     xi = paper_spec.caps()
-    value = dispatcher_expected_utility(
-        paper_spec.network, np.zeros(6), paper_spec.weights, xi, paper_spec.belief, 3.0
-    )
+    value = stage_payoffs(paper_spec, paper_spec.belief, np.zeros(6), xi)[0]
     assert value == 0.0
 
 
 def test_expected_utility_single_edge_log_one():
-    net = build_network(["s"], ["t"], [("s", "t")], [2.0])
+    spec = one_edge_game(m=1.0, c=2.0)
     xi = np.array([[2.0, 4.0]])
-    value = dispatcher_expected_utility(
-        net, np.array([1.0]), np.array([1.0]), xi, uniform_belief(1), 3.0
-    )
+    value = stage_payoffs(spec, spec.belief, np.array([1.0]), xi)[0]
     assert value == pytest.approx(6.0)
 
 
@@ -104,9 +97,7 @@ def test_expected_utility_matches_type_enumeration(paper_spec):
             [rng.uniform(1e-6, paper_spec.lower_caps), rng.uniform(1e-6, paper_spec.upper_caps)],
             axis=1,
         )
-        direct = dispatcher_expected_utility(
-            paper_spec.network, plan, paper_spec.weights, xi, paper_spec.belief, 3.0
-        )
+        direct = stage_payoffs(paper_spec, paper_spec.belief, plan, xi)[0]
         enumerated = enumerated_expected_utility(
             paper_spec.network, plan, paper_spec.weights, xi, paper_spec.belief, 3.0
         )
@@ -115,10 +106,7 @@ def test_expected_utility_matches_type_enumeration(paper_spec):
 
 def test_expected_utility_at_equilibrium_matches_enumeration(paper_spec):
     profile = solve_bayesian_equilibrium(paper_spec)
-    direct = dispatcher_expected_utility(
-        paper_spec.network, profile.plan, paper_spec.weights,
-        profile.strategy, paper_spec.belief, 3.0,
-    )
+    direct = stage_payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[0]
     enumerated = enumerated_expected_utility(
         paper_spec.network, profile.plan, paper_spec.weights,
         profile.strategy, paper_spec.belief, 3.0,
@@ -143,20 +131,15 @@ def test_game_spec_validation(paper_spec):
 
 def test_adversary_cost_zero_plan(paper_spec):
     xi = paper_spec.caps()
-    theta = np.array([1, 2, 1])
-    cost = adversary_cost(
-        paper_spec.network, np.zeros(6), paper_spec.weights, xi, theta, paper_spec.cost_params
-    )
-    assert cost == 0.0
+    _, minor, major = stage_payoffs(paper_spec, paper_spec.belief, np.zeros(6), xi)
+    assert minor == major == 0.0
 
 
 def test_adversary_cost_unit_case():
-    net = build_network(["s"], ["t"], [("s", "t")], [2.0])
-    params = AdversaryCostParams(np.array([1.0]), 0.5, 0.5)
-    cost = adversary_cost(
-        net, np.array([1.0]), np.array([1.0]), np.array([[1.0, 1.0]]), np.array([1]), params
-    )
-    assert cost == pytest.approx(3.0)
+    spec = one_edge_game(m=1.0, c=2.0, coeff=1.0)
+    _, minor, major = stage_payoffs(spec, spec.belief, np.array([1.0]), np.array([[1.0, 1.0]]))
+    assert minor == pytest.approx(3.0)
+    assert major == pytest.approx(4.0)
 
 
 def test_adversary_cost_matches_independent_evaluation(paper_spec):
@@ -166,30 +149,12 @@ def test_adversary_cost_matches_independent_evaluation(paper_spec):
         [rng.uniform(0.5, paper_spec.lower_caps), rng.uniform(0.5, paper_spec.upper_caps)],
         axis=1,
     )
-    theta = np.array([2, 1, 2])
-    got = adversary_cost(
-        paper_spec.network, plan, paper_spec.weights, xi, theta, paper_spec.cost_params
-    )
-    expected = 0.0
-    matrix = paper_spec.network.plan_matrix(plan)
-    weights = paper_spec.network.plan_matrix(paper_spec.weights)
-    coeff = paper_spec.network.plan_matrix(paper_spec.cost_params.punishment_coeff)
-    for j in range(2):
-        for q in range(3):
-            x = matrix[j, q]
-            action = xi[q, theta[q] - 1]
-            expected += coeff[j, q] * action ** -0.5 * x ** 0.5
-            expected += (weights[j, q] + theta[q] * action) * x
-    assert got == pytest.approx(expected, abs=1e-10)
-
-
-def test_adversary_cost_rejects_floor_violation(paper_spec):
-    xi = np.full((3, 2), 1e-9)
-    with pytest.raises(PerturbationBelowFloor):
-        adversary_cost(
-            paper_spec.network, np.zeros(6), paper_spec.weights, xi,
-            np.ones(3, dtype=int), paper_spec.cost_params,
+    _, *costs = stage_payoffs(paper_spec, paper_spec.belief, plan, xi)
+    for t, got in zip((1, 2), costs):
+        expected = per_edge_adversary_cost(
+            paper_spec.network, plan, paper_spec.weights, xi, np.full(3, t), paper_spec.cost_params
         )
+        assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_best_response_single_edge_interior():
@@ -257,16 +222,16 @@ def test_monotone_coupling_of_primal_update():
 
 def test_dispatcher_response_at_floor_matches_adversary_free(paper_spec):
     xi = np.full((3, 2), PERTURBATION_FLOOR)
-    response = dispatcher_best_response(paper_spec, xi)
+    response = perceived_solve(paper_spec, xi)
     free = solve_regularized_ot(paper_spec.network, paper_spec.weights, paper_spec.settings)
     np.testing.assert_allclose(response.plan, free.plan, atol=1e-4)
 
 
 def test_dispatcher_response_at_caps_follows_heaviest_link(paper_spec):
     xi = paper_spec.caps()
-    response = dispatcher_best_response(paper_spec, xi)
+    response = perceived_solve(paper_spec, xi)
     assert response.converged
-    w_eff = effective_weights(paper_spec.network, paper_spec.weights, xi, paper_spec.belief)
+    w_eff = _perceived(paper_spec.network, paper_spec.weights, xi, paper_spec.belief)
     oracle = slsqp_regularized_plan(paper_spec.network, w_eff, 3.0)
     np.testing.assert_allclose(response.plan, oracle, atol=1e-4)
     plan_matrix = paper_spec.network.plan_matrix(response.plan)
@@ -278,7 +243,7 @@ def test_dispatcher_response_at_caps_follows_heaviest_link(paper_spec):
 def test_dispatcher_response_degenerate_belief_minor_floor(paper_spec):
     spec = dataclasses.replace(paper_spec, belief=np.tile([1.0, 0.0], (3, 1)))
     xi = np.full((3, 2), PERTURBATION_FLOOR)
-    response = dispatcher_best_response(spec, xi)
+    response = perceived_solve(spec, xi)
     free = solve_regularized_ot(spec.network, spec.weights, spec.settings)
     np.testing.assert_allclose(response.plan, free.plan, atol=1e-4)
 
@@ -325,7 +290,7 @@ def test_equilibrium_with_pinned_adversary_recovers_free_plan(paper_spec):
 
 def test_best_response_idempotence_at_equilibrium(paper_spec):
     profile = solve_bayesian_equilibrium(paper_spec)
-    replayed_plan = dispatcher_best_response(paper_spec, profile.strategy).plan
+    replayed_plan = perceived_solve(paper_spec, profile.strategy).plan
     replayed_xi = best_response_strategy(paper_spec, replayed_plan)
     assert np.max(np.abs(replayed_plan - profile.plan)) <= 1e-6
     assert np.max(np.abs(replayed_xi - profile.strategy)) <= 1e-6
@@ -346,10 +311,7 @@ def test_equilibrium_on_random_small_instances():
 
 def test_deviation_plan_perturbation_lowers_utility(paper_spec):
     profile = solve_bayesian_equilibrium(paper_spec)
-    base = dispatcher_expected_utility(
-        paper_spec.network, profile.plan, paper_spec.weights,
-        profile.strategy, paper_spec.belief, 3.0,
-    )
+    base = stage_payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[0]
     bumped = profile.plan.copy()
     bumped[0] *= 1.1
     # rescale the touched row back into feasibility
@@ -357,27 +319,17 @@ def test_deviation_plan_perturbation_lowers_utility(paper_spec):
     idx = edges_from(paper_spec.network, j)
     row_sum = bumped[idx].sum()
     bumped[idx] *= paper_spec.network.capacities[j] / row_sum
-    perturbed = dispatcher_expected_utility(
-        paper_spec.network, bumped, paper_spec.weights,
-        profile.strategy, paper_spec.belief, 3.0,
-    )
+    perturbed = stage_payoffs(paper_spec, paper_spec.belief, bumped, profile.strategy)[0]
     assert perturbed < base
 
 
 def test_deviation_action_perturbation_raises_cost(paper_spec):
     profile = solve_bayesian_equilibrium(paper_spec)
-    ones = np.ones(3, dtype=int)
-    base = adversary_cost(
-        paper_spec.network, profile.plan, paper_spec.weights,
-        profile.strategy, ones, paper_spec.cost_params,
-    )
+    base = stage_payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[1]
     for delta in (0.1, -0.1):
         shifted = profile.strategy.copy()
         shifted[:, 0] += delta
-        cost = adversary_cost(
-            paper_spec.network, profile.plan, paper_spec.weights,
-            shifted, ones, paper_spec.cost_params,
-        )
+        cost = stage_payoffs(paper_spec, paper_spec.belief, profile.plan, shifted)[1]
         assert cost > base
 
 
@@ -386,7 +338,7 @@ def test_deviation_check_finds_the_dispatcher_optimum_between_grid_points():
     lam, capacity, plan = 3.0, 1.5, np.array([0.1])
     # the adversary best responds, so its improvement is exactly 0
     xi = best_response_strategy(spec, plan)
-    w = float(effective_weights(spec.network, spec.weights, xi, spec.belief)[0])
+    w = float(_perceived(spec.network, spec.weights, xi, spec.belief)[0])
     best = math.exp(w / lam - 1.0)
     # the plan row can grow to the capacity; the best point lies inside,
     # strictly between two points of a 21-point grid on [0, capacity]
@@ -406,6 +358,25 @@ def test_deviation_check_flags_suboptimal_profiles(paper_spec):
     # a visibly off-equilibrium action table must show a large gap
     bad = np.minimum(profile.strategy + 2.0, paper_spec.caps())
     assert deviation_check(paper_spec, profile.plan, bad) > 0.1
+
+
+@pytest.mark.parametrize(
+    ("value", "error", "message"),
+    [
+        (np.nan, ValidationError, "actions must be finite"),
+        (-np.inf, PerturbationBelowFloor, "actions must stay >= "),
+        (np.inf, ValidationError, "an action exceeds its per-type cap"),
+    ],
+    ids=["nan", "-inf", "inf"],
+)
+def test_deviation_check_rejects_non_finite_actions(paper_spec, value, error, message):
+    """A NaN action raises instead of certifying; the infinities keep the floor and cap rules."""
+    profile = solve_bayesian_equilibrium(paper_spec)
+    xi = profile.strategy.copy()
+    xi[0, 0] = value
+    with pytest.raises(error, match=message) as excinfo:
+        deviation_check(paper_spec, profile.plan, xi)
+    assert excinfo.type is error
 
 
 def test_equilibrium_on_sparse_network():
@@ -428,7 +399,7 @@ def test_equilibrium_on_sparse_network():
     profile = solve_bayesian_equilibrium(spec)
     assert profile.converged
     assert profile.deviation_gap <= 1e-4
-    w_eff = effective_weights(net, spec.weights, profile.strategy, spec.belief)
+    w_eff = _perceived(net, spec.weights, profile.strategy, spec.belief)
     oracle = slsqp_regularized_plan(net, w_eff, 3.0)
     np.testing.assert_allclose(profile.plan, oracle, atol=1e-4)
     np.testing.assert_allclose(
@@ -439,7 +410,7 @@ def test_equilibrium_on_sparse_network():
 def test_node_cost_aggregates_consistency(paper_spec):
     rng = np.random.default_rng(1)
     plan = rng.uniform(0.1, 1.5, size=6)
-    scale, flow = node_cost_aggregates(paper_spec.network, plan, paper_spec.cost_params)
+    scale, flow = _aggregates(paper_spec.network, plan, paper_spec.cost_params)
     matrix = paper_spec.network.plan_matrix(plan)
     coeff = paper_spec.network.plan_matrix(paper_spec.cost_params.punishment_coeff)
     for q in range(3):
@@ -447,8 +418,8 @@ def test_node_cost_aggregates_consistency(paper_spec):
         assert flow[q] == pytest.approx(matrix[:, q].sum())
 
 
-def test_stage_payoffs_equal_the_public_payoff_functions():
-    """The trace's payoffs, taken with one plan check and one ``plan**beta1``, bit for bit."""
+def test_stage_payoffs_match_enumeration_and_the_per_edge_costs():
+    """The trace's payoffs, against the joint-type enumeration and the per-edge cost loop."""
     rng = np.random.default_rng(4)
     for _ in range(20):
         spec = make_random_spec(rng, 3, 4)
@@ -457,11 +428,13 @@ def test_stage_payoffs_equal_the_public_payoff_functions():
         effective = rng.uniform(PERTURBATION_FLOOR, 6.0, (4, 2))
         minor = rng.uniform(0, 1, 4)
         belief = np.stack([minor, 1.0 - minor], axis=1)
-        ones = np.ones(4, dtype=int)
-        assert stage_payoffs(spec, belief, plan, effective) == (
-            dispatcher_expected_utility(
-                network, plan, weights, effective, belief, spec.settings.lam
-            ),
-            adversary_cost(network, plan, weights, effective, ones, spec.cost_params),
-            adversary_cost(network, plan, weights, effective, 2 * ones, spec.cost_params),
+        utility, *costs = stage_payoffs(spec, belief, plan, effective)
+        assert utility == pytest.approx(
+            enumerated_expected_utility(network, plan, weights, effective, belief, spec.settings.lam),
+            rel=1e-12, abs=1e-12,
         )
+        for t, cost in zip((1, 2), costs):
+            expected = per_edge_adversary_cost(
+                network, plan, weights, effective, np.full(4, t), spec.cost_params
+            )
+            assert cost == pytest.approx(expected, rel=1e-12)

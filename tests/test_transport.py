@@ -11,12 +11,12 @@ from advot import (
     ValidationError,
     ZeroLambda,
     build_network,
-    capacity_prices,
     planner_objective,
     primal_update,
     solve_regularized_ot,
     unregularized_solve,
 )
+from advot.transport import row_prices
 from conftest import all_edges
 from oracles import edges_from, lp_plan, slsqp_regularized_plan
 
@@ -86,7 +86,7 @@ def test_capacity_prices_satisfy_kkt(rows, spread, lam, seed):
     level = np.repeat([level for _, level in rows], degrees)
     weights = lam * (level + spread * rng.uniform(-1.0, 1.0, net.n_edges))
 
-    prices = capacity_prices(net, weights, lam)
+    prices = row_prices(weights, net.edge_source, net.capacities, lam)
     assert np.all(np.isfinite(prices))
     assert np.all(prices >= 0)
     plan = primal_update(net, weights, prices, lam)
@@ -99,16 +99,16 @@ def test_capacity_prices_satisfy_kkt(rows, spread, lam, seed):
 
 def test_capacity_prices_single_edge_closed_form():
     # exp(-p - 1) = 0.1  =>  p = -1 - ln(0.1); a capacity of 10 is slack
+    one_edge = one_edge_network().edge_source
     np.testing.assert_allclose(
-        capacity_prices(one_edge_network(0.1), np.zeros(1), 1.0), [1.3025850929940457],
-        rtol=1e-15,
+        row_prices(np.zeros(1), one_edge, np.array([0.1]), 1.0), [1.3025850929940457], rtol=1e-15
     )
-    assert capacity_prices(one_edge_network(10.0), np.zeros(1), 1.0)[0] == 0.0
+    assert row_prices(np.zeros(1), one_edge, np.array([10.0]), 1.0)[0] == 0.0
 
 
-def test_capacity_prices_reject_zero_lambda():
+def test_solve_rejects_zero_lambda():
     with pytest.raises(ZeroLambda):
-        capacity_prices(one_edge_network(), np.zeros(1), 0.0)
+        solve_regularized_ot(one_edge_network(), np.zeros(1), SolverSettings(lam=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_solve_overflow_input_converges_with_the_exact_price():
     report = solve_regularized_ot(net, weights, SolverSettings(lam=3.0))
     assert report.converged and report.iterations == 1
     assert np.isfinite(report.prices[0])
-    assert report.prices[0] == pytest.approx(capacity_prices(net, weights, 3.0)[0], rel=1e-12, abs=0)
+    assert report.prices[0] == pytest.approx(row_prices(weights, net.edge_source, net.capacities, 3.0)[0], rel=1e-12, abs=0)
     assert net.row_sums(report.plan)[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -259,7 +259,8 @@ def test_solve_is_the_exact_price_plan_in_one_iteration(n_edges, top, lam, capac
     net = build_network(["s"], targets, [("s", t) for t in targets], [capacity])
     report = solve_regularized_ot(net, weights, SolverSettings(lam=lam))
     assert report.converged and report.iterations == 1
-    exact = primal_update(net, weights, capacity_prices(net, weights, lam), lam)
+    prices = row_prices(weights, net.edge_source, net.capacities, lam)
+    exact = primal_update(net, weights, prices, lam)
     np.testing.assert_array_equal(report.plan, exact)
 
 
@@ -278,7 +279,8 @@ def test_solver_matches_oracle_on_random_instances():
             assert report.converged
             oracle = slsqp_regularized_plan(net, weights, lam)
             np.testing.assert_allclose(report.plan, oracle, atol=1e-4)
-            exact = primal_update(net, weights, capacity_prices(net, weights, lam), lam)
+            prices = row_prices(weights, net.edge_source, net.capacities, lam)
+            exact = primal_update(net, weights, prices, lam)
             np.testing.assert_allclose(exact, oracle, atol=1e-4)
 
 
