@@ -11,10 +11,14 @@ the replayed report is still bit-exact.
 
 The hub refreshes the targets' actions as soon as every agent has answered
 its latest weights (an event-triggered refresh), so each refresh sees the
-exact Jacobi iterate whatever the schedule, and it takes the same
-Anderson-accelerated step as the centralized equilibrium loop.  The plan,
-the prices, the message count and every trace row apart from its tick are
-therefore the same under every schedule.
+exact Jacobi iterate whatever the schedule.  The refreshes are the rounds of
+the static equilibrium loop at ``tau = 0``: the agents first price the
+adversary-free weights, the first refresh plays the targets' best response
+to those rates, where the loop starts, and every later refresh takes the
+loop's Anderson step.  The rates the hub sees at refresh ``k + 1`` are thus
+the loop's round-``k`` plan bit for bit, and the plan, the prices, the
+message count and every trace row apart from its tick are the same under
+every schedule.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CorruptLog, NonFiniteIterate, ValidationError
-from .network import PERTURBATION_FLOOR
 from .static_game import TYPE_VALUES, GameSpec, _aggregates, _anderson_step, _perceived
 from .static_game import minimize_node_cost  # the benchmark's tracer wraps it by this name
 from .transport import SolveReport, _check_integer, row_prices
@@ -419,47 +422,37 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
 
     Activated agents set the exact price of their own row (:func:`row_prices`
     on that row alone) and mail their new rates to the target nodes they
-    touch.  An agent ticks and sends only while it holds weights it has not
-    priced (at first, and after each refresh); any other tick would resend
-    the same values, so it stays silent, and the trajectory and :func:`replay`
-    of the log stay bit-exact.  The hub refreshes as soon as every agent has
-    priced its latest weights, so it sees exact Jacobi iterates and the
-    result does not depend on the schedule.  At a refresh each target takes
-    its per-type best response ``g`` to the rates seen, and the next action,
-    :func:`_anderson_step` of ``g`` and ``f = g - xi`` clipped into ``[floor,
-    caps]``, is mailed back as effective weights.  Terminates once the global
-    residual, the complementary slackness of the prices and rates the hub
-    received and ``max|f|``, drops to ``spec.settings.tol`` (each refresh
-    waits until every agent has priced the weights it was last sent, so no
-    stationarity term is needed), returning the assembled plan; comes back with
-    ``converged=False`` when ``g`` equals the action held bit for bit while
-    the residual is above ``tol`` (every later tick would repeat the state),
-    or at ``max_ticks``.  Raises :class:`NonFiniteIterate` at a refresh whose
-    rates are not finite.
+    touch.  An agent ticks only while it holds weights it has not priced, the
+    adversary-free ``spec.weights`` at first; any other tick would resend the
+    same values, so it stays silent and :func:`replay` of the log stays
+    bit-exact.  The hub refreshes as soon as every agent has priced its latest
+    weights, so the result does not depend on the schedule.  At a refresh
+    each target takes its per-type best response ``g`` to the rates seen and
+    mails the next action back as effective weights.  The first refresh mails
+    ``g`` itself, the equilibrium loop's start, and logs no residual and no
+    trace row; every later one mails :func:`_anderson_step` of ``g`` and ``f
+    = g - xi``.  A later refresh ends the run converged once the residual,
+    the complementary slackness of the prices and rates received and
+    ``max|f|``, drops to ``spec.settings.tol``, and unconverged when ``g``
+    equals the action held bit for bit (every later tick would repeat the
+    state).  The run also ends unconverged at ``max_ticks``.  Raises
+    :class:`NonFiniteIterate` at a refresh whose rates are not finite.
     """
-    network = spec.network
-    settings = spec.settings
+    network, settings, params, caps = spec.network, spec.settings, spec.cost_params, spec.caps()
     n, m = network.n_sources, network.n_targets
-    caps = spec.caps()
-    params = spec.cost_params
 
     log = MessageLog()
     append = log.append
     append(0, TOPOLOGY, value=(network.source_ids, network.target_ids, network.edges))
 
-    xi = caps.copy()
-    for q, (minor, major) in enumerate(xi.tolist()):
-        append(0, STRATEGY, q, minor, major)
-
     # Edges are in row-major order: agent j's row is the block start[j]:start[j + 1].
     start = network.row_starts
     capacities = network.capacities.tolist()
-    weights = _perceived(network, spec.weights, xi, spec.belief)
     agents = [
         SourceAgent(
             capacity=capacities[j],
             lam=settings.lam,
-            weights=weights[start[j]:start[j + 1]].copy(),
+            weights=spec.weights[start[j]:start[j + 1]].copy(),
             rates=np.zeros(start[j + 1] - start[j]),
         )
         for j in range(n)
@@ -477,6 +470,7 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     prices_seen = np.zeros(n)  # latest price message per agent
     rng = np.random.default_rng(schedule.seed)
     history: list = []  # the hub's Anderson memory
+    xi = None  # the action held: none before the first refresh
     trace: list[dict] = []
     converged = False
     residual = float("inf")
@@ -503,16 +497,18 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             raise NonFiniteIterate(tick, f"rates became non-finite at tick {tick}")
         scale, flow = _aggregates(network, rates_seen, params)
         g = minimize_node_cost(scale[:, None], flow[:, None] * TYPE_VALUES, params.beta2, caps)
-        f = g - xi
-
-        slackness = max(
-            abs(min(price, capacity - float(np.sum(rates_seen[a:b]))))
-            for price, capacity, a, b in zip(prices_seen.tolist(), capacities, start, start[1:])
-        )
-        residual = max(slackness, float(np.max(np.abs(f))))
-        stalled = np.array_equal(g, xi)
-
-        xi = np.clip(_anderson_step(history, g, f), PERTURBATION_FLOOR, caps)
+        first = xi is None  # the loop's start: the best response to the adversary-free rates
+        if first:
+            xi = g
+        else:
+            f = g - xi
+            slackness = max(
+                abs(min(price, capacity - float(np.sum(rates_seen[a:b]))))
+                for price, capacity, a, b in zip(prices_seen.tolist(), capacities, start, start[1:])
+            )
+            residual = max(slackness, float(np.max(np.abs(f))))
+            stalled = np.array_equal(g, xi)
+            xi = _anderson_step(history, g, f, caps)
         weights = _perceived(network, spec.weights, xi, spec.belief).tolist()
         for q, (minor, major) in enumerate(xi.tolist()):
             append(tick, STRATEGY, q, minor, major)
@@ -521,6 +517,8 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
                 append(tick, WEIGHT, e, weight)
                 agents[j].deliver(local, weight)
         waiting.update(range(n))
+        if first:
+            continue
 
         objective = float(np.dot(spec.weights, rates_seen))
         append(tick, TRACE, 0, residual, objective)
@@ -541,15 +539,7 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         logger.info("distributed run hit max_ticks=%d (residual %.3e)", schedule.max_ticks, residual)
 
     append(tick, FINAL, 0, residual, converged)
-    report = SolveReport(
-        plan=rates_seen.copy(),
-        prices=prices_seen.copy(),
-        iterations=tick,
-        residual=residual,
-        converged=converged,
-        trace=trace,
-    )
-    return report, log
+    return SolveReport(rates_seen.copy(), prices_seen.copy(), tick, residual, converged, trace), log
 
 
 def replay(log: MessageLog) -> SolveReport:

@@ -272,9 +272,6 @@ class ScenarioConfig:
         block = self.data["dynamic"]
         return block["stages"], block["tau"], block["on_failure"]
 
-    def echo_text(self) -> str:
-        return _json_text(self.tree())
-
     def tree(self) -> dict:
         """The normalized tree, with the edge list encoded from the network once."""
         return {**self.data, "network": {**self.data["network"], "edges": _edge_list(self.network)}}

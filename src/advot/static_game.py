@@ -233,6 +233,21 @@ def best_response_strategy(
     return np.where(z > xi_prev, z + tau, xi_prev)
 
 
+def _check_anchor(spec: GameSpec, xi_prev) -> np.ndarray:
+    """The previous action broadcast to ``(n_targets, 2)``, checked to lie in ``[floor, caps]``.
+
+    Every action thresholded against it then lies there too.
+    """
+    shape = (spec.network.n_targets, 2)
+    try:
+        anchor = np.broadcast_to(np.asarray(xi_prev, dtype=float), shape)
+    except ValueError:
+        raise DimensionMismatch(
+            f"anchor has shape {np.shape(xi_prev)}, which does not broadcast to {shape}"
+        ) from None
+    return check_strategy(anchor, spec.lower_caps, spec.upper_caps)
+
+
 def deviation_check(
     spec: GameSpec,
     plan: np.ndarray,
@@ -251,14 +266,15 @@ def deviation_check(
     one :func:`best_response_strategy` plays.  Payoffs are the
     stage's: both players see the action thresholded against ``xi_prev``,
     and the dispatcher weighs it under ``belief`` (default: the spec's
-    prior).  The defaults pose the static game.  The result is >= 0 up to
+    prior).  The defaults pose the static game.  The anchor is checked as
+    :func:`stage_equilibrium` checks it.  The result is >= 0 up to
     rounding; a value <= ``DEVIATION_TOL`` certifies the profile.
     """
     network, lam = spec.network, spec.settings.lam
     plan = check_plan(network, plan)
     xi = check_strategy(xi, spec.lower_caps, spec.upper_caps)
     belief = check_belief(spec.belief if belief is None else belief, network.n_targets)
-    xi_prev = np.asarray(xi_prev, dtype=float)
+    xi_prev = _check_anchor(spec, xi_prev)
     effective = threshold_phi(xi, xi_prev, tau)
 
     w_eff = _perceived(network, spec.weights, effective, belief)
@@ -292,15 +308,15 @@ def stage_payoffs(
     return (utility, *costs)
 
 
-def _anderson_step(history: list, g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Next trial action of type-II Anderson mixing (Walker & Ni 2011), before clipping.
+def _anderson_step(history: list, g: np.ndarray, f: np.ndarray, caps) -> np.ndarray:
+    """Next trial action of type-II Anderson mixing (Walker & Ni 2011), in ``[floor, caps]``.
 
     ``history`` holds the last rounds' ``(g, f)``: the best response and its
     residual ``f = g - x``.  A residual larger than the last one clears it,
     and with no history left the step is the plain ``x = g``.  Otherwise
     ``dG`` and ``dF`` are the differences of the last ``ANDERSON_MEMORY + 1``
     entries, and the step is ``g - dG @ gamma`` with ``gamma`` the
-    least-squares fit of ``dF @ gamma`` to ``f``.
+    least-squares fit of ``dF @ gamma`` to ``f``, clipped into the box.
     """
     if history and np.linalg.norm(f) > np.linalg.norm(history[-1][1]):
         history.clear()
@@ -309,7 +325,7 @@ def _anderson_step(history: list, g: np.ndarray, f: np.ndarray) -> np.ndarray:
     g_hist, f_hist = (np.array(column).T for column in zip(*history))
     d_g, d_f = np.diff(g_hist, axis=1), np.diff(f_hist, axis=1)
     gamma = np.linalg.lstsq(d_f, f.ravel(), rcond=None)[0]
-    return g - (d_g @ gamma).reshape(g.shape)
+    return np.clip(g - (d_g @ gamma).reshape(g.shape), PERTURBATION_FLOOR, caps)
 
 
 def stage_equilibrium(
@@ -330,23 +346,15 @@ def stage_equilibrium(
     ``belief``, then takes the adversary's best response ``g`` to that plan.
     The loop stops when neither the plan nor the residual ``g - x`` moves
     more than ``PROFILE_TOL``; otherwise the next ``x`` is
-    :func:`_anderson_step` clipped into ``[floor, caps]``.  The anchor
-    ``xi_prev``, broadcast to ``(n_targets, 2)``, and the belief are checked
-    once, on entry: with the anchor in ``[floor, caps]`` every thresholded
-    trial action lies there too.  The profile is the last plan and
-    ``g``, and a traced round records them with the payoffs at ``phi(g)``.
+    :func:`_anderson_step`.  The anchor ``xi_prev`` (:func:`_check_anchor`)
+    and the belief are checked once, on entry.  The profile is the last plan
+    and ``g``, and a traced round records them with the payoffs at ``phi(g)``.
     :func:`deviation_check` then certifies the profile; ``converged``
     requires the loop to settle, the last transport solve to converge and
     the deviation gap to be within tolerance.
     """
     network, weights, settings, caps = spec.network, spec.weights, spec.settings, spec.caps()
-    try:
-        anchor = np.broadcast_to(np.asarray(xi_prev, dtype=float), caps.shape)
-    except ValueError:
-        raise DimensionMismatch(
-            f"anchor has shape {np.shape(xi_prev)}, which does not broadcast to {caps.shape}"
-        ) from None
-    check_strategy(anchor, spec.lower_caps, spec.upper_caps)
+    xi_prev = _check_anchor(spec, xi_prev)
     x = xi = best_response_strategy(spec, plan, xi_prev, tau)
     belief = check_belief(belief, network.n_targets)
     history: list = []
@@ -369,7 +377,7 @@ def stage_equilibrium(
         if change <= PROFILE_TOL:
             settled = True
             break
-        x = np.clip(_anderson_step(history, xi, residual), PERTURBATION_FLOOR, caps)
+        x = _anderson_step(history, xi, residual, caps)
     gap = deviation_check(spec, plan, xi, belief, xi_prev, tau)
     converged = settled and inner_converged and gap <= DEVIATION_TOL
     if not converged:

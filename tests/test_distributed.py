@@ -30,8 +30,8 @@ from advot import (
     uniform_belief,
 )
 from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPOLOGY, TRACE, WEIGHT
-from advot.static_game import DEVIATION_TOL, _perceived
-from advot.transport import row_prices
+from advot.static_game import DEVIATION_TOL
+from advot.transport import row_prices, solve_regularized_ot
 from conftest import load_perfbench, make_random_spec
 from oracles import agent_tick, edges_from, edges_into, reference_log_text
 
@@ -44,11 +44,13 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
     every agent prices its weights at each tick, so the hub refreshes after
     every tick: each target's best response ``g`` to the rates, then a
     type-II Anderson step (memory 5, history cleared when ``|f|`` grows) on
-    ``f = g - xi``, clipped into the caps.  Sums add one term at a time in
-    edge order, as ``np.bincount`` does.  The loop stops after the refresh
-    at which ``g`` equals ``xi``; with ``tol`` below every nonzero residual
-    that is where the run stops too.  Returns each tick's prices and rates
-    and each refresh's mailed action.
+    ``f = g - xi``, clipped into the caps.  The agents first price the
+    adversary-free weights, and the first refresh holds ``xi = g`` with no
+    step.  Sums add one term at a time in edge order, as ``np.bincount``
+    does.  The loop stops after the refresh at which ``g`` equals ``xi``;
+    with ``tol`` below every nonzero residual that is where the run stops
+    too.  Returns each tick's prices and rates and each refresh's mailed
+    action.
     """
     network = spec.network
     lam = spec.settings.lam
@@ -60,8 +62,8 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
         delta = spec.belief[:, 0] * 1.0 * xi[:, 0] + spec.belief[:, 1] * 2.0 * xi[:, 1]
         return spec.weights + delta[network.edge_target]
 
-    xi = caps.copy()
-    weights = perceived(xi)
+    xi = None
+    weights = spec.weights.copy()
     prices = np.zeros(network.n_sources)
     plan = np.zeros(network.n_edges)
     best, residuals = [], []  # the Anderson memory, oldest first
@@ -79,7 +81,7 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
         price_history.append(prices.copy())
         rate_history.append(plan.copy())
 
-        g = np.empty_like(xi)
+        g = np.empty_like(caps)
         for q in range(network.n_targets):
             idx = edges_into(network, q)
             scale = flow = 0.0
@@ -95,21 +97,24 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
                 else:
                     stationary = np.power(beta2 * scale / b, 1.0 / (1.0 + beta2))
                     g[q, t - 1] = min(max(stationary, PERTURBATION_FLOOR), caps[q, t - 1])
-        f = g - xi
-        if residuals and np.linalg.norm(f) > np.linalg.norm(residuals[-1]):
-            best.clear()
-            residuals.clear()
-        best.append(g.ravel())
-        residuals.append(f.ravel())
-        del best[:-6], residuals[:-6]
-        step = g
-        if len(best) > 1:
-            d_g = np.diff(np.array(best).T, axis=1)
-            d_f = np.diff(np.array(residuals).T, axis=1)
-            gamma = np.linalg.lstsq(d_f, f.ravel(), rcond=None)[0]
-            step = g - (d_g @ gamma).reshape(g.shape)
-        stalled = np.array_equal(g, xi)
-        xi = np.clip(step, PERTURBATION_FLOOR, caps)
+        if xi is None:
+            xi, stalled = g, False
+        else:
+            f = g - xi
+            if residuals and np.linalg.norm(f) > np.linalg.norm(residuals[-1]):
+                best.clear()
+                residuals.clear()
+            best.append(g.ravel())
+            residuals.append(f.ravel())
+            del best[:-6], residuals[:-6]
+            step = g
+            if len(best) > 1:
+                d_g = np.diff(np.array(best).T, axis=1)
+                d_f = np.diff(np.array(residuals).T, axis=1)
+                gamma = np.linalg.lstsq(d_f, f.ravel(), rcond=None)[0]
+                step = g - (d_g @ gamma).reshape(g.shape)
+            stalled = np.array_equal(g, xi)
+            xi = np.clip(step, PERTURBATION_FLOOR, caps)
         actions.append(xi.copy())
         weights = perceived(xi)
         if stalled:
@@ -284,14 +289,21 @@ def assert_synchronous_run_matches_reference(spec: GameSpec):
     assert not report.converged and ticks == len(ref_prices)
     prices, rates, sent = logged_iterates(spec, log, ticks)
     assert sent == list(range(1, ticks + 1))
-    assert [row["tick"] for row in report.trace] == sent
+    # the first refresh records no trace row
+    assert [row["tick"] for row in report.trace] == sent[1:]
+    strategies = [m for m in log if m.kind == "strategy"]
+    assert strategies[0].tick == 1
     for tick in range(1, ticks + 1):
         assert prices[tick - 1] == list(ref_prices[tick - 1]), f"price mismatch at tick {tick}"
         assert rates[tick - 1] == list(ref_rates[tick - 1]), f"rate mismatch at tick {tick}"
-        row, action = report.trace[tick - 1], ref_actions[tick - 1]
-        assert (row["xi_minor"], row["xi_major"]) == (
-            tuple(action[:, 0]), tuple(action[:, 1])
-        ), f"action mismatch at tick {tick}"
+        action = ref_actions[tick - 1]
+        mailed = [(m.payload["minor"], m.payload["major"]) for m in strategies if m.tick == tick]
+        assert mailed == list(zip(action[:, 0], action[:, 1])), f"action mismatch at tick {tick}"
+        if tick > 1:
+            row = report.trace[tick - 2]
+            assert (row["xi_minor"], row["xi_major"]) == (
+                tuple(action[:, 0]), tuple(action[:, 1])
+            ), f"traced action mismatch at tick {tick}"
     assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
 
 
@@ -580,9 +592,11 @@ def overflow_spec():
 
 
 def applied_weights(spec: GameSpec, log: MessageLog) -> np.ndarray:
-    """The weights the single agent of ``spec`` held at its last tick, read from the log."""
-    caps = spec.caps()
-    weights = _perceived(spec.network, spec.weights, caps, spec.belief)
+    """The weights the single agent of ``spec`` held at its last tick, read from the log.
+
+    The agent first holds the adversary-free weights.
+    """
+    weights = spec.weights.copy()
     last_tick = max(t for t, kind in zip(log.ticks, log.kinds) if kind == PRICE)
     for tick, kind, e, value in zip(log.ticks, log.kinds, log.index, log.value):
         if kind == WEIGHT and tick < last_tick:
@@ -690,10 +704,10 @@ def test_schedule_independence_of_the_limit(paper_spec):
 def held_state_at_each_refresh(spec: GameSpec, log: MessageLog):
     """Per refresh, each edge's weight mailed before it, last rate and its source's last price.
 
-    The weights start at those of the caps.
+    The weights start at the adversary-free ones.  A refresh starts with the
+    strategy record of the first target, before it mails any weight.
     """
-    held = _perceived(spec.network, spec.weights, spec.caps(), spec.belief)
-    mailed = held.copy()
+    mailed = spec.weights.copy()
     rates = np.full(spec.network.n_edges, np.nan)
     prices = np.full(spec.network.n_sources, np.nan)
     states = []
@@ -704,9 +718,8 @@ def held_state_at_each_refresh(spec: GameSpec, log: MessageLog):
             rates[i] = value
         elif kind == PRICE:
             prices[i] = value
-        elif kind == TRACE:
-            states.append((held, rates.copy(), prices[spec.network.edge_source]))
-            held = mailed.copy()
+        elif kind == STRATEGY and i == 0:
+            states.append((mailed.copy(), rates.copy(), prices[spec.network.edge_source]))
     return states
 
 
@@ -723,21 +736,21 @@ def test_stationarity_term_is_exactly_zero_at_every_refresh(mode, seed):
     report, log = run_distributed(spec, Schedule(mode=mode, seed=seed))
     assert report.converged
     states = held_state_at_each_refresh(spec, log)
-    assert len(states) == len(report.trace) > 1
+    assert len(states) == len(report.trace) + 1 > 2
     for weights, rates, price in states:
         fixed_point = np.exp((weights - price) / spec.settings.lam - 1.0)
         assert np.max(np.abs(rates - fixed_point)) == 0.0
 
 
 def messages_at_each_refresh(spec: GameSpec, log: MessageLog):
-    """Per refresh: the last rates and prices sent, the action held and the logged residual.
+    """Per traced refresh: the last rates and prices sent, the action held and the logged residual.
 
-    The action held is the one the previous refresh mailed, the caps before
-    the first.
+    The action held is the one the previous refresh mailed.  The first
+    refresh holds none and logs no trace record.
     """
     rates = np.full(spec.network.n_edges, np.nan)
     prices = np.full(spec.network.n_sources, np.nan)
-    held, mailed = spec.caps(), spec.caps()
+    held, mailed = None, np.full((spec.network.n_targets, 2), np.nan)
     states = []
     for kind, i, value, value2 in zip(log.kinds, log.index, log.value, log.value2):
         if kind == RATE:
@@ -745,10 +758,11 @@ def messages_at_each_refresh(spec: GameSpec, log: MessageLog):
         elif kind == PRICE:
             prices[i] = value
         elif kind == STRATEGY:
+            if i == 0:  # a refresh starts mailing
+                held = mailed.copy()
             mailed[i] = (value, value2)
         elif kind == TRACE:
             states.append((rates.copy(), prices.copy(), held, value))
-            held = mailed.copy()
     return states
 
 
@@ -794,7 +808,7 @@ def large_capacity_spec() -> GameSpec:
 
 
 @pytest.mark.parametrize(
-    ("mode", "ticks"), [("synchronous", 7), ("random-subset", 27), ("round-robin", 35)]
+    ("mode", "ticks"), [("synchronous", 6), ("random-subset", 23), ("round-robin", 30)]
 )
 def test_a_run_whose_state_stops_changing_ends_unconverged(mode, ticks, caplog):
     # it used to refresh until max_ticks (50,000 ticks) with the same residual
@@ -806,7 +820,7 @@ def test_a_run_whose_state_stops_changing_ends_unconverged(mode, ticks, caplog):
     last, before = report.trace[-1], report.trace[-2]
     # the mailed action repeats the one held, so every later tick would repeat the state
     assert (last["xi_minor"], last["xi_major"]) == (before["xi_minor"], before["xi_major"])
-    assert len(report.trace) == 7 and len(log) == 824
+    assert len(report.trace) == 5 and len(log) == 697
     assert report.iterations == ticks
     assert any("stalled" in r.getMessage() and r.levelname == "WARNING" for r in caplog.records)
     assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
@@ -859,3 +873,64 @@ def test_every_schedule_meets_the_same_iterates(n_sources, n_targets, seed, acti
         assert (report.residual, report.converged) == (first.residual, first.converged)
         assert repr(without_ticks(report)) == repr(without_ticks(first))
         assert len(log) == len(first_log)
+
+
+# ---------------------------------------------------------------------------
+# the hub's refreshes are the equilibrium loop's rounds at tau = 0
+
+
+def dense_pool_specs(n_sources: int, n_targets: int, seed: int, count: int) -> list[GameSpec]:
+    generate = load_perfbench("generate")
+    return [
+        parse_scenario(generate.scenario_text(data)).game_spec()
+        for data in generate.dense_pool(n_sources, n_targets, seed, count)
+    ]
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+@pytest.mark.parametrize("game", ["paper", "uneven0", "uneven1", "uneven2", "dense0", "dense1"])
+def test_each_refresh_sees_the_plan_of_the_loop_round_before(paper_spec, game, mode):
+    """Refresh ``k + 1`` sees the rates of the static loop's round ``k``, bit for bit.
+
+    The first refresh sees the adversary-free plan the loop starts from, and
+    mails the loop's first trial action, the targets' best response to it.
+    Every later refresh takes the loop's clipped Anderson step, so the two
+    meet the same iterates for every round both ran.
+    """
+    if game == "paper":
+        spec = paper_spec
+    elif game.startswith("dense"):
+        spec = dense_pool_specs(5, 10, 7, 2)[int(game[-1])]
+    else:
+        spec = uneven_spec(int(game[-1]))
+    static = solve_bayesian_equilibrium(spec, record_trace=True)
+    report, log = run_distributed(spec, Schedule(mode=mode, seed=1))
+    assert report.converged and static.converged
+    seen = [rates for _, rates, _ in held_state_at_each_refresh(spec, log)]
+    base = solve_regularized_ot(spec.network, spec.weights, spec.settings).plan
+    assert np.array_equal(seen[0], base)
+    first = [(m.payload["minor"], m.payload["major"]) for m in log if m.kind == "strategy"]
+    start = best_response_strategy(spec, base)
+    assert np.array_equal(first[: spec.network.n_targets], start)
+    rounds = min(len(seen) - 1, len(static.trace))
+    assert rounds >= 4
+    for k in range(1, rounds + 1):
+        assert np.array_equal(seen[k], static.trace[k - 1]["plan"]), f"refresh {k + 1}"
+
+
+# refreshes per game of dense_pool(5, 10, 7, 4), the distributed-5x10 pool of
+# the benchmark, at schedule seed 3; the hub started at the caps took 9, 8, 8, 8
+DENSE_POOL_REFRESHES = [7, 7, 7, 7]
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+def test_benchmark_pool_refresh_counts_are_pinned(mode):
+    refreshes = []
+    for spec in dense_pool_specs(5, 10, 7, 4):
+        report, log = run_distributed(spec, Schedule(mode=mode, seed=3))
+        assert report.converged
+        assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
+        # each refresh logs one strategy record per target, first target first
+        refreshes.append(sum(kind == STRATEGY and i == 0 for kind, i in zip(log.kinds, log.index)))
+        assert refreshes[-1] == len(report.trace) + 1
+    assert refreshes == DENSE_POOL_REFRESHES

@@ -228,19 +228,24 @@ def test_safeguards_keep_the_accelerated_loop_in_the_box(seed, monkeypatch):
     On these stages both happen: some extrapolated step leaves the box, and
     some residual grows, which leaves the history with the current round
     alone and the plain step ``x = g``.  The loop converges all the same,
-    and every action it plays stays in the box.
+    and every action it plays stays in the box.  The extrapolation before
+    the step's clip is refitted here from the history the step kept.
     """
     spec, belief, xi_prev, tau = _random_stage(seed, staged=True)
     caps = spec.caps()
     steps, restarts, played = [], [], []
     step, phi = advot.static_game._anderson_step, advot.static_game.threshold_phi
 
-    def recording_step(history, g, f):
+    def recording_step(history, g, f, caps):
         had_history = bool(history)
-        x = step(history, g, f)
+        x = step(history, g, f, caps)
         if had_history and len(history) == 1:
             restarts.append(np.array_equal(x, g))
-        steps.append(x)
+        g_hist, f_hist = (np.array(column).T for column in zip(*history))
+        gamma = np.linalg.lstsq(np.diff(f_hist, axis=1), f.ravel(), rcond=None)[0]
+        extrapolated = g - (np.diff(g_hist, axis=1) @ gamma).reshape(g.shape)
+        assert np.array_equal(x, np.clip(extrapolated, PERTURBATION_FLOOR, caps))
+        steps.append(extrapolated)
         return x
 
     def recording_phi(xi, *args):

@@ -74,7 +74,7 @@ def test_retired_solver_fields_parse_to_nothing():
     assert game["solver"] == {"lambda": 3.0, "gamma": 0.05, "tol": 1e-8, "max_iter": 50000}
     config = parse_scenario(json.dumps(game))
     assert config == parse_scenario(json.dumps({**game, "solver": {"lambda": 3.0, "tol": 1e-8}}))
-    assert json.loads(config.echo_text())["solver"] == {"lambda": 3.0, "tol": 1e-8}
+    assert json.loads(_json_text(config.tree()))["solver"] == {"lambda": 3.0, "tol": 1e-8}
 
 
 # Values the ascent's range rules used to reject: the parser no longer reads them.
@@ -93,7 +93,7 @@ def test_retired_solver_fields_ignore_their_values(name):
     data["solver"][key] = value
     config = parse_scenario(json.dumps(data))
     assert config == parse_scenario(PAPER.read_text())
-    assert key not in json.loads(config.echo_text())["solver"]
+    assert key not in json.loads(_json_text(config.tree()))["solver"]
 
 
 def test_parse_empty_file_is_a_parse_error():
@@ -130,9 +130,9 @@ def test_unknown_fields_rejected():
 
 def test_echo_round_trip():
     config = parse_scenario(PAPER.read_text())
-    assert parse_scenario(config.echo_text()) == config
+    assert parse_scenario(_json_text(config.tree())) == config
     minimal = parse_scenario(MINIMAL.read_text())
-    assert parse_scenario(minimal.echo_text()) == minimal
+    assert parse_scenario(_json_text(minimal.tree())) == minimal
 
 
 def test_configs_that_differ_only_in_their_edges_are_unequal():
@@ -377,7 +377,7 @@ def test_emit_trace_with_percent_ids_matches_per_value_format(tmp_path, fmt):
     config = parse_scenario(json.dumps(data))
     report, _ = run_distributed(config.game_spec(), Schedule(seed=1, max_ticks=40))
     columns, rows = distributed_trace_records(config.network, report)
-    assert any("%" in name for name in columns) and len(rows) == 6
+    assert any("%" in name for name in columns) and len(rows) == 5
     special = [float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 1e-300, 123456789012.5]
     rows.append((41, (special * len(columns))[: len(columns)]))
     path = emit_trace("distributed-sim", columns, rows, fmt, tmp_path / f"trace.{fmt}")
@@ -568,11 +568,11 @@ def test_cli_distributed_sim_log_bytes_are_pinned(tmp_path):
     out = tmp_path / "dist"
     assert run_cli("distributed-sim", "--config", PAPER, "--out", out, "--seed", 42) == 0
     data = (out / "messages.log").read_bytes()
-    assert len(data) == 14_881
-    assert data.count(b"\n") == 113
-    assert json.loads((out / "report.json").read_text())["messages"] == 113
+    assert len(data) == 14_380
+    assert data.count(b"\n") == 109
+    assert json.loads((out / "report.json").read_text())["messages"] == 109
     assert hashlib.sha256(data).hexdigest() == (
-        "6666ddc2e5ad10fe238671fa02810fa546d8a441f9a58865763f00f2d3a839b6"
+        "9b0f369d2cdc5cf8414ac97f1764a43f8bf7a07056ce3cd96d27d877c3a4b980"
     )
 
 
@@ -591,8 +591,8 @@ OUTPUT_SHA256 = {
         "trace.csv": "527750575cbb8a02d2d477ca730c184d480774e40e285f7e0f8d7c3906f4cdcf",
     },
     "distributed-sim": {
-        "report.json": "77bdcfa60dee241cc828143c9eeab9baded141f513b65de7528cb351008dc68d",
-        "trace.csv": "7a94506651a26f5ff02dd5645a43884130cfbdf3b6f8f87aaebb5ec29d326214",
+        "report.json": "8a7c616746e7dfae0d2ded5e7ac8d0c0fe72662a48be18a0f48bb17f5f25f2aa",
+        "trace.csv": "cbd126ba71afca9cb8c5e0ab29d71a000b37e74072c881840b8bbffea2695907",
     },
 }
 PAPER_ECHO_SHA256 = "19e2b3644e2d0704187f2224f83308709cd0ac90eb95c8965c748d014c560b35"
@@ -620,12 +620,13 @@ def test_cli_json_trace_bytes_are_pinned(tmp_path):
 
 @pytest.mark.parametrize(
     ("schedule", "ticks", "messages"),
-    [("sync", 6, 113), ("async", 18, 113), ("roundrobin", 12, 113)],
+    [("sync", 6, 109), ("async", 18, 109), ("roundrobin", 12, 109)],
 )
 def test_cli_distributed_sim_work_counts_are_pinned(tmp_path, schedule, ticks, messages):
     # exact prices leave only the targets' refresh to converge: 6 refreshes, each
     # once both agents have priced their last weights, so the messages are the
-    # same on every schedule.
+    # same on every schedule.  The first refresh is the loop's start and logs
+    # no trace record.
     out = tmp_path / schedule
     assert run_cli(
         "distributed-sim", "--config", PAPER, "--out", out, "--schedule", schedule, "--seed", 42,
@@ -644,9 +645,9 @@ def _sha256_without_steps(path) -> str:
 # report.json fields other than ``ticks``, ``messages`` and ``deviation_gap``.
 # Every schedule meets the same iterates at each refresh, so all three share
 # one pin; the ticks they take differ.
-DENSE_TRACE_SHA256 = "b0b580a17b2d2245fb5fc491b59436c14bad32daa66149a5538d4d84711d4a23"
-DENSE_RESULT_SHA256 = "c79d17fedb044ba7da7234c426b09cf93bb6c9874561c5e924220cd23af4d211"
-DENSE_TICKS = {"sync": 8, "async --seed 42": 26, "roundrobin --seed 3": 40}
+DENSE_TRACE_SHA256 = "904ef3f8884cd2db9da0a8a5e8a79e0bcb7e342fa16ec77ba9c0b07ea52eedf2"
+DENSE_RESULT_SHA256 = "8159bc8696270b9f77e656f74dc864357edc5cdec11926f4b3935381e0b0af19"
+DENSE_TICKS = {"sync": 7, "async --seed 42": 23, "roundrobin --seed 3": 35}
 
 
 @pytest.mark.parametrize("flags", sorted(DENSE_TICKS))
@@ -684,13 +685,13 @@ def uneven_5x10(tmp_path):
 
 # sha256 of trace.csv without its step column and of messages.log of
 # distributed-sim on uneven_5x10, per schedule.  Every schedule meets the same
-# iterates at each refresh (8 refreshes, 492 messages), so that part of the
+# iterates at each refresh (8 refreshes, 481 messages), so that part of the
 # trace is shared; the logs' ticks and orders differ.
-UNEVEN_TRACE_SHA256 = "e7d356d5d95d755a5398a4c43ad83329bc06f4a82e01819b9d6a29ea731bd365"
+UNEVEN_TRACE_SHA256 = "1e70627a82beb05b780a9689972fb1b7278fbd63e72d458cd733ac27b82be2d2"
 UNEVEN_LOG_SHA256 = {
-    "sync": "6991a4ff25b7c19811474dc371841476a1a799a2e2691b4b6d278a1e0386ece8",
-    "async --seed 42": "0f323c385fa828c5a1ff4212ed8f3376bfaed5d3b73e44f3754354dc00df447e",
-    "roundrobin --seed 3": "f330e5b505da50f27e8efe82b19424d40b40e9b92b27cc25cb189e2c666bc208",
+    "sync": "533ca602977ca6669a8680a0178ba696f8b4f0a6d4e361bb1e2a9bcf9fdbcc43",
+    "async --seed 42": "af9c93fd1e63f6610161018306e1c2c2b33be43498e0bcb8bd6497f6cbf6340f",
+    "roundrobin --seed 3": "e4ab5723a96b54a2fb931b389becbdcbe65a90c748294b38ded6437cba46cb72",
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from advot import (
     PERTURBATION_FLOOR,
     AdversaryCostParams,
+    DimensionMismatch,
     GameSpec,
     PerturbationBelowFloor,
     SolverSettings,
@@ -376,6 +377,29 @@ def test_deviation_check_rejects_non_finite_actions(paper_spec, value, error, me
     xi[0, 0] = value
     with pytest.raises(error, match=message) as excinfo:
         deviation_check(paper_spec, profile.plan, xi)
+    assert excinfo.type is error
+
+
+@pytest.mark.parametrize(
+    ("anchor", "error", "message"),
+    [
+        (0.0, PerturbationBelowFloor, "actions must stay >= "),
+        (5e-7, PerturbationBelowFloor, "actions must stay >= "),
+        (np.nan, ValidationError, "actions must be finite"),
+        (1e9, ValidationError, "an action exceeds its per-type cap"),
+        (np.full((5, 2), 1.0), DimensionMismatch, r"shape \(5, 2\)"),
+    ],
+    ids=["zero", "below-floor", "nan", "above-every-cap", "wrong-shape"],
+)
+def test_deviation_check_rejects_an_anchor_outside_the_action_box(paper_spec, anchor, error, message):
+    """The certificate checks its anchor as the equilibrium loop does.
+
+    Unchecked, a zero anchor gave an infinite gap, one below the floor a gap
+    of 2170, and a NaN anchor or one above every cap a small finite gap.
+    """
+    profile = solve_bayesian_equilibrium(paper_spec)
+    with pytest.raises(error, match=message) as excinfo:
+        deviation_check(paper_spec, profile.plan, profile.strategy, None, anchor, 0.5)
     assert excinfo.type is error
 
 
