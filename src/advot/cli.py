@@ -2,7 +2,10 @@
 
 Usage: ``advot <subcommand> --config scenario.json --out results/ [...]``.
 Each run writes a trace (CSV or JSON-lines), a final report and an echo of
-the effective configuration into the output directory.  The ``ADVOT_LOG``
+the effective configuration into the output directory.  A directory holds
+one run: a rerun into it removes only the five names a run can write
+(``config_echo.json``, ``trace.csv``, ``trace.jsonl``, ``report.json``,
+``messages.log``) and writes each output as a new file.  The ``ADVOT_LOG``
 environment variable sets the logging level (debug, info, warning, error).
 """
 

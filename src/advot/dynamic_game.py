@@ -84,9 +84,9 @@ def run_dynamic_game(
     stage's plan (stage 1 from the adversary-free plan) and the adversary's
     stage best response to it; the dispatcher's weights use the thresholded
     action, the revealed (raw) action then drives the belief update.  A
-    stage that fails to settle raises :class:`StageNotConverged` unless
-    ``abort_on_failure`` is False, in which case the stage is recorded as-is
-    and play continues.
+    stage that fails to settle raises :class:`StageNotConverged`, which
+    carries that stage's profile, unless ``abort_on_failure`` is False, in
+    which case the stage is recorded as-is and play continues.
     """
     _check_integer(stages, "stages")
     if stages < 1:
@@ -103,7 +103,7 @@ def run_dynamic_game(
         if not profile.converged:
             logger.warning("stage %d failed to converge (gap %.3e)", stage, profile.deviation_gap)
             if abort_on_failure:
-                raise StageNotConverged(stage, outcomes=outcomes)
+                raise StageNotConverged(stage, outcomes=outcomes, profile=profile)
         effective = threshold_phi(profile.strategy, xi_prev, tau)
         utility, cost_minor, cost_major = stage_payoffs(spec, belief, profile.plan, effective)
         belief_after = belief_update(belief, profile.strategy)

@@ -44,13 +44,14 @@ class DegenerateDenominator(AdvotError):
 class StageNotConverged(AdvotError):
     """A stage of the multistage game failed to reach its fixed point.
 
-    Carries the stage index and the outcomes of the stages completed before
-    the failure.
+    Carries the stage index, the outcomes of the stages completed before
+    the failure and the failed stage's own equilibrium profile.
     """
 
-    def __init__(self, stage: int, message: str = "", outcomes=None):
+    def __init__(self, stage: int, message: str = "", outcomes=None, profile=None):
         self.stage = stage
         self.outcomes = list(outcomes) if outcomes is not None else []
+        self.profile = profile
         super().__init__(message or f"stage {stage} did not converge")
 
 

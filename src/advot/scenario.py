@@ -33,6 +33,10 @@ logger = logging.getLogger(__name__)
 SUBCOMMANDS = ("solve-ot", "static-eq", "dynamic-sim", "distributed-sim")
 TRACE_FORMATS = ("csv", "json")
 
+#: Every file a run can write into its output directory.  A run removes these,
+#: and nothing else there, before it writes, so each output is a new file.
+OUTPUT_NAMES = ("config_echo.json", "trace.csv", "trace.jsonl", "report.json", "messages.log")
+
 #: The types of a node id: JSON strings and integers, not booleans.
 _ID_TYPES = frozenset((str, int))
 
@@ -578,14 +582,20 @@ def _run_static_eq(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
 
 def _run_dynamic_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
     stages, tau, on_failure = config.dynamic_params()
-    failed_stage = None
+    failed_stage, failure = None, {}
     try:
         outcomes = run_dynamic_game(spec, stages, tau, abort_on_failure=(on_failure == "abort"))
     except StageNotConverged as exc:
-        outcomes, failed_stage = exc.outcomes, exc.stage
+        outcomes, failed_stage, profile = exc.outcomes, exc.stage, exc.profile
+        failure = {"failed_profile": {
+            "rounds": profile.iterations,
+            "deviation_gap": profile.deviation_gap,
+            "plan": profile.plan.tolist(),
+        }}
     return dynamic_trace_records(spec.network, outcomes), {
         "converged": failed_stage is None and all(o.profile.converged for o in outcomes),
         "failed_stage": failed_stage,
+        **failure,
         "stages": [
             {
                 "stage": o.state.stage,
@@ -632,10 +642,13 @@ _RUNNERS = {
 def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "csv") -> int:
     """Execute one experiment and write config echo, trace and report.
 
-    The report is the runner's fields plus the run's ``kind`` and the
-    network's ids and edges.  Returns the process exit status: 0 on
-    convergence, 2 when the run ended without converging.  Input errors
-    raise and are mapped by the CLI.
+    Once the inputs are checked, the outputs of an earlier run in
+    ``out_dir`` (the files named in :data:`OUTPUT_NAMES`, and no other) are
+    removed, so the directory then holds this run's outputs alone, even when
+    the run fails.  The report is the runner's fields plus the run's
+    ``kind`` and the network's ids and edges.  Returns the process exit
+    status: 0 on convergence, 2 when the run ended without converging.
+    Input errors raise and are mapped by the CLI.
     """
     if subcommand not in _RUNNERS:
         raise ValidationError(f"unknown subcommand {subcommand!r}")
@@ -644,6 +657,11 @@ def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "c
     spec = None if subcommand == "solve-ot" else config.game_spec()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # No output of an earlier run may survive beside this run's.  Removing
+    # them, rather than truncating them on open, also keeps each write from
+    # waiting on the disk work the earlier run's files still have pending.
+    for name in OUTPUT_NAMES:
+        (out_dir / name).unlink(missing_ok=True)
     # The echo and the report both list the edges: encoded once, laid out twice.
     tree = config.tree()
     (out_dir / "config_echo.json").write_text(_json_text(tree), encoding="utf-8")

@@ -239,6 +239,10 @@ def test_stage_failure_raises_with_partial_outcomes(paper_spec):
         run_dynamic_game(paper_spec, stages=2, tau=0.5, max_rounds=2)
     assert excinfo.value.stage == 1
     assert excinfo.value.outcomes == []
+    # the failed stage's own profile rides along, so a report can show it
+    profile = excinfo.value.profile
+    assert (profile.iterations, profile.converged) == (2, False)
+    assert profile.plan.shape == (paper_spec.network.n_edges,)
 
 
 def test_stage_failure_can_continue(paper_spec):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 
 import numpy as np
@@ -12,15 +13,19 @@ from hypothesis import strategies as st
 from advot import (
     ParseError,
     Schedule,
+    StageNotConverged,
     ValidationError,
     build_network,
     emit_trace,
     parse_scenario,
     run_command,
     run_distributed,
+    run_dynamic_game,
 )
 from advot.scenario import (
+    OUTPUT_NAMES,
     SUBCOMMANDS,
+    TRACE_FORMATS,
     _check_columns,
     _columns,
     _edge_list,
@@ -1003,6 +1008,109 @@ def test_minimal_scenario_supports_all_commands(tmp_path):
     for command in ("solve-ot", "static-eq", "dynamic-sim", "distributed-sim"):
         out = tmp_path / command
         assert run_cli(command, "--config", MINIMAL, "--out", out) == 0
+
+
+# ---------------------------------------------------------------------------
+# reruns into an output directory an earlier run used
+
+
+def _files(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_cli_aborted_dynamic_sim_reports_its_failed_stage(tmp_path, large_capacity_config):
+    # stage 1's inner solve cannot meet the absolute tol at capacities near 1e8
+    out = tmp_path / "dyn"
+    assert run_cli("dynamic-sim", "--config", large_capacity_config, "--out", out) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert (report["converged"], report["failed_stage"], report["stages"]) == (False, 1, [])
+    spec = parse_scenario(large_capacity_config.read_text()).game_spec()
+    with pytest.raises(StageNotConverged) as excinfo:
+        run_dynamic_game(spec, 5, 0.5)
+    profile = excinfo.value.profile
+    assert report["failed_profile"] == {
+        "rounds": profile.iterations,
+        "deviation_gap": profile.deviation_gap,
+        "plan": profile.plan.tolist(),
+    }
+    assert len(report["failed_profile"]["plan"]) == spec.network.n_edges
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_cli_failed_rerun_leaves_no_output_of_the_earlier_run(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run_cli("static-eq", "--config", PAPER, "--out", out) == 0
+    assert run_cli("static-eq", "--config", PAPER, "--out", out, "--lambda", 1e-300) == 1
+    assert "prices or plan became non-finite" in capsys.readouterr().err
+    assert sorted(_files(out)) == ["config_echo.json"]
+    assert parse_scenario((out / "config_echo.json").read_text()).settings().lam == 1e-300
+
+
+def test_cli_rerun_in_the_other_trace_format_drops_the_old_trace(tmp_path):
+    out = tmp_path / "d"
+    assert run_cli("static-eq", "--config", PAPER, "--out", out) == 0
+    assert run_cli("static-eq", "--config", PAPER, "--out", out, "--emit", "json") == 0
+    assert sorted(_files(out)) == ["config_echo.json", "report.json", "trace.jsonl"]
+
+
+def test_cli_rerun_of_another_subcommand_drops_the_message_log(tmp_path):
+    out = tmp_path / "d"
+    assert run_cli("distributed-sim", "--config", PAPER, "--out", out) == 0
+    assert run_cli("static-eq", "--config", PAPER, "--out", out) == 0
+    assert sorted(_files(out)) == ["config_echo.json", "report.json", "trace.csv"]
+
+
+def test_output_names_are_exactly_the_files_runs_write(tmp_path):
+    written = set()
+    for command in SUBCOMMANDS:
+        for emit in TRACE_FORMATS:
+            out = tmp_path / f"{command}-{emit}"
+            assert run_cli(command, "--config", PAPER, "--out", out, "--emit", emit) == 0
+            written |= set(_files(out))
+    assert written == set(OUTPUT_NAMES)
+
+
+@pytest.mark.parametrize("emit", TRACE_FORMATS)
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_rerun_writes_the_bytes_of_a_fresh_run(tmp_path, command, emit):
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    assert run_cli(command, "--config", PAPER, "--out", fresh, "--emit", emit) == 0
+    # every output name holds more bytes than any run writes, and one file is no output
+    used.mkdir()
+    for name in OUTPUT_NAMES:
+        (used / name).write_bytes(b"stale\n" * 50_000)
+    (used / "notes.txt").write_bytes(b"kept\n")
+    assert run_cli(command, "--config", PAPER, "--out", used, "--emit", emit) == 0
+    assert _files(used) == {**_files(fresh), "notes.txt": b"kept\n"}
+
+
+def test_cli_rerun_leaves_a_hard_link_to_an_old_output_alone(tmp_path):
+    out = tmp_path / "d"
+    assert run_cli("static-eq", "--config", PAPER, "--out", out, "--lambda", 2) == 0
+    old = (out / "report.json").read_bytes()
+    os.link(out / "report.json", tmp_path / "kept.json")
+    assert run_cli("static-eq", "--config", PAPER, "--out", out) == 0
+    assert (tmp_path / "kept.json").read_bytes() == old
+    assert (out / "report.json").read_bytes() != old
+
+
+def test_cli_rerun_replaces_a_symlink_instead_of_writing_through_it(tmp_path):
+    out, target = tmp_path / "d", tmp_path / "elsewhere.json"
+    out.mkdir()
+    target.write_text("not an output\n")
+    (out / "report.json").symlink_to(target)
+    assert run_cli("static-eq", "--config", PAPER, "--out", out) == 0
+    assert target.read_text() == "not an output\n"
+    assert not (out / "report.json").is_symlink()
+    assert json.loads((out / "report.json").read_text())["converged"] is True
+
+
+def test_cli_directory_at_an_output_name_is_an_output_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    (out / "report.json").mkdir(parents=True)
+    assert run_cli("static-eq", "--config", PAPER, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("advot: cannot write outputs")
+    assert (out / "report.json").is_dir()
 
 
 @pytest.mark.parametrize("edge", [[["j1"], "q1"], ["j1", {"id": "q1"}], [True, "q1"]])
