@@ -48,7 +48,7 @@ class StageNotConverged(AdvotError):
     the failure and the failed stage's own equilibrium profile.
     """
 
-    def __init__(self, stage: int, message: str = "", outcomes=None, profile=None):
+    def __init__(self, stage: int, message: str = "", outcomes=None, *, profile):
         self.stage = stage
         self.outcomes = list(outcomes) if outcomes is not None else []
         self.profile = profile

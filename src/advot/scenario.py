@@ -31,11 +31,18 @@ from .transport import SolveReport, SolverSettings, planner_objective, solve_reg
 logger = logging.getLogger(__name__)
 
 SUBCOMMANDS = ("solve-ot", "static-eq", "dynamic-sim", "distributed-sim")
-TRACE_FORMATS = ("csv", "json")
+
+#: The names of the files a run writes; the trace's depends on ``--emit``.
+_ECHO_NAME = "config_echo.json"
+_TRACE_NAMES = {"csv": "trace.csv", "json": "trace.jsonl"}
+_REPORT_NAME = "report.json"
+_MESSAGES_NAME = "messages.log"
+
+TRACE_FORMATS = tuple(_TRACE_NAMES)
 
 #: Every file a run can write into its output directory.  A run removes these,
 #: and nothing else there, before it writes, so each output is a new file.
-OUTPUT_NAMES = ("config_echo.json", "trace.csv", "trace.jsonl", "report.json", "messages.log")
+OUTPUT_NAMES = (_ECHO_NAME, *_TRACE_NAMES.values(), _REPORT_NAME, _MESSAGES_NAME)
 
 #: The types of a node id: JSON strings and integers, not booleans.
 _ID_TYPES = frozenset((str, int))
@@ -617,7 +624,7 @@ def _run_dynamic_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
 
 def _run_distributed_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
     report, log = run_distributed(spec, config.schedule())
-    (out_dir / "messages.log").write_text(log.to_text(), encoding="utf-8")
+    (out_dir / _MESSAGES_NAME).write_text(log.to_text(), encoding="utf-8")
     # the static game's certificate of the final plan against the adversary's best response
     gap = deviation_check(spec, report.plan, best_response_strategy(spec, report.plan))
     return distributed_trace_records(spec.network, report), {
@@ -656,21 +663,22 @@ def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "c
     # The games' inputs (the adversary block, lam > 0) are checked before any file is written.
     spec = None if subcommand == "solve-ot" else config.game_spec()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # No output of an earlier run may survive beside this run's.  Removing
-    # them, rather than truncating them on open, also keeps each write from
-    # waiting on the disk work the earlier run's files still have pending.
-    for name in OUTPUT_NAMES:
-        (out_dir / name).unlink(missing_ok=True)
+    if out_dir.is_dir():
+        # No output of an earlier run may survive beside this run's.  Removing
+        # them, rather than truncating them on open, also keeps each write from
+        # waiting on the disk work the earlier run's files still have pending.
+        for name in OUTPUT_NAMES:
+            (out_dir / name).unlink(missing_ok=True)
+    else:
+        out_dir.mkdir(parents=True, exist_ok=True)
     # The echo and the report both list the edges: encoded once, laid out twice.
     tree = config.tree()
-    (out_dir / "config_echo.json").write_text(_json_text(tree), encoding="utf-8")
+    (out_dir / _ECHO_NAME).write_text(_json_text(tree), encoding="utf-8")
     (columns, rows), fields = _RUNNERS[subcommand](config, spec, out_dir)
-    trace_name = "trace.csv" if emit == "csv" else "trace.jsonl"
-    emit_trace(subcommand, columns, rows, emit, out_dir / trace_name)
+    emit_trace(subcommand, columns, rows, emit, out_dir / _TRACE_NAMES[emit])
     header = {key: tree["network"][key] for key in ("sources", "targets", "edges")}
     report = {"kind": subcommand, **fields, **header}
-    (out_dir / "report.json").write_text(_json_text(report), encoding="utf-8")
+    (out_dir / _REPORT_NAME).write_text(_json_text(report), encoding="utf-8")
     status = 0 if fields["converged"] else 2
     logger.info("%s finished with status %d (outputs in %s)", subcommand, status, out_dir)
     return status

@@ -1113,7 +1113,15 @@ def test_cli_directory_at_an_output_name_is_an_output_error(tmp_path, capsys):
     assert (out / "report.json").is_dir()
 
 
-@pytest.mark.parametrize("edge", [[["j1"], "q1"], ["j1", {"id": "q1"}], [True, "q1"]])
+def test_cli_file_at_the_output_directory_is_an_output_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    out.write_text("not a directory\n")
+    assert run_cli("static-eq", "--config", PAPER, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("advot: cannot write outputs")
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("edge",[[["j1"], "q1"], ["j1", {"id": "q1"}], [True, "q1"]])
 def test_cli_rejects_an_edge_endpoint_that_is_not_an_id(tmp_path, capsys, edge):
     config = json.loads(PAPER.read_text())
     config["network"]["edges"][0] = edge
