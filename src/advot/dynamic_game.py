@@ -40,11 +40,13 @@ def belief_update(belief: np.ndarray, xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != belief.shape:
         raise ValidationError("belief and action tables must have matching shape")
-    if np.any(xi < PERTURBATION_FLOOR):
+    if not np.isfinite(xi).all():
+        raise ValidationError("actions must be finite")
+    if (xi < PERTURBATION_FLOOR).any():
         raise PerturbationBelowFloor("belief update needs actions >= the floor")
     weighted = belief * xi
     denom = weighted.sum(axis=1)
-    if not np.all(denom > 0):
+    if not (denom > 0).all():
         raise DegenerateDenominator("belief-weighted actions did not sum to a positive value")
     return weighted / denom[:, None]
 

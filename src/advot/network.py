@@ -166,12 +166,16 @@ def build_network(
 
 
 def check_plan(network: BipartiteNetwork, plan: np.ndarray) -> np.ndarray:
-    """Coerce to a per-edge float vector, raising on wrong dimensions."""
+    """Coerce to a per-edge float vector: finite and nonnegative, raising otherwise."""
     arr = np.asarray(plan, dtype=float)
     if arr.shape != (network.n_edges,):
         raise DimensionMismatch(
             f"plan has shape {arr.shape}, expected ({network.n_edges},)"
         )
+    if not np.isfinite(arr).all():
+        raise ValidationError("plans must be finite")
+    if (arr < 0).any():
+        raise ValidationError("plans must be elementwise nonnegative")
     return arr
 
 
@@ -187,11 +191,11 @@ def check_belief(belief: np.ndarray, n_targets: int) -> np.ndarray:
         raise DimensionMismatch(
             f"belief has shape {arr.shape}, expected ({n_targets}, 2)"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("belief entries must be finite")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValidationError("belief entries must be nonnegative")
-    if np.any(np.abs(arr.sum(axis=1) - 1.0) > BELIEF_ATOL):
+    if (np.abs(arr.sum(axis=1) - 1.0) > BELIEF_ATOL).any():
         raise ValidationError("belief rows must sum to 1")
     return arr
 
@@ -208,14 +212,14 @@ def check_strategy(
     n = len(lower_caps)
     if arr.shape != (n, 2):
         raise DimensionMismatch(f"strategy has shape {arr.shape}, expected ({n}, 2)")
-    if np.any(arr < PERTURBATION_FLOOR):
+    if (arr < PERTURBATION_FLOOR).any():
         raise PerturbationBelowFloor(
             f"actions must stay >= {PERTURBATION_FLOOR} to keep costs finite"
         )
-    caps = np.stack([np.asarray(lower_caps, float), np.asarray(upper_caps, float)], axis=1)
-    if np.any(arr > caps * (1 + 1e-12)):
+    if ((arr[:, 0] > np.asarray(lower_caps, float) * (1 + 1e-12)).any()
+            or (arr[:, 1] > np.asarray(upper_caps, float) * (1 + 1e-12)).any()):
         raise ValidationError("an action exceeds its per-type cap")
-    if not np.all(np.isfinite(arr)):  # last, so that only NaN reaches it
+    if not np.isfinite(arr).all():  # last, so that only NaN reaches it
         raise ValidationError("actions must be finite")
     return arr
 

@@ -49,7 +49,9 @@ class GameSpec:
     """Everything needed to pose the static game.
 
     ``belief`` rows are per-target (minor, major) probabilities; ``lower_caps``
-    bounds the minor type's action, ``upper_caps`` the major type's.
+    bounds the minor type's action, ``upper_caps`` the major type's.  The
+    read-only caps table that :meth:`caps` returns is built once, at
+    construction.
     """
 
     network: BipartiteNetwork
@@ -59,36 +61,37 @@ class GameSpec:
     cost_params: AdversaryCostParams
     belief: np.ndarray  # (n_targets, 2)
     settings: SolverSettings = SolverSettings()
+    _caps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_targets = self.network.n_targets
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (self.network.n_edges,):
             raise ValidationError("weights must be a per-edge vector")
-        if not np.all(np.isfinite(weights)):
+        if not np.isfinite(weights).all():
             raise ValidationError("weights must be finite")
         lower = np.asarray(self.lower_caps, dtype=float)
         upper = np.asarray(self.upper_caps, dtype=float)
         if lower.shape != (n_targets,) or upper.shape != (n_targets,):
             raise ValidationError("caps must cover every target node")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise ValidationError("caps must be finite")
-        if np.any(lower < PERTURBATION_FLOOR) or np.any(upper < PERTURBATION_FLOOR):
+        if (lower < PERTURBATION_FLOOR).any() or (upper < PERTURBATION_FLOOR).any():
             raise PerturbationBelowFloor(f"caps must be >= the action floor {PERTURBATION_FLOOR}")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValidationError("lower caps must not exceed upper caps")
         if self.cost_params.punishment_coeff.shape != (self.network.n_edges,):
             raise ValidationError("cost params do not match the network's edges")
         if self.settings.lam <= 0:
             raise ValidationError("the game needs a positive smoothing weight lam")
         belief = check_belief(self.belief, n_targets)
-        for name, value in (("weights", weights), ("lower_caps", lower),
-                            ("upper_caps", upper), ("belief", belief)):
+        for name, value in (("weights", weights), ("lower_caps", lower), ("upper_caps", upper),
+                            ("belief", belief), ("_caps", np.stack([lower, upper], axis=1))):
             object.__setattr__(self, name, _frozen(value))
 
     def caps(self) -> np.ndarray:
-        """Per-target (minor, major) action caps as an (n_targets, 2) array."""
-        return np.stack([self.lower_caps, self.upper_caps], axis=1)
+        """Per-target (minor, major) action caps as one shared, read-only (n_targets, 2) array."""
+        return self._caps
 
 
 @dataclass
@@ -155,7 +158,7 @@ def minimize_node_cost(
     # The stationary point is not used where there is no flow, so its 0/0 is silenced.
     with np.errstate(divide="ignore", invalid="ignore"):
         stationary = (beta2 * scale / flow) ** (1.0 / (1.0 + beta2))
-    return np.where(flow <= 0, caps, np.clip(stationary, PERTURBATION_FLOOR, caps))
+    return np.where(flow <= 0, caps, np.minimum(np.maximum(stationary, PERTURBATION_FLOOR), caps))
 
 
 def threshold_phi(xi_t, xi_prev, tau: float):
@@ -281,26 +284,23 @@ def deviation_check(
     slack = network.capacities - network.row_sums(plan)
     hi = np.maximum(plan + slack[network.edge_source], 0.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = np.stack([np.minimum(hi, np.exp(w_eff / lam - 1.0)), plan])
-        utility = w_eff * y - lam * np.where(y > 0, y * np.log(y), 0.0)
-    gain = utility[0] - utility[1]
+        best_y = np.minimum(hi, np.exp(w_eff / lam - 1.0))
+        best_utility, utility = (w_eff * y - lam * np.where(y > 0, y * np.log(y), 0.0)
+                                 for y in (best_y, plan))
+    gain = best_utility - utility
 
     scale, flow_term, best = _stage_response(
         network, plan, spec.cost_params, spec.caps(), xi_prev, tau
     )
-    z = np.stack([effective, best])
-    cost = scale * z ** (-spec.cost_params.beta2) + flow_term * z
-    reduction = cost[0] - cost[1]
+    beta2 = spec.cost_params.beta2
+    cost, best_cost = (scale * z ** (-beta2) + flow_term * z for z in (effective, best))
+    reduction = cost - best_cost
     return max(float(gain.max()), float(reduction.max()))
 
 
-def stage_payoffs(
-    spec: GameSpec, belief: np.ndarray, plan: np.ndarray, effective: np.ndarray
-) -> tuple[float, float, float]:
-    """Dispatcher utility and the minor and major types' costs against the effective action."""
+def _payoffs(spec: GameSpec, belief, plan, effective) -> tuple[float, float, float]:
+    """:func:`stage_payoffs` of a plan and belief already checked."""
     network, weights, params, lam = spec.network, spec.weights, spec.cost_params, spec.settings.lam
-    plan = check_plan(network, plan)
-    belief = check_belief(belief, network.n_targets)
     utility = planner_objective(plan, _perceived(network, weights, effective, belief), lam)
     powered = plan ** params.beta1
     costs = (_edge_cost(params, plan, powered, weights, t, effective[network.edge_target, t - 1])
@@ -308,24 +308,41 @@ def stage_payoffs(
     return (utility, *costs)
 
 
+def stage_payoffs(
+    spec: GameSpec, belief: np.ndarray, plan: np.ndarray, effective: np.ndarray
+) -> tuple[float, float, float]:
+    """Dispatcher utility and the minor and major types' costs against the effective action.
+
+    The plan and the belief are checked here; the payoffs themselves come
+    from the kernel the equilibrium loop's traced rounds call directly.
+    """
+    plan = check_plan(spec.network, plan)
+    belief = check_belief(belief, spec.network.n_targets)
+    return _payoffs(spec, belief, plan, effective)
+
+
 def _anderson_step(history: list, g: np.ndarray, f: np.ndarray, caps) -> np.ndarray:
     """Next trial action of type-II Anderson mixing (Walker & Ni 2011), in ``[floor, caps]``.
 
     ``history`` holds the last rounds' ``(g, f)``: the best response and its
     residual ``f = g - x``.  A residual larger than the last one clears it,
-    and with no history left the step is the plain ``x = g``.  Otherwise
-    ``dG`` and ``dF`` are the differences of the last ``ANDERSON_MEMORY + 1``
-    entries, and the step is ``g - dG @ gamma`` with ``gamma`` the
-    least-squares fit of ``dF @ gamma`` to ``f``, clipped into the box.
+    and with no earlier round left the step is the plain ``x = g``, with
+    nothing to fit.  Otherwise ``dG`` and ``dF`` are the differences of the
+    last ``ANDERSON_MEMORY + 1`` entries, and the step is ``g - dG @ gamma``
+    with ``gamma`` the least-squares fit of ``dF @ gamma`` to ``f``.  Either
+    step is clipped into the box.
     """
     if history and np.linalg.norm(f) > np.linalg.norm(history[-1][1]):
         history.clear()
     history.append((g.ravel(), f.ravel()))
     del history[:-(ANDERSON_MEMORY + 1)]
-    g_hist, f_hist = (np.array(column).T for column in zip(*history))
-    d_g, d_f = np.diff(g_hist, axis=1), np.diff(f_hist, axis=1)
-    gamma = np.linalg.lstsq(d_f, f.ravel(), rcond=None)[0]
-    return np.clip(g - (d_g @ gamma).reshape(g.shape), PERTURBATION_FLOOR, caps)
+    step = g
+    if len(history) > 1:
+        g_hist, f_hist = (np.array(column).T for column in zip(*history))
+        d_g, d_f = np.diff(g_hist, axis=1), np.diff(f_hist, axis=1)
+        gamma = np.linalg.lstsq(d_f, f.ravel(), rcond=None)[0]
+        step = g - (d_g @ gamma).reshape(g.shape)
+    return np.minimum(np.maximum(step, PERTURBATION_FLOOR), caps)
 
 
 def stage_equilibrium(
@@ -347,8 +364,10 @@ def stage_equilibrium(
     The loop stops when neither the plan nor the residual ``g - x`` moves
     more than ``PROFILE_TOL``; otherwise the next ``x`` is
     :func:`_anderson_step`.  The anchor ``xi_prev`` (:func:`_check_anchor`)
-    and the belief are checked once, on entry.  The profile is the last plan
-    and ``g``, and a traced round records them with the payoffs at ``phi(g)``.
+    and the belief are checked once, on entry, and each round's plan by the
+    best response.  The profile is the last plan and ``g``, and a traced
+    round records them with the payoffs at ``phi(g)``, from the kernel that
+    :func:`stage_payoffs` calls after its own checks.
     :func:`deviation_check` then certifies the profile; ``converged``
     requires the loop to settle, the last transport solve to converge and
     the deviation gap to be within tolerance.
@@ -367,10 +386,10 @@ def stage_equilibrium(
         plan_new, inner_converged = report.plan, report.converged
         xi = best_response_strategy(spec, plan_new, xi_prev, tau)
         residual = xi - x
-        change = max(float(np.max(np.abs(plan_new - plan))), float(np.max(np.abs(residual))))
+        change = max(float(np.abs(plan_new - plan).max()), float(np.abs(residual).max()))
         plan = plan_new
         if record_trace:
-            utility, minor, major = stage_payoffs(spec, belief, plan, threshold_phi(xi, xi_prev, tau))
+            utility, minor, major = _payoffs(spec, belief, plan, threshold_phi(xi, xi_prev, tau))
             trace.append({"round": rounds, "plan": plan, "xi_minor": xi[:, 0], "xi_major": xi[:, 1],
                           "dispatcher_utility": utility, "adversary_cost_minor": minor,
                           "adversary_cost_major": major})

@@ -69,7 +69,7 @@ class SolveReport:
 def planner_objective(plan: np.ndarray, weights: np.ndarray, lam: float) -> float:
     """Dispatcher utility ``sum(m*x) - lam*sum(x*log x)`` of a plan, with ``0*log 0 = 0``."""
     plan = np.asarray(plan, dtype=float)
-    if np.any(plan < 0):
+    if (plan < 0).any():
         raise ValidationError("plans must be elementwise nonnegative")
     entropy = plan * np.log(np.where(plan > 0, plan, 1.0))  # 0 where x = 0
     return float(np.dot(np.asarray(weights, float), plan)) - lam * float(entropy.sum())
@@ -81,7 +81,7 @@ def _check_weights(network: BipartiteNetwork, weights) -> np.ndarray:
         raise DimensionMismatch(
             f"weights have shape {arr.shape}, expected ({network.n_edges},)"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("weights must be finite")
     return arr
 
@@ -163,10 +163,10 @@ def solve_regularized_ot(
     w = _check_weights(network, weights)
     prices = row_prices(w, network.edge_source, network.capacities, settings.lam)
     plan = primal_update(network, w, prices, settings.lam)
-    if not (np.all(np.isfinite(prices)) and np.all(np.isfinite(plan))):
+    if not (np.isfinite(prices).all() and np.isfinite(plan).all()):
         raise NonFiniteIterate(1, "prices or plan became non-finite at iteration 1")
     rows = network.row_sums(plan)
-    residual = float(np.max(np.abs(np.minimum(prices, network.capacities - rows))))
+    residual = float(np.abs(np.minimum(prices, network.capacities - rows)).max())
     trace = [{
         "iteration": 1,
         "plan": plan,

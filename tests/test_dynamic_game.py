@@ -6,7 +6,6 @@ import pytest
 from advot import (
     PERTURBATION_FLOOR,
     AdversaryCostParams,
-    DegenerateDenominator,
     StageNotConverged,
     ValidationError,
     belief_update,
@@ -158,8 +157,16 @@ def test_belief_update_scale_invariant():
 def test_belief_update_rejects_bad_inputs():
     with pytest.raises(Exception):
         belief_update(uniform_belief(1), np.array([[0.0, 1.0]]))
-    with pytest.raises(DegenerateDenominator):
-        belief_update(np.array([[0.0, 1.0]]), np.array([[5.0, np.nan]]))
+
+
+@pytest.mark.parametrize("belief", [[[0.0, 1.0]], [[0.5, 0.5]]], ids=["degenerate", "uniform"])
+@pytest.mark.parametrize("actions", [[5.0, np.nan], [np.nan, np.nan], [np.inf, 5.0]],
+                         ids=["one-nan", "all-nan", "inf"])
+def test_belief_update_rejects_non_finite_actions(belief, actions):
+    """A NaN action used to be reported as a zero normalizer, and an infinite one gave NaN beliefs."""
+    with pytest.raises(ValidationError, match="actions must be finite") as excinfo:
+        belief_update(np.array(belief), np.array([actions]))
+    assert excinfo.type is ValidationError
 
 
 def test_beliefs_stay_normalized_over_long_runs(paper_spec):

@@ -671,6 +671,45 @@ def test_cli_distributed_sim_results_are_pinned_apart_from_the_log(tmp_path, fla
     )
 
 
+# sha256 of each output of the centralized subcommands on dense_5x10, per
+# trace format: the engine's bytes on a game of 50 edges, 10 per source.
+DENSE_ECHO_SHA256 = "d82e688e93a7b7710130d278debcc25c10e2729bf3395d53fda0b694203e4b95"
+DENSE_OUTPUT_SHA256 = {
+    ("solve-ot", "csv"): {
+        "report.json": "62443a151b5bc7cff87db3b06f18e7e3ab206e59ed61f4bfb264869cba23f934",
+        "trace.csv": "a12eb8f7a2159a6f932d2b2067ca1032c98cd8bc73e42c5e4f60d77bb71eb621",
+    },
+    ("solve-ot", "json"): {
+        "report.json": "62443a151b5bc7cff87db3b06f18e7e3ab206e59ed61f4bfb264869cba23f934",
+        "trace.jsonl": "ced20a3a55f69d56ce13e81f4fd0ed7a907c23acefd61d2f0073280316d30aaf",
+    },
+    ("static-eq", "csv"): {
+        "report.json": "8683e706dd2eb9e763616b76b0938d2ef0138dd5010e7ef32cd6ce2083a518b5",
+        "trace.csv": "9b1c6fc06dd143525803f3164969850f500dcabf9c5f7fa30df9fb1bdfd7bd20",
+    },
+    ("static-eq", "json"): {
+        "report.json": "8683e706dd2eb9e763616b76b0938d2ef0138dd5010e7ef32cd6ce2083a518b5",
+        "trace.jsonl": "41d4f6fe61eeccb13826892276b56dd72f6eb5956221b632452d2f1e8b1c0abd",
+    },
+    ("dynamic-sim", "csv"): {
+        "report.json": "6206ac9c085503f760d8801f458564c921e313e1121624e15db4da550d646213",
+        "trace.csv": "372d9bd04048c3e9b1ec7d01da6216d4b7d227eec15a5348141c55742c7f9ca4",
+    },
+    ("dynamic-sim", "json"): {
+        "report.json": "6206ac9c085503f760d8801f458564c921e313e1121624e15db4da550d646213",
+        "trace.jsonl": "199059b3e2f6e3e4c9b14e4f9bd0f3fdd34aa21d1ecf1f2d665231f8d71baf87",
+    },
+}
+
+
+@pytest.mark.parametrize(("command", "emit"), sorted(DENSE_OUTPUT_SHA256))
+def test_cli_output_bytes_on_a_generated_game_are_pinned(tmp_path, command, emit):
+    out = tmp_path / command
+    assert run_cli(command, "--config", dense_5x10(tmp_path), "--out", out, "--emit", emit) == 0
+    expected = {"config_echo.json": DENSE_ECHO_SHA256, **DENSE_OUTPUT_SHA256[command, emit]}
+    assert {path.name: _sha256(path) for path in out.iterdir()} == expected
+
+
 # Source s<j> of dense_pool(5, 10, 7, 1)[0] keeps these targets: degrees 10, 2, 6, 1, 3.
 UNEVEN_TARGETS = [range(10), (0, 1), range(2, 8), (9,), (3, 5, 8)]
 

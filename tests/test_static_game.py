@@ -126,6 +126,21 @@ def test_game_spec_validation(paper_spec):
         dataclasses.replace(paper_spec, belief=np.tile([0.7, 0.7], (3, 1)))
 
 
+def test_caps_table_is_built_once_and_read_only(paper_spec):
+    caps = paper_spec.caps()
+    np.testing.assert_array_equal(
+        caps, np.stack([paper_spec.lower_caps, paper_spec.upper_caps], axis=1)
+    )
+    assert paper_spec.caps() is caps
+    with pytest.raises(ValueError):
+        caps[0, 0] = 1.0
+    lower = np.array([5.0, 4.0, 3.0])
+    replaced = dataclasses.replace(paper_spec, lower_caps=lower)
+    np.testing.assert_array_equal(replaced.caps(), np.stack([lower, paper_spec.upper_caps], axis=1))
+    assert not replaced.caps().flags.writeable
+    np.testing.assert_array_equal(paper_spec.caps()[:, 0], [6.0, 4.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # adversary cost and best response
 
@@ -378,6 +393,34 @@ def test_deviation_check_rejects_non_finite_actions(paper_spec, value, error, me
     with pytest.raises(error, match=message) as excinfo:
         deviation_check(paper_spec, profile.plan, xi)
     assert excinfo.type is error
+
+
+PLAN_CALLS = {
+    "best_response_strategy": lambda spec, plan, xi: best_response_strategy(spec, plan),
+    "deviation_check": lambda spec, plan, xi: deviation_check(spec, plan, xi),
+    "stage_payoffs": lambda spec, plan, xi: stage_payoffs(spec, spec.belief, plan, xi),
+}
+
+
+@pytest.mark.parametrize(
+    ("entries", "message"),
+    [
+        (np.nan, "plans must be finite"),
+        ([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0], "plans must be finite"),
+        ([np.inf, 1.0, 1.0, 1.0, 1.0, 1.0], "plans must be finite"),
+        ([-0.5, 1.0, 1.0, 1.0, 1.0, 1.0], "plans must be elementwise nonnegative"),
+    ],
+    ids=["all-nan", "one-nan", "one-inf", "one-negative"],
+)
+@pytest.mark.parametrize("call", sorted(PLAN_CALLS))
+def test_a_plan_that_is_not_finite_or_negative_raises(paper_spec, call, entries, message):
+    """Unchecked, a NaN plan gave the floor action everywhere, a NaN gap and NaN payoffs,
+    and a negative entry a gap of 2.92."""
+    profile = solve_bayesian_equilibrium(paper_spec)
+    plan = np.broadcast_to(np.asarray(entries, dtype=float), profile.plan.shape)
+    with pytest.raises(ValidationError, match=message) as excinfo:
+        PLAN_CALLS[call](paper_spec, plan, profile.strategy)
+    assert excinfo.type is ValidationError
 
 
 @pytest.mark.parametrize(
