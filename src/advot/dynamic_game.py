@@ -33,8 +33,9 @@ logger = logging.getLogger(__name__)
 def belief_update(belief: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Reweight each target's type belief by the revealed scalar actions.
 
-    ``mu'(t) = mu(t)*xi(t) / sum_t' mu(t')*xi(t')`` per target node; the
-    positivity floor on actions keeps the normalizer away from zero.
+    ``mu'(t) = mu(t)*xi(t) / sum_t' mu(t')*xi(t')`` per target node.  The
+    actions must be finite, and their positivity floor keeps the normalizer
+    away from zero.
     """
     belief = check_belief(belief, len(belief))
     xi = np.asarray(xi, dtype=float)
