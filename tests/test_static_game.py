@@ -403,21 +403,25 @@ PLAN_CALLS = {
 
 
 @pytest.mark.parametrize(
-    ("entries", "message"),
+    ("value", "count", "message"),
     [
-        (np.nan, "plans must be finite"),
-        ([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0], "plans must be finite"),
-        ([np.inf, 1.0, 1.0, 1.0, 1.0, 1.0], "plans must be finite"),
-        ([-0.5, 1.0, 1.0, 1.0, 1.0, 1.0], "plans must be elementwise nonnegative"),
+        (np.nan, 6, "plans must be finite"),
+        (np.nan, 1, "plans must be finite"),
+        (np.inf, 1, "plans must be finite"),
+        (-0.5, 1, "plans must be elementwise nonnegative"),
     ],
     ids=["all-nan", "one-nan", "one-inf", "one-negative"],
 )
 @pytest.mark.parametrize("call", sorted(PLAN_CALLS))
-def test_a_plan_that_is_not_finite_or_negative_raises(paper_spec, call, entries, message):
-    """Unchecked, a NaN plan gave the floor action everywhere, a NaN gap and NaN payoffs,
-    and a negative entry a gap of 2.92."""
+def test_a_plan_that_is_not_finite_or_negative_raises(paper_spec, call, value, count, message):
+    """The equilibrium plan with its first ``count`` entries set to ``value``.
+
+    Unchecked, an all-NaN plan gave the floor action everywhere and NaN
+    payoffs, one NaN entry a NaN gap, and a first entry of -0.5 a gap of 2.92.
+    """
     profile = solve_bayesian_equilibrium(paper_spec)
-    plan = np.broadcast_to(np.asarray(entries, dtype=float), profile.plan.shape)
+    plan = profile.plan.copy()
+    plan[:count] = value
     with pytest.raises(ValidationError, match=message) as excinfo:
         PLAN_CALLS[call](paper_spec, plan, profile.strategy)
     assert excinfo.type is ValidationError
