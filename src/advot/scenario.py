@@ -109,10 +109,9 @@ _RETIRED_FIELDS = {"solver": {"gamma", "max_iter"}}
 
 def _as_array(value, where: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"'{where}' must be numeric") from exc
-    return arr
 
 
 def _edge_values(network: BipartiteNetwork, raw, where: str) -> np.ndarray:
@@ -181,8 +180,8 @@ def _normalize(raw: dict) -> "ScenarioConfig":
             "capacities": network.capacities.tolist(),
         },
         "weights": weights.tolist(),
+        **_scalar_blocks(raw),
     }
-
     spec = None
     if "adversary" in raw:
         adv = raw["adversary"]
@@ -197,8 +196,8 @@ def _normalize(raw: dict) -> "ScenarioConfig":
             if prior != "uniform":
                 raise ValidationError("prior must be 'uniform' or an explicit table")
             prior = uniform_belief(network.n_targets)
-        # GameSpec owns the caps, prior and coefficient rules; the scenario's
-        # solver settings join it in game_spec().
+        # GameSpec owns the caps, prior and coefficient rules.  Only solve-ot takes
+        # lambda = 0: the game is checked at the default lambda; game_spec() rejects it.
         spec = GameSpec(
             network=network,
             weights=weights,
@@ -211,6 +210,8 @@ def _normalize(raw: dict) -> "ScenarioConfig":
                 _as_float(adv["beta2"], "adversary.beta2"),
             ),
             belief=_as_array(prior, "adversary.prior"),
+            settings=SolverSettings(data["solver"]["lambda"] or SolverSettings.lam,
+                                    data["solver"]["tol"]),
         )
         data["adversary"] = {
             "lower_caps": spec.lower_caps.tolist(),
@@ -220,8 +221,6 @@ def _normalize(raw: dict) -> "ScenarioConfig":
             "beta2": spec.cost_params.beta2,
             "prior": spec.belief.tolist(),
         }
-
-    data.update(_scalar_blocks(raw))
     return ScenarioConfig(data=data, network=network, spec=spec)
 
 
@@ -252,8 +251,8 @@ class ScenarioConfig:
     ``data`` is the normalized key-value tree without the edge list, which
     ``network`` holds; two configs are equal exactly when their full trees
     (:meth:`tree`) are, which is what makes the echo round-trip meaningful.
-    ``spec`` is the checked game of the adversary block under default solver
-    settings, or None when the scenario has no such block.
+    ``spec`` is the checked game of the adversary block under the solver
+    settings parsed with it, or None when the scenario has no such block.
     """
 
     data: dict
@@ -271,10 +270,11 @@ class ScenarioConfig:
         return SolverSettings(self.data["solver"]["lambda"], self.data["solver"]["tol"])
 
     def game_spec(self) -> GameSpec:
-        """The scenario's game under its solver settings; rejects ``lambda = 0``."""
+        """:attr:`spec` under the current solver settings; rejects ``lambda = 0``."""
         if self.spec is None:
             raise ValidationError("this run needs an 'adversary' block in the scenario")
-        return replace(self.spec, settings=self.settings())
+        settings = self.settings()
+        return self.spec if self.spec.settings == settings else replace(self.spec, settings=settings)
 
     def schedule(self) -> Schedule:
         return Schedule(**self.data["distributed"])
@@ -340,10 +340,10 @@ def _edge_list(network: BipartiteNetwork) -> _Encoded:
 def _json_text(payload: dict) -> str:
     """The layout of every JSON file a run writes: sorted keys, two-space indent.
 
-    Exactly the text of ``json.dumps(payload, indent=2, sort_keys=True)`` plus
-    a newline.  ``indent=2`` alone would put every value through the
-    pure-Python encoder; here each list of leaves is encoded in one C call and
-    only the containers around them are laid out in Python.
+    Exactly ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline,
+    an array in ``payload`` read as its ``tolist()``.  ``indent=2`` alone would
+    put every value through the pure-Python encoder; here each list of leaves
+    is encoded in one C call and only the containers around them are laid out.
     """
     return _indented(payload, "\n") + "\n"
 
@@ -366,6 +366,8 @@ def _indented(value, newline: str) -> str:
         return _LEAF_LINES.encode(value)
     if kind is _Encoded:  # encoded JSON holds no raw newline, so only its layout moves
         return value.replace("\n", newline)
+    if kind is np.ndarray:  # listed here, so only the array being laid out is Python floats
+        return _indented(value.tolist(), newline)
     inner = newline + "  "
     if kind is dict and value and all(type(key) is str for key in value):
         return "{" + ",".join(
@@ -461,12 +463,12 @@ def _check_trace_format(fmt: str) -> None:
 def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) -> Path:
     """Write a run's trace table as CSV or JSON-lines with 12-digit floats.
 
-    ``rows`` holds ``(step, values)`` pairs whose float ``values`` line up
-    with ``columns``; identical inputs produce byte-identical files.  Each
+    ``rows`` holds ``(step, values)`` pairs whose float ``values`` (a list or
+    an array, listed only for its own line) line up with ``columns``.  Each
     row is one ``%``-template with a ``%.12g`` field per value, which writes
-    what ``format(v, ".12g")`` writes.  Every row's length is checked before
-    the file is opened, so a bad row writes nothing; the rows are then
-    written one at a time.
+    what ``format(v, ".12g")`` writes, so identical inputs give identical
+    bytes.  Every row's length is checked before the file is opened, so a
+    bad row writes nothing; the rows are then written one at a time.
     """
     _check_trace_format(fmt)
     for step, values in rows:
@@ -488,7 +490,7 @@ def emit_trace(kind: str, columns: list[str], rows: list, fmt: str, path: Path) 
     with path.open("w", encoding="utf-8") as handle:
         handle.write(header)
         for step, values in rows:
-            handle.write(template % (step, *values))
+            handle.write(template % (step, *np.asarray(values).tolist()))
     return path
 
 
@@ -498,12 +500,11 @@ def _escape_percent(text: str) -> str:
 
 def ot_trace_records(network: BipartiteNetwork, report: SolveReport) -> tuple[list[str], list]:
     columns = _columns(network, ("p",), (), ("residual", "objective"))
-    rows = [
+    return columns, [
         (row["iteration"],
-         np.hstack((row["plan"], row["prices"], row["residual"], row["objective"])).tolist())
+         np.hstack((row["plan"], row["prices"], row["residual"], row["objective"])))
         for row in report.trace
     ]
-    return columns, rows
 
 
 def static_trace_records(network: BipartiteNetwork, trace: list[dict]) -> tuple[list[str], list]:
@@ -511,13 +512,12 @@ def static_trace_records(network: BipartiteNetwork, trace: list[dict]) -> tuple[
         network, (), ("xi1", "xi2"),
         ("dispatcher_utility", "adversary_cost_minor", "adversary_cost_major"),
     )
-    rows = [
+    return columns, [
         (row["round"],
          np.hstack((row["plan"], row["xi_minor"], row["xi_major"], row["dispatcher_utility"],
-                    row["adversary_cost_minor"], row["adversary_cost_major"])).tolist())
+                    row["adversary_cost_minor"], row["adversary_cost_major"])))
         for row in trace
     ]
-    return columns, rows
 
 
 def dynamic_trace_records(
@@ -527,27 +527,25 @@ def dynamic_trace_records(
         network, (), ("xi1", "xi2", "mu2"),
         ("dispatcher_utility", "adversary_cost_minor", "adversary_cost_major"),
     )
-    rows = [
+    return columns, [
         (outcome.state.stage,
          np.hstack((outcome.profile.plan, outcome.profile.strategy.T.ravel(),
                     outcome.state.belief[:, 1], outcome.dispatcher_utility,
-                    outcome.adversary_cost_minor, outcome.adversary_cost_major)).tolist())
+                    outcome.adversary_cost_minor, outcome.adversary_cost_major)))
         for outcome in outcomes
     ]
-    return columns, rows
 
 
 def distributed_trace_records(
     network: BipartiteNetwork, report: SolveReport
 ) -> tuple[list[str], list]:
     columns = _columns(network, ("p",), ("xi1", "xi2"), ("residual", "objective"))
-    rows = [
+    return columns, [
         (row["tick"],
          np.hstack((row["plan"], row["prices"], row["xi_minor"], row["xi_major"],
-                    row["residual"], row["objective"])).tolist())
+                    row["residual"], row["objective"])))
         for row in report.trace
     ]
-    return columns, rows
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +568,8 @@ def _run_solve_ot(config: ScenarioConfig, spec: None, out_dir: Path):
         "iterations": report.iterations,
         "residual": report.residual,
         "objective": planner_objective(report.plan, weights, settings.lam),
-        "plan": report.plan.tolist(),
-        "prices": report.prices.tolist(),
+        "plan": report.plan,
+        "prices": report.prices,
     }
 
 
@@ -581,9 +579,9 @@ def _run_static_eq(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
         "converged": profile.converged,
         "rounds": profile.iterations,
         "deviation_gap": profile.deviation_gap,
-        "plan": profile.plan.tolist(),
-        "xi_minor": profile.strategy[:, 0].tolist(),
-        "xi_major": profile.strategy[:, 1].tolist(),
+        "plan": profile.plan,
+        "xi_minor": profile.strategy[:, 0],
+        "xi_major": profile.strategy[:, 1],
     }
 
 
@@ -597,7 +595,7 @@ def _run_dynamic_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
         failure = {"failed_profile": {
             "rounds": profile.iterations,
             "deviation_gap": profile.deviation_gap,
-            "plan": profile.plan.tolist(),
+            "plan": profile.plan,
         }}
     return dynamic_trace_records(spec.network, outcomes), {
         "converged": failed_stage is None and all(o.profile.converged for o in outcomes),
@@ -612,10 +610,10 @@ def _run_dynamic_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
                 "dispatcher_utility": o.dispatcher_utility,
                 "adversary_cost_minor": o.adversary_cost_minor,
                 "adversary_cost_major": o.adversary_cost_major,
-                "plan": o.profile.plan.tolist(),
-                "xi_minor": o.profile.strategy[:, 0].tolist(),
-                "xi_major": o.profile.strategy[:, 1].tolist(),
-                "belief_major": o.belief_after[:, 1].tolist(),
+                "plan": o.profile.plan,
+                "xi_minor": o.profile.strategy[:, 0],
+                "xi_major": o.profile.strategy[:, 1],
+                "belief_major": o.belief_after[:, 1],
             }
             for o in outcomes
         ],
@@ -632,8 +630,8 @@ def _run_distributed_sim(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
         "ticks": report.iterations,
         "residual": report.residual,
         "messages": len(log),
-        "plan": report.plan.tolist(),
-        "prices": report.prices.tolist(),
+        "plan": report.plan,
+        "prices": report.prices,
         "deviation_gap": gap,
     }
 
@@ -676,6 +674,7 @@ def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "c
     (out_dir / _ECHO_NAME).write_text(_json_text(tree), encoding="utf-8")
     (columns, rows), fields = _RUNNERS[subcommand](config, spec, out_dir)
     emit_trace(subcommand, columns, rows, emit, out_dir / _TRACE_NAMES[emit])
+    del columns, rows  # free the table before the report is laid out
     header = {key: tree["network"][key] for key in ("sources", "targets", "edges")}
     report = {"kind": subcommand, **fields, **header}
     (out_dir / _REPORT_NAME).write_text(_json_text(report), encoding="utf-8")

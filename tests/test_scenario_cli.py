@@ -4,15 +4,19 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from advot import (
+    GameSpec,
     ParseError,
     Schedule,
+    SolverSettings,
     StageNotConverged,
     ValidationError,
     build_network,
@@ -383,10 +387,18 @@ def test_emit_trace_with_percent_ids_matches_per_value_format(tmp_path, fmt):
     report, _ = run_distributed(config.game_spec(), Schedule(seed=1, max_ticks=40))
     columns, rows = distributed_trace_records(config.network, report)
     assert any("%" in name for name in columns) and len(rows) == 5
+    assert all(type(values) is np.ndarray for _, values in rows)
     special = [float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 1e-300, 123456789012.5]
-    rows.append((41, (special * len(columns))[: len(columns)]))
+    values = np.array((special * len(columns))[: len(columns)])
+    # the same values as a list, a contiguous array and two strided views
+    table = np.stack([values, values[::-1]], axis=1)
+    rows += [(41, values.tolist()), (42, values), (43, table[:, 0]), (44, np.repeat(values, 2)[::2])]
+    assert not table[:, 0].flags.c_contiguous
     path = emit_trace("distributed-sim", columns, rows, fmt, tmp_path / f"trace.{fmt}")
-    assert path.read_text() == reference_trace_text("distributed-sim", columns, rows, fmt)
+    listed = [(step, np.asarray(values).tolist()) for step, values in rows]
+    assert path.read_text() == reference_trace_text("distributed-sim", columns, listed, fmt)
+    as_lists = emit_trace("distributed-sim", columns, listed, fmt, tmp_path / f"lists.{fmt}")
+    assert path.read_bytes() == as_lists.read_bytes()
 
 
 def test_emit_trace_rejects_mixed_schemas(tmp_path):
@@ -440,6 +452,48 @@ JSON_VALUES = st.recursive(
 @given(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6))
 def test_json_text_matches_json_dumps(payload):
     assert _json_text(payload) == reference_json_text(payload)
+
+
+def _listed(value):
+    """``value`` with every ndarray in it replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_listed(item) for item in value]
+    return value
+
+
+FLOAT64 = st.one_of(st.floats(), st.sampled_from([float("nan"), -0.0, 1e-300, 5e-324]))
+# 0-d, 1-D and 2-D arrays, empty ones among them, and column views of 2-D ones.
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+               elements=FLOAT64),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 3)), elements=FLOAT64)
+    .map(lambda table: table[:, 0]),
+)
+ARRAY_VALUES = st.one_of(
+    ARRAYS,
+    st.lists(ARRAYS, max_size=3),
+    st.lists(st.dictionaries(st.text(max_size=4), st.one_of(ARRAYS, JSON_LEAVES), max_size=3),
+             max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), st.one_of(ARRAY_VALUES, JSON_VALUES), max_size=6))
+@example({
+    "plan": np.array([0.5, -0.0, 1e-300]),
+    "xi_minor": np.array([[1.0, 2.0], [np.inf, np.nan]])[:, 0],
+    "prior": np.array([[0.5, 0.5], [0.25, 0.75]]),
+    "empty": np.array([]),
+    "no_rows": np.zeros((0, 2)),
+    "scalar": np.array(-np.inf),
+    "stages": [{"plan": np.array([1.5]), "rounds": 3}],
+})
+def test_json_text_of_arrays_matches_json_dumps_of_their_lists(payload):
+    assert _json_text(payload) == reference_json_text(_listed(payload))
 
 
 def test_json_text_falls_back_for_other_types():
@@ -977,6 +1031,51 @@ def test_cli_zero_lambda_rejected_for_games(tmp_path, capsys):
         assert run_cli(command, "--config", PAPER, "--out", out, "--lambda", 0) == 1
         assert capsys.readouterr().err == "advot: the game needs a positive smoothing weight lam\n"
         assert list(out.glob("*")) == []
+
+
+def test_cli_zero_lambda_in_the_scenario_file_is_rejected_for_games(tmp_path, capsys):
+    data = json.loads(PAPER.read_text())
+    data["solver"]["lambda"] = 0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    assert parse_scenario(path.read_text()).spec.settings == SolverSettings()
+    assert run_cli("solve-ot", "--config", path, "--out", tmp_path / "solve-ot") == 0
+    for command in ("static-eq", "dynamic-sim", "distributed-sim"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", path, "--out", out) == 1
+        assert capsys.readouterr().err == "advot: the game needs a positive smoothing weight lam\n"
+        assert list(out.glob("*")) == []
+
+
+def test_one_game_is_built_per_cli_call(tmp_path, monkeypatch):
+    built = []
+    post_init = GameSpec.__post_init__
+    monkeypatch.setattr(GameSpec, "__post_init__", lambda spec: built.append(post_init(spec)))
+    assert run_cli("static-eq", "--config", PAPER, "--out", tmp_path / "run") == 0
+    assert len(built) == 1
+    config = parse_scenario(PAPER.read_text())
+    assert config.game_spec() is config.spec
+    # overridden solver settings give a game under them, built once more
+    overridden = config.with_overrides(lam=2.0, tol=1e-6)
+    assert overridden.game_spec().settings == SolverSettings(2.0, 1e-6)
+    assert len(built) == 3
+    assert config.game_spec() is config.spec
+
+
+@pytest.mark.parametrize("command, limit_mb", [("static-eq", 4.0), ("dynamic-sim", 6.5)])
+def test_run_command_peak_memory_on_a_sparse_game(tmp_path, command, limit_mb):
+    # Per-edge values stay float64 arrays until their own text is built; a
+    # trace table or report of Python floats held to the end peaks at
+    # about 6 MB (static-eq) and 8.8 MB (dynamic-sim) here.
+    config = parse_scenario(generate.scenario_text(generate.sparse_pool(1, 1)[0]))
+    run_command(command, config, tmp_path)
+    tracemalloc.start()
+    try:
+        run_command(command, config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 2**20, f"{command} peaked at {peak / 2**20:.2f} MB"
 
 
 def test_cli_emit_json(tmp_path):
