@@ -395,7 +395,7 @@ def test_emit_trace_with_percent_ids_matches_per_value_format(tmp_path, fmt):
     rows += [(41, values.tolist()), (42, values), (43, table[:, 0]), (44, np.repeat(values, 2)[::2])]
     assert not table[:, 0].flags.c_contiguous
     path = emit_trace("distributed-sim", columns, rows, fmt, tmp_path / f"trace.{fmt}")
-    listed = [(step, np.asarray(values).tolist()) for step, values in rows]
+    listed = [(step, np.asarray(row).tolist()) for step, row in rows]
     assert path.read_text() == reference_trace_text("distributed-sim", columns, listed, fmt)
     as_lists = emit_trace("distributed-sim", columns, listed, fmt, tmp_path / f"lists.{fmt}")
     assert path.read_bytes() == as_lists.read_bytes()
@@ -1045,6 +1045,15 @@ def test_cli_zero_lambda_in_the_scenario_file_is_rejected_for_games(tmp_path, ca
         assert run_cli(command, "--config", path, "--out", out) == 1
         assert capsys.readouterr().err == "advot: the game needs a positive smoothing weight lam\n"
         assert list(out.glob("*")) == []
+
+
+def test_scalar_blocks_are_checked_before_the_game():
+    # the game is built under the solver settings, so they are read first
+    data = json.loads(PAPER.read_text())
+    data["solver"]["tol"] = -1
+    data["adversary"]["lower_caps"] = [6, 4]
+    with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+        parse_scenario(json.dumps(data))
 
 
 def test_one_game_is_built_per_cli_call(tmp_path, monkeypatch):
