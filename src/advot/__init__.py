@@ -24,7 +24,6 @@ from .errors import (
     AdvotError,
     CorruptLog,
     DanglingEdge,
-    DegenerateDenominator,
     DimensionMismatch,
     DuplicateEdge,
     IsolatedNode,

@@ -27,7 +27,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -85,9 +85,8 @@ STRATEGY, PRICE, RATE, WEIGHT, TRACE, TOPOLOGY, FINAL = range(7)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json(value) -> str:
-    """``value`` as one canonical log record writes it."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with its encoder built once.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _json_float(value: float) -> str:
@@ -154,12 +153,41 @@ _FINAL_LINE = re.compile(
 )
 
 
-def _read_float(text: str) -> float:
-    """The float whose canonical text is ``text``; ValueError for any other text."""
-    value = float(text)
-    if _json_float(value) != text:
-        raise ValueError(f"{text!r} is not a canonical float")
-    return value
+#: Characters of a log that :meth:`MessageLog.from_text` splits into lines and
+#: checks at once: about 500 records.
+_BLOCK_CHARS = 1 << 16
+
+
+def _line_blocks(text: str, size: int):
+    """``text.splitlines()`` in blocks of lines, each from about ``size`` characters.
+
+    A block ends just after a newline, so it never splits a line or a
+    ``"\r\n"`` pair.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
+#: Encodes a list of floats as their canonical texts, comma-separated, in one C call.
+_FLOAT_LIST = json.JSONEncoder(separators=(",", ":"))
+
+
+def _first_misspelled(values: list, texts: list) -> int | None:
+    """The position of the first value whose canonical text is not its text, or None.
+
+    One encode of the whole list decides; only a failed list is walked value
+    by value.  No float text holds a comma, so the joined texts are equal
+    exactly when every pair is.
+    """
+    if _FLOAT_LIST.encode(values) == "[" + ",".join(texts) + "]":
+        return None
+    return next(k for k, pair in enumerate(zip(values, texts)) if _json_float(pair[0]) != pair[1])
+
+
+_NOT_CANONICAL = "log line {} is not a canonical record of its topology"
 
 
 def _read_topology(line: str) -> tuple:
@@ -320,13 +348,21 @@ class MessageLog:
         """Read a log written by :meth:`to_text`.
 
         The first line must be a topology record.  Every later line must be
-        exactly the canonical record of one message over that topology, and
-        nothing may follow the final marker; any other line raises
-        :class:`CorruptLog` naming its line number.
+        exactly the canonical record of one message over that topology, no
+        tick may be below the tick of the line before it (the final
+        marker's included), and nothing may follow the final marker; any
+        other line raises :class:`CorruptLog` naming its line number.  Each
+        line is matched against the pattern of the kind it names.  Float
+        spellings are checked once per block of lines, by one encode of the
+        block's values compared with their texts, and before a fault on a
+        later line of the block is raised, so the error always names the
+        first bad line.  The text is split into lines one block at a time,
+        so its lines are never all held beside the rows read from them.
         """
         log = cls()
-        lines = text.splitlines()
-        if not lines:
+        blocks = _line_blocks(text, _BLOCK_CHARS)
+        lines = next(blocks, None)
+        if lines is None:
             return log
         log.topology = _read_topology(lines[0])
         strategy, price, rate, weight = (
@@ -335,55 +371,113 @@ class MessageLog:
         ticks, kinds, index, values, values2 = (
             log.ticks, log.kinds, log.index, log.value, log.value2
         )
-        for lineno, line in enumerate(lines[1:], start=2):
-            if log.final is not None:
-                raise CorruptLog(f"log line {lineno} follows the final marker")
-            value2 = 0.0
+        final = None
+        tick, stamp = 0, "0"  # the tick of the line before, and its text
+        lineno = 1
+        for block in chain([lines[1:]], blocks):
+            first = lineno - 1  # the block's first row: row r is on line r + 2
+            texts, seconds, texts2 = [], [], []  # value texts; strategy and trace value2s and texts
             try:
-                if match := _RATE_LINE.fullmatch(line):
-                    kind, i, value, tick = RATE, rate[match[2]], _read_float(match[1]), match[3]
-                elif match := _WEIGHT_LINE.fullmatch(line):
-                    kind, i, tick = WEIGHT, weight[match.group(1, 3)], match[4]
-                    value = _read_float(match[2])
-                elif match := _PRICE_LINE.fullmatch(line):
-                    kind, i, value, tick = PRICE, price[match[2]], _read_float(match[1]), match[3]
-                elif match := _STRATEGY_LINE.fullmatch(line):
-                    kind, i, tick = STRATEGY, strategy[match[3]], match[4]
-                    value, value2 = _read_float(match[2]), _read_float(match[1])
-                elif match := _TRACE_LINE.fullmatch(line):
-                    kind, i, tick = TRACE, 0, match[3]
-                    value, value2 = _read_float(match[2]), _read_float(match[1])
-                elif match := _FINAL_LINE.fullmatch(line):
-                    if match[3] != match[4]:
-                        raise ValueError("the final marker's tick is not its tick count")
-                    log.final = (int(match[4]), _read_float(match[2]), match[1] == "true")
-                    continue
-                else:
-                    raise CorruptLog(f"log line {lineno} is not a message record")
-            except (KeyError, ValueError) as exc:
-                raise CorruptLog(
-                    f"log line {lineno} is not a canonical record of its topology"
-                ) from exc
-            ticks.append(int(tick))
-            kinds.append(kind)
-            index.append(i)
-            values.append(value)
-            values2.append(value2)
+                for lineno, line in enumerate(block, lineno + 1):
+                    if final is not None:
+                        raise CorruptLog(f"log line {lineno} follows the final marker")
+                    kind = line[9:10]  # after '{"kind":"', each kind's first letter names it
+                    text2 = None
+                    try:
+                        if kind == "r" and (match := _RATE_LINE.fullmatch(line)):
+                            text, key, line_stamp = match.groups()
+                            code, i = RATE, rate[key]
+                        elif kind == "w" and (match := _WEIGHT_LINE.fullmatch(line)):
+                            head, text, tail, line_stamp = match.groups()
+                            code, i = WEIGHT, weight[head, tail]
+                        elif kind == "p" and (match := _PRICE_LINE.fullmatch(line)):
+                            text, key, line_stamp = match.groups()
+                            code, i = PRICE, price[key]
+                        elif kind == "s" and (match := _STRATEGY_LINE.fullmatch(line)):
+                            text2, text, key, line_stamp = match.groups()
+                            code, i = STRATEGY, strategy[key]
+                        elif kind == "t" and (match := _TRACE_LINE.fullmatch(line)):
+                            text2, text, line_stamp = match.groups()
+                            code, i = TRACE, 0
+                        elif kind == "f" and (match := _FINAL_LINE.fullmatch(line)):
+                            converged, text, count, line_stamp = match.groups()
+                            if count != line_stamp:
+                                raise ValueError("the final marker's tick is not its tick count")
+                            code = FINAL
+                        else:
+                            raise CorruptLog(f"log line {lineno} is not a message record")
+                        value = float(text)
+                        value2 = 0.0 if text2 is None else float(text2)
+                    except (KeyError, ValueError) as exc:
+                        raise CorruptLog(_NOT_CANONICAL.format(lineno)) from exc
+                    if stamp != line_stamp:  # a tick's text is read once per run of equal ticks
+                        if int(line_stamp) < tick:
+                            raise CorruptLog(f"log line {lineno} goes back in time: "
+                                             f"tick {line_stamp} after tick {tick}")
+                        tick, stamp = int(line_stamp), line_stamp
+                    if code == FINAL:
+                        if _json_float(value) != text:
+                            raise CorruptLog(_NOT_CANONICAL.format(lineno))
+                        final = log.final = (tick, value, converged == "true")
+                        continue
+                    texts.append(text)
+                    if text2 is not None:
+                        seconds.append(value2)
+                        texts2.append(text2)
+                    ticks.append(tick)
+                    kinds.append(code)
+                    index.append(i)
+                    values.append(value)
+                    values2.append(value2)
+            except CorruptLog:
+                _check_spelling(log, first, texts, seconds, texts2)  # the block's earlier lines
+                raise
+            _check_spelling(log, first, texts, seconds, texts2)
         return log
+
+
+def _check_spelling(log: MessageLog, start: int, texts: list, seconds: list, texts2: list) -> None:
+    """Raise :class:`CorruptLog` at the first row from ``start`` on with a non-canonical float.
+
+    ``texts`` are the texts of the rows' values; ``seconds`` and ``texts2`` the
+    second values of the strategy and trace rows among them, and their texts.
+    """
+    rows = []
+    k = _first_misspelled(log.value[start:], texts)
+    if k is not None:
+        rows.append(start + k)
+    k = _first_misspelled(seconds, texts2)
+    if k is not None:
+        pairs = [r for r in range(start, len(log.kinds)) if log.kinds[r] in (STRATEGY, TRACE)]
+        rows.append(pairs[k])
+    if rows:
+        raise CorruptLog(_NOT_CANONICAL.format(min(rows) + 2))
 
 
 @dataclass
 class SourceAgent:
-    """One source node; reads and writes nothing but its own row and price."""
+    """One source node; reads and writes nothing but its own row and price.
+
+    Weights reach an agent through :meth:`deliver` and wait in its inbox
+    until its next :meth:`tick`, which applies each delivery as one
+    assignment in the order they came.  The hub sends the whole row at each
+    refresh, in one delivery.
+    """
 
     capacity: float
     lam: float
     weights: np.ndarray  # effective weights on this agent's edges
     rates: np.ndarray  # this agent's plan row, same edge order as weights
     price: float = 0.0
-    inbox: list[tuple[int, float]] = field(default_factory=list)
+    inbox: list[tuple] = field(default_factory=list)  # (slots, weights) not yet applied
 
-    def deliver(self, local_edge: int, weight: float) -> None:
+    def deliver(self, local_edge, weight) -> None:
+        """Queue new weights for the next tick.
+
+        ``local_edge`` is one slot of the row, with one weight, or any numpy
+        index of it, with an array: the hub sends ``slice(None)`` and the
+        whole row.
+        """
         self.inbox.append((local_edge, weight))
 
     def tick(self) -> None:
@@ -457,14 +551,10 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         )
         for j in range(n)
     ]
-    # (edge, agent, slot in the agent's row) of every edge into each target, in edge order
-    edge_source = network.edge_source.tolist()
+    # the edges into each target, in edge order
     into = np.argsort(network.edge_target, kind="stable").tolist()
     bounds = [0, *accumulate(np.bincount(network.edge_target, minlength=m).tolist())]
-    inbound = [
-        [(e, edge_source[e], e - start[edge_source[e]]) for e in into[bounds[q]:bounds[q + 1]]]
-        for q in range(m)
-    ]
+    inbound = [into[bounds[q]:bounds[q + 1]] for q in range(m)]
 
     rates_seen = np.zeros(network.n_edges)  # latest rate message per edge
     prices_seen = np.zeros(n)  # latest price message per agent
@@ -509,13 +599,14 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             residual = max(slackness, float(np.max(np.abs(f))))
             stalled = np.array_equal(g, xi)
             xi = _anderson_step(history, g, f, caps)
-        weights = _perceived(network, spec.weights, xi, spec.belief).tolist()
+        weights = _perceived(network, spec.weights, xi, spec.belief)
+        mailed = weights.tolist()
         for q, (minor, major) in enumerate(xi.tolist()):
             append(tick, STRATEGY, q, minor, major)
-            for e, j, local in inbound[q]:
-                weight = weights[e]
-                append(tick, WEIGHT, e, weight)
-                agents[j].deliver(local, weight)
+            for e in inbound[q]:
+                append(tick, WEIGHT, e, mailed[e])
+        for agent, a, b in zip(agents, start, start[1:]):
+            agent.deliver(slice(None), weights[a:b])  # the row its weight messages carry
         waiting.update(range(n))
         if first:
             continue

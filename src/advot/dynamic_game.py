@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, PerturbationBelowFloor, StageNotConverged, ValidationError
+from .errors import PerturbationBelowFloor, StageNotConverged, ValidationError
 from .network import PERTURBATION_FLOOR, check_belief
 from .static_game import (
     MAX_ROUNDS,
@@ -46,10 +46,7 @@ def belief_update(belief: np.ndarray, xi: np.ndarray) -> np.ndarray:
     if (xi < PERTURBATION_FLOOR).any():
         raise PerturbationBelowFloor("belief update needs actions >= the floor")
     weighted = belief * xi
-    denom = weighted.sum(axis=1)
-    if not (denom > 0).all():
-        raise DegenerateDenominator("belief-weighted actions did not sum to a positive value")
-    return weighted / denom[:, None]
+    return weighted / weighted.sum(axis=1)[:, None]
 
 
 @dataclass(frozen=True)

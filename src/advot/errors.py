@@ -37,10 +37,6 @@ class PerturbationBelowFloor(ValidationError):
     """An adversary action dropped below the positivity floor."""
 
 
-class DegenerateDenominator(AdvotError):
-    """A belief update produced a nonpositive normalizer."""
-
-
 class StageNotConverged(AdvotError):
     """A stage of the multistage game failed to reach its fixed point.
 

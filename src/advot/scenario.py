@@ -348,6 +348,17 @@ def _json_text(payload: dict) -> str:
     return _indented(payload, "\n") + "\n"
 
 
+def _write_json(payload: dict, path: Path) -> None:
+    """Write :func:`_json_text` of ``payload`` to ``path``: the layout, then its newline.
+
+    Written in two parts, so the file's text is never copied whole to append
+    the newline.
+    """
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(_indented(payload, "\n"))
+        handle.write("\n")
+
+
 def _leaf_rows(rows: list) -> list | None:
     """The leaves of equal-width rows of leaves, row by row, or None for any other list."""
     if not {list, tuple}.issuperset(map(type, rows)):
@@ -671,13 +682,13 @@ def run_command(subcommand: str, config: ScenarioConfig, out_dir, emit: str = "c
         out_dir.mkdir(parents=True, exist_ok=True)
     # The echo and the report both list the edges: encoded once, laid out twice.
     tree = config.tree()
-    (out_dir / _ECHO_NAME).write_text(_json_text(tree), encoding="utf-8")
+    _write_json(tree, out_dir / _ECHO_NAME)
     (columns, rows), fields = _RUNNERS[subcommand](config, spec, out_dir)
     emit_trace(subcommand, columns, rows, emit, out_dir / _TRACE_NAMES[emit])
     del columns, rows  # free the table before the report is laid out
     header = {key: tree["network"][key] for key in ("sources", "targets", "edges")}
     report = {"kind": subcommand, **fields, **header}
-    (out_dir / _REPORT_NAME).write_text(_json_text(report), encoding="utf-8")
+    _write_json(report, out_dir / _REPORT_NAME)
     status = 0 if fields["converged"] else 2
     logger.info("%s finished with status %d (outputs in %s)", subcommand, status, out_dir)
     return status

@@ -3,6 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tracemalloc
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from advot import (
     solve_bayesian_equilibrium,
     uniform_belief,
 )
+from advot import distributed
 from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPOLOGY, TRACE, WEIGHT
 from advot.static_game import DEVIATION_TOL
 from advot.transport import row_prices, solve_regularized_ot
@@ -682,6 +686,205 @@ def test_reader_rejects_records_after_the_final_marker(paper_log_lines):
     lines = paper_log_lines + [paper_log_lines[_first_rate_line(paper_log_lines)]]
     with pytest.raises(CorruptLog, match=rf"line {len(lines)}\b"):
         MessageLog.from_text("\n".join(lines) + "\n")
+
+
+def seed42_log_lines(paper_spec) -> list[str]:
+    """The paper run's log at random-subset seed 42: 109 lines, its last refresh at tick 18."""
+    _, log = run_distributed(paper_spec, Schedule(mode="random-subset", seed=42))
+    lines = log.to_text().splitlines()
+    assert len(lines) == 109 and lines[97].startswith('{"kind":"rate"') and lines[97].endswith(':18}')
+    return lines
+
+
+def test_reader_rejects_a_record_whose_tick_goes_back(paper_spec):
+    # the tick-18 rate record moved up to line 2; the tick-1 record after it goes back in time
+    lines = seed42_log_lines(paper_spec)
+    lines.insert(1, lines.pop(97))
+    with pytest.raises(CorruptLog, match=r"line 3 goes back in time"):
+        MessageLog.from_text("\n".join(lines) + "\n")
+
+
+def test_reader_rejects_a_final_marker_below_the_last_tick(paper_spec):
+    lines = seed42_log_lines(paper_spec)
+    assert lines[-1].count(":18") == 2
+    lines[-1] = lines[-1].replace(":18", ":3")
+    with pytest.raises(CorruptLog, match=r"line 109 goes back in time"):
+        MessageLog.from_text("\n".join(lines) + "\n")
+
+
+def paper_topology_log(rows: int, seed: int = 0) -> MessageLog:
+    """A canonical log over the paper's topology with ``rows`` rows, ten a tick.
+
+    Each tick, source j1 and then j2 sends its price and the rates of its
+    three edges, one target sends its strategy and the hub a trace row; the
+    values are seeded draws.  At 2,000 rows its text spans several of the
+    reader's blocks.
+    """
+    rng = np.random.default_rng(seed)
+    log = MessageLog()
+    log.append(0, TOPOLOGY, value=(["j1", "j2"], ["q1", "q2", "q3"],
+                                   [(s, t) for s in ("j1", "j2") for t in ("q1", "q2", "q3")]))
+    for row in range(rows):
+        tick, slot = divmod(row, 10)
+        value, value2 = rng.lognormal(size=2).tolist()
+        j, k = divmod(slot, 4)
+        if slot == 8:
+            log.append(tick + 1, STRATEGY, tick % 3, value, value2)
+        elif slot == 9:
+            log.append(tick + 1, TRACE, 0, value, value2)
+        elif k == 0:
+            log.append(tick + 1, PRICE, j, value)
+        else:
+            log.append(tick + 1, RATE, 3 * j + k - 1, value)
+    log.append(rows // 10 + 1, FINAL, 0, 1e-9, True)
+    return log
+
+
+@pytest.fixture(scope="module")
+def multi_block_lines():
+    lines = paper_topology_log(2000).to_text().splitlines()
+    assert sum(map(len, lines)) > 3 * distributed._BLOCK_CHARS
+    return lines
+
+
+def _first_line_past_the_first_block(lines) -> int:
+    """The index of the first line that starts after the reader's first block."""
+    offsets = accumulate(len(line) + 1 for line in lines)  # where each next line starts
+    return next(i for i, end in enumerate(offsets) if end > distributed._BLOCK_CHARS) + 1
+
+
+def _first_rate_line_past_the_first_block(lines) -> int:
+    past = _first_line_past_the_first_block(lines)
+    return past + _first_rate_line(lines[past:])
+
+
+@pytest.mark.parametrize("edit", REJECTED_EDITS.values(), ids=REJECTED_EDITS.keys())
+def test_reader_rejects_a_non_canonical_line_past_the_first_block(multi_block_lines, edit):
+    lines = list(multi_block_lines)
+    assert MessageLog.from_text("\n".join(lines) + "\n") == paper_topology_log(2000)
+    i = _first_rate_line_past_the_first_block(lines)
+    lines[i] = edit(lines[i])
+    with pytest.raises(CorruptLog, match=rf"line {i + 1}\b"):
+        MessageLog.from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kind, key", [("strategy", '"major":'), ("trace", '"objective":')])
+def test_reader_rejects_a_misspelled_second_value_past_the_first_block(multi_block_lines, kind, key):
+    lines = list(multi_block_lines)
+    past = _first_line_past_the_first_block(lines)
+    i = next(k for k in range(past, len(lines)) if lines[k].startswith(f'{{"kind":"{kind}"'))
+    lines[i] = lines[i].replace(key, key + "0", 1)  # a leading zero: the same float, misspelled
+    with pytest.raises(CorruptLog, match=rf"line {i + 1}\b"):
+        MessageLog.from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("gap", [1, 3, 1000])
+@pytest.mark.parametrize("float_first", [True, False])
+def test_reader_names_the_earlier_of_a_float_and_a_structural_fault(
+    multi_block_lines, gap, float_first
+):
+    # a gap of 1000 lines puts the second fault in a later block
+    lines = list(multi_block_lines)
+    i = _first_rate_line_past_the_first_block(lines)
+    bad_float, unknown_kind = REJECTED_EDITS["non-canonical-float"], REJECTED_EDITS["unknown-kind"]
+    first, second = (bad_float, unknown_kind) if float_first else (unknown_kind, bad_float)
+    j = i + gap + _first_rate_line(lines[i + gap:])
+    lines[i], lines[j] = first(lines[i]), second(lines[j])
+    with pytest.raises(CorruptLog, match=rf"line {i + 1}\b"):
+        MessageLog.from_text("\n".join(lines) + "\n")
+
+
+# the float spellings at the edges of repr's forms, and the non-finite constants
+SPELLINGS = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.tuples(st.sampled_from(SPELLINGS), st.sampled_from(SPELLINGS)), min_size=1, max_size=40
+    ),
+    block_chars=st.sampled_from([1, 300, distributed._BLOCK_CHARS]),
+)
+def test_float_spellings_round_trip_across_blocks(values, block_chars):
+    # kinds cycle through every row kind; blocks of 1 character hold one line each
+    log = MessageLog()
+    log.append(0, TOPOLOGY, value=(["j"], ["a", "b"], [("j", "a"), ("j", "b")]))
+    for row, (value, value2) in enumerate(values):
+        kind = (STRATEGY, PRICE, RATE, WEIGHT, TRACE)[row % 5]
+        two = kind in (STRATEGY, TRACE)  # the kinds with a second value
+        log.append(row // 5, kind, row % 2 if kind in (STRATEGY, RATE, WEIGHT) else 0, value,
+                   value2 if two else 0.0)
+    log.append(len(values) // 5, FINAL, 0, values[-1][0], False)
+    text = log.to_text()
+    with mock.patch.object(distributed, "_BLOCK_CHARS", block_chars):
+        restored = MessageLog.from_text(text)
+    assert restored.to_text() == text
+    assert (restored.topology, restored.ticks, restored.kinds, restored.index) == (
+        log.topology, log.ticks, log.kinds, log.index
+    )
+    assert_same_bits(restored.value, log.value)
+    assert_same_bits(restored.value2, log.value2)
+    assert_same_bits(restored.final[1], log.final[1])
+    if not any(np.isnan(values).ravel()):
+        assert restored == log
+
+
+def test_hub_delivers_each_agent_one_row_per_refresh(monkeypatch):
+    spec = dense_pool_specs(5, 10, 7, 1)[0]
+    network = spec.network
+    delivered = []
+    deliver = SourceAgent.deliver
+
+    def recording(agent, local_edge, weight):
+        delivered.append((local_edge, np.array(weight, copy=True)))
+        deliver(agent, local_edge, weight)
+
+    monkeypatch.setattr(SourceAgent, "deliver", recording)
+    report, log = run_distributed(spec, Schedule(mode="random-subset", seed=3))
+    mailed = {}  # edge -> weight, per refresh
+    refreshes = []
+    for kind, e, value in zip(log.kinds, log.index, log.value):
+        if kind == WEIGHT:
+            mailed[e] = value
+            if len(mailed) == network.n_edges:
+                refreshes.append([mailed.pop(edge) for edge in range(network.n_edges)])
+    assert refreshes and len(delivered) == len(refreshes) * network.n_sources
+    start = network.row_starts
+    for r, weights in enumerate(refreshes):
+        for j in range(network.n_sources):
+            local_edge, row = delivered[r * network.n_sources + j]
+            assert local_edge == slice(None)
+            assert row.tolist() == weights[start[j]:start[j + 1]]
+
+
+# tracemalloc peaks, in bytes, on dense_pool(20, 50, 11, 1)[0] at schedule seed
+# 3 (18,640 records, 2.5 MB of text) under the per-edge weight delivery and
+# the reader that split the whole text and checked each float on its own:
+# run_distributed's, and from_text's above what it started from
+RUN_PEAK, READ_PEAK = 1_841_132, 5_442_687
+
+
+def test_run_and_read_peaks_stay_at_or_below_the_per_edge_forms():
+    spec = dense_pool_specs(20, 50, 11, 1)[0]
+    schedule = Schedule(seed=3)
+    run_distributed(spec, schedule)  # imports and caches are not the run's
+    tracemalloc.start()
+    try:
+        _, log = run_distributed(spec, schedule)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        text = log.to_text()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        restored = MessageLog.from_text(text)
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert restored == log
+    assert len(text) > 30 * distributed._BLOCK_CHARS
+    assert run_peak <= RUN_PEAK, f"run_distributed peaked at {run_peak} bytes"
+    assert read_peak <= READ_PEAK, f"from_text peaked at {read_peak} bytes"
 
 
 def test_schedule_independence_of_the_limit(paper_spec):
