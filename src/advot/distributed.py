@@ -273,7 +273,13 @@ class MessageLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MessageLog):
             return NotImplemented
-        return vars(self) == vars(other)
+        # NaN equals NaN in the floats, so a log equals its own read-back.
+        exact, floats = zip(*(
+            ((log.topology, log.ticks, log.kinds, log.index, log.final and log.final[::2]),
+             [*log.value, *log.value2, *(log.final or ())[1:2]])
+            for log in (self, other)
+        ))
+        return exact[0] == exact[1] and np.array_equal(*floats, equal_nan=True)
 
     def __len__(self) -> int:
         return len(self.ticks) + (self.topology is not None) + (self.final is not None)

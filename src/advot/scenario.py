@@ -128,6 +128,7 @@ def _edge_values(network: BipartiteNetwork, raw, where: str) -> np.ndarray:
         )
     if not np.all(np.isfinite(flat)):
         raise ValidationError(f"'{where}' must contain finite numbers")
+    flat.setflags(write=False)
     return flat
 
 
@@ -173,15 +174,7 @@ def _normalize(raw: dict) -> "ScenarioConfig":
         raise
     _check_columns(network)
     weights = _edge_values(network, raw["weights"], "weights")
-    data: dict = {
-        "network": {
-            "sources": list(network.source_ids),
-            "targets": list(network.target_ids),
-            "capacities": network.capacities.tolist(),
-        },
-        "weights": weights.tolist(),
-        **_scalar_blocks(raw),
-    }
+    data = _scalar_blocks(raw)
     spec = None
     if "adversary" in raw:
         adv = raw["adversary"]
@@ -213,15 +206,7 @@ def _normalize(raw: dict) -> "ScenarioConfig":
             settings=SolverSettings(data["solver"]["lambda"] or SolverSettings.lam,
                                     data["solver"]["tol"]),
         )
-        data["adversary"] = {
-            "lower_caps": spec.lower_caps.tolist(),
-            "upper_caps": spec.upper_caps.tolist(),
-            "punishment_coeff": spec.cost_params.punishment_coeff.tolist(),
-            "beta1": spec.cost_params.beta1,
-            "beta2": spec.cost_params.beta2,
-            "prior": spec.belief.tolist(),
-        }
-    return ScenarioConfig(data=data, network=network, spec=spec)
+    return ScenarioConfig(data, network, weights if spec is None else spec.weights, spec)
 
 
 def _scalar_blocks(raw: dict) -> dict:
@@ -246,25 +231,22 @@ def _scalar_blocks(raw: dict) -> dict:
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """Validated scenario with defaults materialized.
+    """Validated scenario with defaults materialized, each input held once.
 
-    ``data`` is the normalized key-value tree without the edge list, which
-    ``network`` holds; two configs are equal exactly when their full trees
-    (:meth:`tree`) are, which is what makes the echo round-trip meaningful.
-    ``spec`` is the checked game of the adversary block under the solver
-    settings parsed with it, or None when the scenario has no such block.
+    ``data`` holds the solver, dynamic and distributed blocks, ``weights``
+    the read-only per-edge weights, and ``spec`` the checked game of the
+    adversary block under the solver settings parsed with it, or None when
+    the scenario has no such block.  Only :meth:`tree` knows the echo's
+    shape; two configs are equal exactly when their echoes are.
     """
 
     data: dict
     network: BipartiteNetwork
+    weights: np.ndarray
     spec: GameSpec | None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ScenarioConfig) and self.tree() == other.tree()
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.asarray(self.data["weights"], dtype=float)
+        return isinstance(other, ScenarioConfig) and _json_text(self.tree()) == _json_text(other.tree())
 
     def settings(self) -> SolverSettings:
         return SolverSettings(self.data["solver"]["lambda"], self.data["solver"]["tol"])
@@ -284,8 +266,19 @@ class ScenarioConfig:
         return block["stages"], block["tau"], block["on_failure"]
 
     def tree(self) -> dict:
-        """The normalized tree, with the edge list encoded from the network once."""
-        return {**self.data, "network": {**self.data["network"], "edges": _edge_list(self.network)}}
+        """The echo's tree: the arrays as they are, for :func:`_indented`, and the edges encoded once."""
+        network, spec = self.network, self.spec
+        tree = {**self.data, "weights": self.weights, "network": {
+            "sources": list(network.source_ids), "targets": list(network.target_ids),
+            "edges": _edge_list(network), "capacities": network.capacities,
+        }}
+        if spec is not None:
+            params = spec.cost_params
+            tree["adversary"] = {
+                "lower_caps": spec.lower_caps, "upper_caps": spec.upper_caps, "prior": spec.belief,
+                "punishment_coeff": params.punishment_coeff, "beta1": params.beta1, "beta2": params.beta2,
+            }
+        return tree
 
     def with_overrides(
         self,
@@ -313,7 +306,7 @@ class ScenarioConfig:
         ):
             if value is not None:
                 raw[block][key] = value
-        return ScenarioConfig({**self.data, **_scalar_blocks(raw)}, self.network, self.spec)
+        return ScenarioConfig(_scalar_blocks(raw), self.network, self.weights, self.spec)
 
 
 #: Leaf types the C encoder writes as ``json.dumps`` does: ``float.__repr__``,

@@ -567,6 +567,7 @@ def test_non_finite_values_are_logged_as_json_constants():
 
     restored = MessageLog.from_text(text)
     assert restored.to_text() == text
+    assert restored == log
     assert (restored.topology, restored.ticks, restored.kinds, restored.index, restored.final) == (
         log.topology, log.ticks, log.kinds, log.index, log.final
     )
@@ -579,6 +580,25 @@ def test_non_finite_values_are_logged_as_json_constants():
         original.iterations, original.residual, original.converged
     )
     assert repr(rebuilt.trace) == repr(original.trace)
+
+
+def test_a_log_holding_nan_equals_its_read_back():
+    nan = float("nan")
+    log = MessageLog()
+    log.append(0, TOPOLOGY, value=(["j"], ["a"], [("j", "a")]))
+    log.append(1, RATE, 0, nan)
+    log.append(1, FINAL, 0, nan, False)
+    restored = MessageLog.from_text(log.to_text())
+    assert restored == log
+    restored.final = (1, nan, True)
+    assert restored != log
+    restored.final = (1, 0.5, False)
+    assert restored != log
+    restored.final = None
+    assert restored != log and log != restored
+    restored = MessageLog.from_text(log.to_text())
+    restored.value[0] = 0.5
+    assert restored != log
 
 
 def overflow_spec():

@@ -74,7 +74,7 @@ def test_parse_bundled_minimal_scenario_fills_defaults():
     config = parse_scenario(MINIMAL.read_text())
     assert config.data["solver"] == {"lambda": 3.0, "tol": 1e-8}
     assert config.data["dynamic"]["tau"] == 0.5
-    assert config.data["adversary"]["prior"] == [[0.5, 0.5]]
+    assert config.spec.belief.tolist() == [[0.5, 0.5]]
 
 
 def test_retired_solver_fields_parse_to_nothing():
@@ -142,6 +142,66 @@ def test_echo_round_trip():
     assert parse_scenario(_json_text(config.tree())) == config
     minimal = parse_scenario(MINIMAL.read_text())
     assert parse_scenario(_json_text(minimal.tree())) == minimal
+
+
+def _paper_with(**changes) -> dict:
+    """The paper scenario's tree with top-level blocks or adversary fields replaced."""
+    data = json.loads(PAPER.read_text())
+    for key, value in changes.items():
+        if key in data["adversary"]:
+            data["adversary"][key] = value
+        else:
+            data[key] = value
+    return data
+
+
+# Every input form the parser normalizes, each echoed through solve-ot.
+ECHO_FORMS = {
+    "weights-matrix-coeff-per-target": _paper_with(),
+    "weights-flat-coeff-scalar": _paper_with(weights=[1, 3.5, -0.0, 2, 1e-300, -7.25],
+                                             punishment_coeff=2),
+    "coeff-matrix": _paper_with(punishment_coeff=[[1, 0.5, 3], [2.25, 2, 1e3]]),
+    "coeff-per-edge": _paper_with(punishment_coeff=[1, 2, 3, 4, 5, 6.5]),
+    "prior-table": _paper_with(prior=[[0.25, 0.75], [0.5, 0.5], [1, 0]], lower_caps=[1, 2.5, 3]),
+    "integer-ids": _paper_with(network={
+        "sources": [7, 3],
+        "targets": [30, 10, 20],
+        "edges": [[3, 20], [7, 10], [3, 30], [7, 20], [7, 30], [3, 10]],
+        "capacities": [4, 0.5],
+    }, weights=[[1, 3, 5], [2, 5, 1]]),
+    "mixed-ids-no-adversary": {
+        "network": {
+            "sources": ["b", 1],
+            "targets": [0, "a"],
+            "edges": [[1, "a"], ["b", 0], [1, 0]],
+            "capacities": [2, 1e-3],
+        },
+        "weights": [0.1, 0.2, 0.3],
+        "solver": {"lambda": 0.5},
+    },
+}
+
+# sha256 of each form's config_echo.json, recorded when the echo was laid
+# out from Python lists kept beside the parsed arrays.
+ECHO_FORM_SHA256 = {
+    "coeff-matrix": "1f7bfaf79031cf342a0e911847563a9c3a62edb09448cd94410137426eb20856",
+    "coeff-per-edge": "49c2af65f300ac8a58127daf2481fbfcd65a9fbba52b1412b81a8d11579649ee",
+    "integer-ids": "e6f5803dba392a6539f9e25d22247685814b879841d8ed6a468f6e211b3bb30a",
+    "mixed-ids-no-adversary": "163e15eebe25f2516fb48a32c7181c189d0effe529021bf3926aede158ce2911",
+    "prior-table": "f335bf1ff5ad95776a1d283c2c8dc9fbf6a9d278fa9f3fe8e5c5c3e09e114e17",
+    "weights-flat-coeff-scalar": "3b16a9adce27315d1aa22e9ad8ed7bd058fe179c8de45d837ba5ecdbf20098a9",
+    "weights-matrix-coeff-per-target": "19e2b3644e2d0704187f2224f83308709cd0ac90eb95c8965c748d014c560b35",
+}
+
+
+@pytest.mark.parametrize("form", sorted(ECHO_FORMS))
+def test_echo_bytes_of_every_input_form_are_pinned(tmp_path, form):
+    config = parse_scenario(json.dumps(ECHO_FORMS[form]))
+    run_command("solve-ot", config, tmp_path)
+    echo = (tmp_path / "config_echo.json").read_text()
+    assert hashlib.sha256(echo.encode()).hexdigest() == ECHO_FORM_SHA256[form]
+    assert echo == json.dumps(json.loads(echo), indent=2, sort_keys=True) + "\n"
+    assert parse_scenario(echo) == config
 
 
 def test_configs_that_differ_only_in_their_edges_are_unequal():
@@ -1085,6 +1145,28 @@ def test_run_command_peak_memory_on_a_sparse_game(tmp_path, command, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mb * 2**20, f"{command} peaked at {peak / 2**20:.2f} MB"
+
+
+def test_parse_holds_each_input_once_on_a_sparse_game():
+    # The config keeps the network's index arrays, the weights and the
+    # coefficients as float64 and intp arrays, about 38 bytes an edge here;
+    # Python-list copies of the weights, coefficients and caps kept beside
+    # them come to 1.15 MB.
+    text = generate.scenario_text(generate.sparse_pool(1, 1)[0])
+    parse_scenario(text)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        config = parse_scenario(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert config.network.n_edges >= 10_000
+    assert held <= 0.6 * 2**20, f"the parsed config holds {held / 2**20:.2f} MB"
+    assert config.weights is config.spec.weights and not config.weights.flags.writeable
+    overridden = config.with_overrides(lam=1.0, seed=3)
+    assert all(getattr(overridden, name) is getattr(config, name)
+               for name in ("network", "weights", "spec"))
 
 
 def test_cli_emit_json(tmp_path):
