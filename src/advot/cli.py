@@ -69,11 +69,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.config.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"advot: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
         config = parse_scenario(text)
+        del text  # not held through the run
         config = config.with_overrides(
             lam=args.lam,
             tol=args.tol,

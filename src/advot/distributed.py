@@ -195,6 +195,8 @@ def _read_topology(line: str) -> tuple:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorruptLog(f"malformed log line 1: {exc.msg}") from exc
+    except RecursionError as exc:  # the decoder's depth limit
+        raise CorruptLog("malformed log line 1: it nests too deeply") from exc
     if not isinstance(obj, dict) or obj.get("kind") != "topology":
         raise CorruptLog("log line 1 is not a topology record")
     try:

@@ -12,6 +12,7 @@ alone writes them and derives the exit status.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, replace
@@ -323,7 +324,7 @@ class _Encoded(str):
 
 
 def _edge_list(network: BipartiteNetwork) -> _Encoded:
-    """``_indented(network.edges, "\\n")``, from each node id encoded once."""
+    """:func:`_json_text` of ``network.edges`` without its newline, from each node id encoded once."""
     sources, targets = (np.array(_LEAF_LINES.encode(list(ids))[1:-1].split("\n"), dtype=object)
                         for ids in (network.source_ids, network.target_ids))
     rows = sources[network.edge_source] + ",\n    " + targets[network.edge_target]
@@ -338,17 +339,19 @@ def _json_text(payload: dict) -> str:
     put every value through the pure-Python encoder; here each list of leaves
     is encoded in one C call and only the containers around them are laid out.
     """
-    return _indented(payload, "\n") + "\n"
+    pieces = []
+    _indented(payload, "\n", pieces.append)
+    return "".join(pieces) + "\n"
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    """Write :func:`_json_text` of ``payload`` to ``path``: the layout, then its newline.
+    """Write :func:`_json_text` of ``payload`` to ``path``.
 
-    Written in two parts, so the file's text is never copied whole to append
-    the newline.
+    Each piece goes straight to the file (a key's head, a list of leaves, a
+    closing bracket), so no container's text is ever joined.
     """
     with path.open("w", encoding="utf-8") as handle:
-        handle.write(_indented(payload, "\n"))
+        _indented(payload, "\n", handle.write)
         handle.write("\n")
 
 
@@ -363,36 +366,48 @@ def _leaf_rows(rows: list) -> list | None:
     return flat if _LEAF_TYPES.issuperset(map(type, flat)) else None
 
 
-def _indented(value, newline: str) -> str:
-    """``value`` as indented JSON whose lines start with ``newline``."""
+#: The encoder, per indent, of a list of leaves in one C call with ``"," + inner`` between values.
+_leaf_list_encoder = functools.cache(lambda inner: json.JSONEncoder(separators=("," + inner, ": ")))
+
+
+def _indented(value, newline: str, write) -> None:
+    """Write ``value`` as indented JSON whose lines start with ``newline``, piece by piece."""
     kind = type(value)
-    if kind in _LEAF_TYPES:
-        return _LEAF_LINES.encode(value)
-    if kind is _Encoded:  # encoded JSON holds no raw newline, so only its layout moves
-        return value.replace("\n", newline)
-    if kind is np.ndarray:  # listed here, so only the array being laid out is Python floats
-        return _indented(value.tolist(), newline)
     inner = newline + "  "
-    if kind is dict and value and all(type(key) is str for key in value):
-        return "{" + ",".join(
-            f"{inner}{encode_basestring_ascii(key)}: {_indented(value[key], inner)}"
-            for key in sorted(value)
-        ) + newline + "}"
-    if (kind is list or kind is tuple) and value:
+    if kind in _LEAF_TYPES:
+        write(_LEAF_LINES.encode(value))
+    elif kind is _Encoded:  # encoded JSON holds no raw newline, so only its layout moves
+        write(value.replace("\n", newline))
+    elif kind is np.ndarray:  # listed here, so only the array being laid out is Python floats
+        _indented(value.tolist(), newline, write)
+    elif kind is dict and value and all(type(key) is str for key in value):
+        head = "{"
+        for key in sorted(value):
+            write(f"{head}{inner}{encode_basestring_ascii(key)}: ")
+            _indented(value[key], inner, write)
+            head = ","
+        write(newline + "}")
+    elif (kind is list or kind is tuple) and value:
         if _LEAF_TYPES.issuperset(map(type, value)):
-            body = _LEAF_LINES.encode(value)[1:-1].replace("\n", "," + inner)
-            return "[" + inner + body + newline + "]"
-        flat = _leaf_rows(value)
-        if flat is not None:
+            write("[" + inner)
+            write(_leaf_list_encoder(inner).encode(value)[1:-1])
+        elif (flat := _leaf_rows(value)) is not None:
             # Every leaf in one C call, then the rows cut back out of its lines.
             cell = inner + "  "
             leaves = _LEAF_LINES.encode(flat)[1:-1].split("\n")
             rows = map(("," + cell).join, zip(*[iter(leaves)] * len(value[0])))
-            between = inner + "]," + inner + "[" + cell
-            return "[" + inner + "[" + cell + between.join(rows) + inner + "]" + newline + "]"
-        return "[" + ",".join(inner + _indented(item, inner) for item in value) + newline + "]"
-    # Empty containers, other keys and other leaf types: the reference encoder itself.
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+            write("[" + inner + "[" + cell)
+            write((inner + "]," + inner + "[" + cell).join(rows))
+            write(inner + "]")
+        else:
+            head = "["
+            for item in value:
+                write(head + inner)
+                _indented(item, inner, write)
+                head = ","
+        write(newline + "]")
+    else:  # empty containers, other keys and other leaf types: the reference encoder itself
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -407,6 +422,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:  # the decoder's depth limit: name where the value starts
+        start = json.JSONDecodeError("", text, len(text) - len(text.lstrip(" \t\n\r")))
+        raise ParseError("value nests too deeply", start.lineno, start.colno) from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario must be a key-value tree")
     return _normalize(raw)

@@ -702,6 +702,11 @@ def test_reader_rejects_a_topology_edge_that_names_no_listed_id(edge):
         MessageLog.from_text(text.replace('[1,"q"]', edge))
 
 
+def test_reader_rejects_a_first_line_nested_past_the_decoder_depth():
+    with pytest.raises(CorruptLog, match=r"line 1\b.*nests too deeply"):
+        MessageLog.from_text("[" * 200_000 + "]" * 200_000 + "\n")
+
+
 def test_reader_rejects_records_after_the_final_marker(paper_log_lines):
     lines = paper_log_lines + [paper_log_lines[_first_rate_line(paper_log_lines)]]
     with pytest.raises(CorruptLog, match=rf"line {len(lines)}\b"):

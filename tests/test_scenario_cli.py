@@ -33,8 +33,8 @@ from advot.scenario import (
     _check_columns,
     _columns,
     _edge_list,
-    _indented,
     _json_text,
+    _write_json,
     distributed_trace_records,
 )
 from advot.cli import main
@@ -117,6 +117,13 @@ def test_parse_error_carries_position():
         parse_scenario('{"network": }')
     assert excinfo.value.line == 1
     assert excinfo.value.column is not None
+
+
+def test_parse_of_json_nested_past_the_decoder_depth_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"nests too deeply \(line 1, column 1\)"):
+        parse_scenario("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ParseError, match=r"\(line 3, column 2\)"):
+        parse_scenario("\n\r\n\t" + "[" * 200_000 + "]" * 200_000)
 
 
 def test_capacity_mismatch_names_the_field():
@@ -224,7 +231,7 @@ def test_edge_list_and_columns_from_ids_match_the_edge_tuples(sources, targets, 
     edges = [(s, t) for s in sources for t in targets]
     rng.shuffle(edges)
     network = build_network(sources, targets, edges, [1.0] * len(sources))
-    assert _edge_list(network) == _indented(network.edges, "\n")
+    assert _edge_list(network) + "\n" == _json_text(network.edges)
     names = _columns(network)
     assert names == [f"x_{s}_{t}" for s, t in network.edges]
 
@@ -554,6 +561,22 @@ ARRAY_VALUES = st.one_of(
 })
 def test_json_text_of_arrays_matches_json_dumps_of_their_lists(payload):
     assert _json_text(payload) == reference_json_text(_listed(payload))
+
+
+def test_write_json_writes_the_json_text(tmp_path):
+    # a dynamic-sim-shaped report: stage dicts holding arrays, three levels deep
+    rng = np.random.default_rng(5)
+    stage = {"plan": rng.random(7), "xi_minor": np.array([[1.5, -0.0], [np.inf, 2.0]])[:, 0],
+             "rounds": 4, "converged": True, "failed": None, "ids": ["a\u00e9", 3], "empty": []}
+    report = {
+        "kind": "dynamic-sim", "failed_stage": None, "options": {},
+        "stages": [stage, {**stage, "belief_major": rng.random(3), "nested": {"deep": [{}, []]}}],
+        "edges": [["s1", "t1"], ["s1", "t2"]], "prior": np.full((2, 2), 0.5),
+    }
+    path = tmp_path / "report.json"
+    _write_json(report, path)
+    assert path.read_text(encoding="utf-8") == _json_text(report)
+    assert _json_text(report) == reference_json_text(_listed(report))
 
 
 def test_json_text_falls_back_for_other_types():
@@ -901,6 +924,15 @@ def test_cli_exit_code_on_input_errors(tmp_path, capsys):
     assert "advot:" in err
 
 
+def test_cli_reports_a_config_that_is_not_utf8_as_unreadable(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"a":1}')
+    assert run_cli("static-eq", "--config", bad, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("advot: cannot read config: 'utf-8' codec can't decode")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 # NaN fails every comparison, so only an explicit finiteness check stops these
 # inputs before a run ends in a NaN plan, a meaningless plan or the iteration limit.
 NON_FINITE_INPUTS = {
@@ -1131,11 +1163,13 @@ def test_one_game_is_built_per_cli_call(tmp_path, monkeypatch):
     assert config.game_spec() is config.spec
 
 
-@pytest.mark.parametrize("command, limit_mb", [("static-eq", 4.0), ("dynamic-sim", 6.5)])
+@pytest.mark.parametrize("command, limit_mb", [("static-eq", 4.0), ("dynamic-sim", 3.5)])
 def test_run_command_peak_memory_on_a_sparse_game(tmp_path, command, limit_mb):
     # Per-edge values stay float64 arrays until their own text is built; a
     # trace table or report of Python floats held to the end peaks at
-    # about 6 MB (static-eq) and 8.8 MB (dynamic-sim) here.
+    # about 6 MB (static-eq) and 8.8 MB (dynamic-sim) here.  The JSON files
+    # are written piece by piece: a dynamic-sim report laid out as one text
+    # peaks at about 4.9 MB.
     config = parse_scenario(generate.scenario_text(generate.sparse_pool(1, 1)[0]))
     run_command(command, config, tmp_path)
     tracemalloc.start()
