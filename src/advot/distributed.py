@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CorruptLog, NonFiniteIterate, ValidationError
 from .static_game import TYPE_VALUES, GameSpec, _aggregates, _anderson_step, _perceived
 from .static_game import minimize_node_cost  # the benchmark's tracer wraps it by this name
-from .transport import SolveReport, _check_integer, row_prices
+from .transport import SolveReport, _check_count, row_prices
 
 logger = logging.getLogger(__name__)
 
@@ -59,12 +59,8 @@ class Schedule:
             raise ValidationError(f"unknown schedule mode {self.mode!r}")
         if not (0.0 < self.activation <= 1.0):
             raise ValidationError("activation probability must lie in (0, 1]")
-        _check_integer(self.max_ticks, "max_ticks")
-        if self.max_ticks < 1:
-            raise ValidationError("max_ticks must be >= 1")
-        _check_integer(self.seed, "seed")
-        if self.seed < 0:  # numpy's generator takes no negative seed
-            raise ValidationError("seed must be >= 0")
+        _check_count(self.max_ticks, "max_ticks", 1)
+        _check_count(self.seed, "seed", 0)  # numpy's generator takes no negative seed
 
 
 @dataclass(frozen=True)
@@ -206,11 +202,11 @@ def _read_topology(line: str) -> tuple:
         source_of, target_of = dict(zip(sources, sources)), dict(zip(targets, targets))
         edges = tuple((source_of[s], target_of[t]) for s, t in payload["edges"])
         topology = (sources, targets, edges)
-        unique = all(len(set(part)) == len(part) for part in topology)
+        if (not all(len(set(part)) == len(part) for part in topology)
+                or line != _record_line(_topology_message(topology))):
+            raise ValueError("the topology is not unique or not canonical")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptLog("log line 1: topology record is malformed") from exc
-    if not unique or line != _record_line(_topology_message(topology)):
-        raise CorruptLog("log line 1: topology record is malformed")
     return topology
 
 

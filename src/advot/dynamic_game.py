@@ -20,12 +20,13 @@ from .static_game import (
     MAX_ROUNDS,
     EquilibriumProfile,
     GameSpec,
+    check_tau,
     stage_adversary_best_response,  # the benchmark's tracer wraps it by this name
     stage_equilibrium,
     stage_payoffs,
     threshold_phi,
 )
-from .transport import _check_integer, solve_regularized_ot
+from .transport import _check_count, solve_regularized_ot
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +48,11 @@ def belief_update(belief: np.ndarray, xi: np.ndarray) -> np.ndarray:
         raise PerturbationBelowFloor("belief update needs actions >= the floor")
     weighted = belief * xi
     return weighted / weighted.sum(axis=1)[:, None]
+
+
+def check_stage_count(stages) -> None:
+    """Reject a stage count that is not an integer of at least 1."""
+    _check_count(stages, "stages", 1)
 
 
 @dataclass(frozen=True)
@@ -88,11 +94,8 @@ def run_dynamic_game(
     carries that stage's profile, unless ``abort_on_failure`` is False, in
     which case the stage is recorded as-is and play continues.
     """
-    _check_integer(stages, "stages")
-    if stages < 1:
-        raise ValidationError("stages must be >= 1")
-    if not tau >= 0:  # also rejects NaN
-        raise ValidationError("tau must be >= 0")
+    check_stage_count(stages)
+    check_tau(tau)
     xi_prev = np.full((spec.network.n_targets, 2), PERTURBATION_FLOOR)
     belief = spec.belief
     outcomes: list[StageOutcome] = []

@@ -9,7 +9,7 @@ without further bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -112,7 +112,9 @@ def build_network(
 
     Edges may arrive in any order; the result is always sorted row-major by
     (source index, target index), so identical inputs yield identical
-    networks regardless of input ordering.
+    networks regardless of input ordering.  Each edge is a list or tuple of
+    two ids, and the capacities are numbers; other input raises
+    :class:`ValidationError`.
     """
     source_ids, target_ids = tuple(sources), tuple(targets)
     n, m = len(source_ids), len(target_ids)
@@ -125,7 +127,10 @@ def build_network(
     if not edges:
         raise IsolatedNode("network has no edges")
 
-    cap = np.asarray(list(capacities), dtype=float)
+    try:
+        cap = np.asarray(list(capacities), dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("capacities must be numeric") from None
     if cap.shape != (n,):
         raise ValidationError(f"capacities has {cap.size} entries for {n} sources")
     if not np.all(np.isfinite(cap)) or np.any(cap <= 0):
@@ -133,7 +138,7 @@ def build_network(
 
     source_pos, target_pos = dict(zip(source_ids, range(n))), dict(zip(target_ids, range(m)))
     try:
-        if set(map(len, edges)) != {2}:
+        if not all(map(isinstance, edges, repeat((list, tuple)))) or set(map(len, edges)) != {2}:
             raise TypeError("an edge is not a pair")
         # one flat list: zip(*edges) would keep an iterator per edge alive for the GC to walk
         ends = list(chain.from_iterable(edges))
@@ -142,6 +147,8 @@ def build_network(
     except (KeyError, TypeError):
         # the first edge, in input order, that is not a pair of listed ids names the fault
         for edge in edges:
+            if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+                raise ValidationError("every edge must be a [source, target] pair") from None
             head, tail = edge
             if head not in source_pos or tail not in target_pos:
                 raise DanglingEdge(f"edge {tuple(edge)!r} references an unknown node id") from None
@@ -165,18 +172,25 @@ def build_network(
     )
 
 
+def check_edge_vector(values, n_edges: int, name: str, nonnegative: bool = False) -> np.ndarray:
+    """Coerce to a float vector of shape ``(n_edges,)``, raising unless every entry is finite.
+
+    ``name`` is the plural noun the messages use (``"weights"``, ``"plans"``);
+    with ``nonnegative`` a negative entry raises too.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (n_edges,):
+        raise DimensionMismatch(f"{name} have shape {arr.shape}, expected ({n_edges},)")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
+    if nonnegative and (arr < 0).any():
+        raise ValidationError(f"{name} must be elementwise nonnegative")
+    return arr
+
+
 def check_plan(network: BipartiteNetwork, plan: np.ndarray) -> np.ndarray:
     """Coerce to a per-edge float vector: finite and nonnegative, raising otherwise."""
-    arr = np.asarray(plan, dtype=float)
-    if arr.shape != (network.n_edges,):
-        raise DimensionMismatch(
-            f"plan has shape {arr.shape}, expected ({network.n_edges},)"
-        )
-    if not np.isfinite(arr).all():
-        raise ValidationError("plans must be finite")
-    if (arr < 0).any():
-        raise ValidationError("plans must be elementwise nonnegative")
-    return arr
+    return check_edge_vector(plan, network.n_edges, "plans", nonnegative=True)
 
 
 def uniform_belief(n_targets: int) -> np.ndarray:

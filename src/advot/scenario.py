@@ -16,17 +16,17 @@ import functools
 import json
 import logging
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from .distributed import SCHEDULE_MODES, Schedule, run_distributed
-from .dynamic_game import StageOutcome, run_dynamic_game
+from .dynamic_game import StageOutcome, check_stage_count, run_dynamic_game
 from .errors import ParseError, StageNotConverged, ValidationError
-from .network import AdversaryCostParams, BipartiteNetwork, build_network, uniform_belief
-from .static_game import GameSpec, best_response_strategy, deviation_check, solve_bayesian_equilibrium
+from .network import AdversaryCostParams, BipartiteNetwork, build_network, check_edge_vector, uniform_belief
+from .static_game import GameSpec, best_response_strategy, check_tau, deviation_check, solve_bayesian_equilibrium
 from .transport import SolveReport, SolverSettings, planner_objective, solve_regularized_ot, unregularized_solve
 
 logger = logging.getLogger(__name__)
@@ -116,19 +116,16 @@ def _as_array(value, where: str) -> np.ndarray:
 
 
 def _edge_values(network: BipartiteNetwork, raw, where: str) -> np.ndarray:
-    """Normalize a matrix or flat per-edge list onto canonical edge order."""
+    """Normalize a matrix or flat per-edge list onto canonical edge order, finite values only."""
     arr = _as_array(raw, where)
     if arr.ndim == 2:
-        flat = network.edge_vector(arr)
-    elif arr.ndim == 1 and arr.shape == (network.n_edges,):
-        flat = arr
-    else:
+        arr = network.edge_vector(arr)
+    elif arr.shape != (network.n_edges,):
         raise ValidationError(
             f"'{where}' must be a {network.n_sources}x{network.n_targets} matrix "
             f"or a flat list of {network.n_edges} per-edge values"
         )
-    if not np.all(np.isfinite(flat)):
-        raise ValidationError(f"'{where}' must contain finite numbers")
+    flat = check_edge_vector(arr, network.n_edges, where)
     flat.setflags(write=False)
     return flat
 
@@ -155,11 +152,11 @@ def _normalize(raw: dict) -> "ScenarioConfig":
         id_types |= types
     if not isinstance(edges := net_raw["edges"], list):
         raise ValidationError("'network.edges' must be a list of [source, target] pairs")
-    if not all(map(isinstance, edges, repeat((list, tuple)))) or set(map(len, edges)) - {2}:
-        raise ValidationError("every edge must be a [source, target] pair")
 
     def check_endpoints():
-        if not _ID_TYPES.issuperset(map(type, chain.from_iterable(edges))):
+        # build_network names an edge that is not a list or tuple pair; the rest are scanned
+        pairs = (edge for edge in edges if isinstance(edge, (list, tuple)))
+        if not _ID_TYPES.issuperset(map(type, chain.from_iterable(pairs))):
             raise ValidationError("edge endpoints must be string or integer ids")
 
     # Of the JSON values only a string equals a string id, so without integer
@@ -223,10 +220,8 @@ def _scalar_blocks(raw: dict) -> dict:
     # Range rules, checked here so that no run writes an echo it then rejects.
     SolverSettings(data["solver"]["lambda"], data["solver"]["tol"])
     Schedule(**data["distributed"])
-    if data["dynamic"]["stages"] < 1:
-        raise ValidationError("stages must be >= 1")
-    if not data["dynamic"]["tau"] >= 0:  # also rejects NaN
-        raise ValidationError("tau must be >= 0")
+    check_stage_count(data["dynamic"]["stages"])
+    check_tau(data["dynamic"]["tau"])
     return data
 
 
@@ -410,16 +405,27 @@ def _indented(value, newline: str, write) -> None:
         write(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's key-value pairs as a dict, raising :class:`ParseError` on a repeated key."""
+    block = dict(pairs)
+    if len(block) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for k, key in enumerate(keys) if key in keys[:k])
+        raise ParseError(f"duplicate key {repeated!r}")
+    return block
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario file's contents.
 
     Raises :class:`ParseError` (position-annotated) for malformed JSON and
-    :class:`ValidationError` naming the violated invariant otherwise.
+    for a key that an object repeats, and :class:`ValidationError` naming the
+    violated invariant otherwise.
     """
     if not text.strip():
         raise ParseError("scenario file is empty")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:  # the decoder's depth limit: name where the value starts

@@ -31,6 +31,7 @@ from .network import (
     BipartiteNetwork,
     _frozen,
     check_belief,
+    check_edge_vector,
     check_plan,
     check_strategy,
 )
@@ -65,28 +66,20 @@ class GameSpec:
 
     def __post_init__(self):
         n_targets = self.network.n_targets
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (self.network.n_edges,):
-            raise ValidationError("weights must be a per-edge vector")
-        if not np.isfinite(weights).all():
-            raise ValidationError("weights must be finite")
+        weights = check_edge_vector(self.weights, self.network.n_edges, "weights")
         lower = np.asarray(self.lower_caps, dtype=float)
         upper = np.asarray(self.upper_caps, dtype=float)
         if lower.shape != (n_targets,) or upper.shape != (n_targets,):
             raise ValidationError("caps must cover every target node")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise ValidationError("caps must be finite")
-        if (lower < PERTURBATION_FLOOR).any() or (upper < PERTURBATION_FLOOR).any():
-            raise PerturbationBelowFloor(f"caps must be >= the action floor {PERTURBATION_FLOOR}")
+        caps = _check_caps(np.stack([lower, upper], axis=1))
         if (lower > upper).any():
             raise ValidationError("lower caps must not exceed upper caps")
-        if self.cost_params.punishment_coeff.shape != (self.network.n_edges,):
-            raise ValidationError("cost params do not match the network's edges")
+        check_edge_vector(self.cost_params.punishment_coeff, self.network.n_edges, "punishment coefficients")
         if self.settings.lam <= 0:
             raise ValidationError("the game needs a positive smoothing weight lam")
         belief = check_belief(self.belief, n_targets)
         for name, value in (("weights", weights), ("lower_caps", lower), ("upper_caps", upper),
-                            ("belief", belief), ("_caps", np.stack([lower, upper], axis=1))):
+                            ("belief", belief), ("_caps", caps)):
             object.__setattr__(self, name, _frozen(value))
 
     def caps(self) -> np.ndarray:
@@ -139,6 +132,30 @@ def _aggregates(network, plan, params) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.bincount(network.edge_target, w, network.n_targets) for w in (penalty, plan))
 
 
+def _check_caps(caps) -> np.ndarray:
+    """Coerce action caps to floats, raising unless each is finite and at least the floor."""
+    caps = np.asarray(caps, dtype=float)
+    if not np.isfinite(caps).all():
+        raise ValidationError("caps must be finite")
+    if (caps < PERTURBATION_FLOOR).any():
+        raise PerturbationBelowFloor(f"caps must be >= the action floor {PERTURBATION_FLOOR}")
+    return caps
+
+
+def check_tau(tau) -> None:
+    """Reject a threshold width below 0, or NaN, which fails every comparison; arrays entrywise."""
+    if not (tau >= 0 if isinstance(tau, (int, float)) else np.all(np.asarray(tau) >= 0)):
+        raise ValidationError("tau must be >= 0")
+
+
+def _node_minimizer(scale, flow, beta2: float, caps) -> np.ndarray:
+    """:func:`minimize_node_cost` of terms and caps the caller has already checked."""
+    # The stationary point is not used where there is no flow, so its 0/0 is silenced.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = (beta2 * scale / flow) ** (1.0 / (1.0 + beta2))
+    return np.where(flow <= 0, caps, np.minimum(np.maximum(stationary, PERTURBATION_FLOOR), caps))
+
+
 def minimize_node_cost(
     penalty_scale: np.ndarray,
     flow_term: np.ndarray,
@@ -150,15 +167,15 @@ def minimize_node_cost(
     For ``B > 0`` the objective is strictly convex on xi > 0 with unique
     stationary point ``(beta2*A/B)**(1/(1+beta2))``, clipped into the box.
     With no flow (``B == 0``) the objective only decays, so the cap is optimal.
-    ``A``, ``B`` and the caps broadcast against each other.
+    ``A``, ``B`` and the caps broadcast against each other.  ``A`` and ``B``
+    must be finite and nonnegative, and the caps finite and at least the floor.
     """
     scale = np.asarray(penalty_scale, dtype=float)
     flow = np.atleast_1d(np.asarray(flow_term, dtype=float))
-    caps = np.asarray(caps, dtype=float)
-    # The stationary point is not used where there is no flow, so its 0/0 is silenced.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stationary = (beta2 * scale / flow) ** (1.0 / (1.0 + beta2))
-    return np.where(flow <= 0, caps, np.minimum(np.maximum(stationary, PERTURBATION_FLOOR), caps))
+    if not (np.isfinite(scale).all() and np.isfinite(flow).all()
+            and (scale >= 0).all() and (flow >= 0).all()):
+        raise ValidationError("penalty scale and flow must be finite and >= 0")
+    return _node_minimizer(scale, flow, beta2, _check_caps(caps))
 
 
 def threshold_phi(xi_t, xi_prev, tau: float):
@@ -167,7 +184,9 @@ def threshold_phi(xi_t, xi_prev, tau: float):
     Flat at ``xi_prev`` while ``xi_t < xi_prev + tau``, then shifted-linear
     ``xi_t - tau``; the knee itself belongs to the linear branch, where both
     branches agree, so the map is continuous, nondecreasing and 1-Lipschitz.
+    ``tau`` must be >= 0 (:func:`check_tau`).
     """
+    check_tau(tau)
     xi_t = np.asarray(xi_t, dtype=float)
     xi_prev = np.asarray(xi_prev, dtype=float)
     out = np.where(xi_t < xi_prev + tau, xi_prev, xi_t - tau)
@@ -188,12 +207,11 @@ def _stage_response(network, plan, params, caps, xi_prev, tau: float):
     and by convexity the minimizer there is the static one on ``[floor,
     max(xi_prev, cap - tau)]`` raised to ``xi_prev``.
     """
-    if not tau >= 0:  # also rejects NaN
-        raise ValidationError("tau must be >= 0")
+    check_tau(tau)
     scale, flow = _aggregates(network, check_plan(network, plan), params)
     scale, flow_term = scale[:, None], flow[:, None] * TYPE_VALUES
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
-    z = np.maximum(minimize_node_cost(scale, flow_term, params.beta2, z_hi), xi_prev)
+    z = np.maximum(_node_minimizer(scale, flow_term, params.beta2, z_hi), xi_prev)
     return scale, flow_term, z
 
 
@@ -313,11 +331,13 @@ def stage_payoffs(
 ) -> tuple[float, float, float]:
     """Dispatcher utility and the minor and major types' costs against the effective action.
 
-    The plan and the belief are checked here; the payoffs themselves come
-    from the kernel the equilibrium loop's traced rounds call directly.
+    The plan, the belief and the effective action, which lies in ``[floor,
+    caps]``, are checked here; the payoffs themselves come from the kernel
+    the equilibrium loop's traced rounds call directly.
     """
     plan = check_plan(spec.network, plan)
     belief = check_belief(belief, spec.network.n_targets)
+    effective = check_strategy(effective, spec.lower_caps, spec.upper_caps)
     return _payoffs(spec, belief, plan, effective)
 
 

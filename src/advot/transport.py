@@ -19,15 +19,17 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteIterate, ValidationError, ZeroLambda
-from .network import BipartiteNetwork
+from .network import BipartiteNetwork, check_edge_vector
 
 logger = logging.getLogger(__name__)
 
 
-def _check_integer(value, name: str) -> None:
-    """Reject a count that is not a Python or numpy integer (bool included)."""
+def _check_count(value, name: str, minimum: int) -> None:
+    """Reject a count that is not a Python or numpy integer (bool included) or is below ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValidationError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -67,23 +69,14 @@ class SolveReport:
 
 
 def planner_objective(plan: np.ndarray, weights: np.ndarray, lam: float) -> float:
-    """Dispatcher utility ``sum(m*x) - lam*sum(x*log x)`` of a plan, with ``0*log 0 = 0``."""
-    plan = np.asarray(plan, dtype=float)
-    if (plan < 0).any():
-        raise ValidationError("plans must be elementwise nonnegative")
+    """Dispatcher utility ``sum(m*x) - lam*sum(x*log x)`` of a plan, with ``0*log 0 = 0``.
+
+    The weights and the plan must be finite vectors of one length, the plan nonnegative.
+    """
+    weights = check_edge_vector(weights, np.size(plan), "weights")
+    plan = check_edge_vector(plan, len(weights), "plans", nonnegative=True)
     entropy = plan * np.log(np.where(plan > 0, plan, 1.0))  # 0 where x = 0
-    return float(np.dot(np.asarray(weights, float), plan)) - lam * float(entropy.sum())
-
-
-def _check_weights(network: BipartiteNetwork, weights) -> np.ndarray:
-    arr = np.asarray(weights, dtype=float)
-    if arr.shape != (network.n_edges,):
-        raise DimensionMismatch(
-            f"weights have shape {arr.shape}, expected ({network.n_edges},)"
-        )
-    if not np.isfinite(arr).all():
-        raise ValidationError("weights must be finite")
-    return arr
+    return float(np.dot(weights, plan)) - lam * float(entropy.sum())
 
 
 def primal_update(
@@ -91,16 +84,18 @@ def primal_update(
 ) -> np.ndarray:
     """Closed-form plan given prices: ``x = exp((m - p_j)/lam - 1)`` per edge.
 
-    Always strictly positive; undefined at ``lam == 0``.
+    Always strictly positive; undefined at ``lam == 0``.  The prices must be finite.
     """
     if lam <= 0:
         raise ZeroLambda("primal update needs lam > 0; use unregularized_solve")
-    w = _check_weights(network, weights)
+    w = check_edge_vector(weights, network.n_edges, "weights")
     p = np.asarray(prices, dtype=float)
     if p.shape != (network.n_sources,):
         raise DimensionMismatch(
             f"prices have shape {p.shape}, expected ({network.n_sources},)"
         )
+    if not np.isfinite(p).all():
+        raise ValidationError("prices must be finite")
     return np.exp((w - p[network.edge_source]) / lam - 1.0)
 
 
@@ -160,10 +155,11 @@ def solve_regularized_ot(
     """
     if settings.lam <= 0:
         raise ZeroLambda("solve_regularized_ot needs lam > 0; use unregularized_solve")
-    w = _check_weights(network, weights)
+    w = check_edge_vector(weights, network.n_edges, "weights")
     prices = row_prices(w, network.edge_source, network.capacities, settings.lam)
-    plan = primal_update(network, w, prices, settings.lam)
-    if not (np.isfinite(prices).all() and np.isfinite(plan).all()):
+    # the prices are tested first: primal_update rejects non-finite ones as bad input
+    if not (np.isfinite(prices).all()
+            and np.isfinite(plan := primal_update(network, w, prices, settings.lam)).all()):
         raise NonFiniteIterate(1, "prices or plan became non-finite at iteration 1")
     rows = network.row_sums(plan)
     residual = float(np.abs(np.minimum(prices, network.capacities - rows)).max())
@@ -187,7 +183,7 @@ def unregularized_solve(network: BipartiteNetwork, weights: np.ndarray) -> np.nd
     that weight is positive (ties broken by canonical edge order) and ships
     nothing otherwise.
     """
-    w = _check_weights(network, weights)
+    w = check_edge_vector(weights, network.n_edges, "weights")
     plan = np.zeros(network.n_edges)
     start = network.row_starts
     for j, (a, b) in enumerate(zip(start, start[1:])):

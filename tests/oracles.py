@@ -406,6 +406,8 @@ def reference_build_network(sources, targets, edges, capacities):
     target_pos = {t: i for i, t in enumerate(target_ids)}
     indexed: list[tuple[int, int]] = []
     for edge in edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ValidationError("every edge must be a [source, target] pair")
         j, q = edge
         if j not in source_pos or q not in target_pos:
             raise DanglingEdge(f"edge {tuple(edge)!r} references an unknown node id")

@@ -41,6 +41,13 @@ def test_phi_zero_tau_is_running_maximum():
         assert threshold_phi(value, prev, 0.0) == max(value, prev)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), -1.0, np.array([0.5, -1.0])])
+def test_phi_rejects_a_negative_or_nan_tau(tau):
+    # unchecked, tau = nan gave NaN and tau = -1 lifted the action 2.0 to 3.0
+    with pytest.raises(ValidationError, match="tau must be >= 0"):
+        threshold_phi(np.array([2.0, 2.0]), np.array([1.0, 1.0]), tau)
+
+
 def test_phi_property_suite():
     rng = np.random.default_rng(123)
     xi_t = rng.uniform(0.0, 10.0, size=10_000)

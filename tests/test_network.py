@@ -59,6 +59,20 @@ def test_capacity_length_mismatch_rejected():
         build_network(["a"], ["b"], [("a", "b")], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("capacities", [["x"], [[1.0, "x"]], 4.0])
+def test_non_numeric_capacities_rejected(capacities):
+    # ["x"] raised numpy's bare ValueError
+    with pytest.raises(ValidationError, match="capacities must be numeric"):
+        build_network(["a"], ["b"], [("a", "b")], capacities)
+
+
+@pytest.mark.parametrize("edge", [("a",), ("a", "b", "c"), "ab", 5, None])
+def test_an_edge_that_is_not_a_pair_rejected(edge):
+    # a 1- or 3-tuple raised a bare TypeError or ValueError, and "ab" read as the edge a -> b
+    with pytest.raises(ValidationError, match=r"every edge must be a \[source, target\] pair"):
+        build_network(["a"], ["b"], [("a", "b"), edge], [1.0])
+
+
 def test_canonical_order_is_input_independent():
     sources, targets = ["s1", "s2"], ["t1", "t2"]
     edges = [("s2", "t2"), ("s1", "t2"), ("s2", "t1"), ("s1", "t1")]

@@ -1106,6 +1106,28 @@ def test_cli_rejects_invalid_values_before_writing(tmp_path, capsys, name):
     assert list(out.glob("*")) == []
 
 
+# The paper scenario's text with one key written twice: json.loads alone keeps the last value.
+REPEATED_KEYS = {
+    "top-level": ('{\n  "network"', '{\n  "weights": [[9, 9, 9], [9, 9, 9]],\n  "network"', "weights"),
+    "nested": ('"dynamic": {"stages": 5', '"dynamic": {"stages": 2, "stages": 7', "stages"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEYS))
+def test_cli_rejects_a_repeated_key_before_writing(tmp_path, capsys, name):
+    old, new, key = REPEATED_KEYS[name]
+    text = PAPER.read_text()
+    assert text.count(old) == 1
+    with pytest.raises(ParseError, match=f"duplicate key '{key}'"):
+        parse_scenario(text.replace(old, new))
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert run_cli("dynamic-sim", "--config", path, "--out", out) == 1
+    assert capsys.readouterr().err == f"advot: duplicate key '{key}'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_cli_has_no_gamma_flag(tmp_path, capsys, command):
     # the ascent's step size is gone: an old command line fails rather than runs

@@ -84,7 +84,7 @@ def test_expected_utility_zero_plan(paper_spec):
 
 
 def test_expected_utility_single_edge_log_one():
-    spec = one_edge_game(m=1.0, c=2.0)
+    spec = one_edge_game(m=1.0, c=2.0, lower=2.0)  # the minor action 2.0 within its cap
     xi = np.array([[2.0, 4.0]])
     value = stage_payoffs(spec, spec.belief, np.array([1.0]), xi)[0]
     assert value == pytest.approx(6.0)
@@ -124,6 +124,33 @@ def test_game_spec_validation(paper_spec):
         dataclasses.replace(paper_spec, weights=np.full(6, np.inf))
     with pytest.raises(Exception):
         dataclasses.replace(paper_spec, belief=np.tile([0.7, 0.7], (3, 1)))
+
+
+def test_game_spec_checks_per_edge_vectors_by_the_solves_rule(paper_spec):
+    # one per-edge rule: the spec raised "weights must be a per-edge vector" where the solve
+    # raised DimensionMismatch
+    with pytest.raises(DimensionMismatch, match=r"weights have shape \(5,\), expected \(6,\)"):
+        dataclasses.replace(paper_spec, weights=np.ones(5))
+    with pytest.raises(DimensionMismatch, match=r"weights have shape \(5,\), expected \(6,\)"):
+        solve_regularized_ot(paper_spec.network, np.ones(5))
+    with pytest.raises(DimensionMismatch, match=r"coefficients have shape \(5,\), expected \(6,\)"):
+        dataclasses.replace(paper_spec, cost_params=AdversaryCostParams(np.ones(5), 0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    ("effective", "error", "message"),
+    [
+        # unchecked: (inf, inf, inf), a division by zero and a bare broadcast ValueError
+        (np.full((3, 2), np.inf), ValidationError, "exceeds its per-type cap"),
+        (np.zeros((3, 2)), PerturbationBelowFloor, "actions must stay >="),
+        (np.ones((2, 2)), DimensionMismatch, r"strategy has shape \(2, 2\)"),
+        (np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]]), ValidationError, "actions must be finite"),
+    ],
+)
+def test_stage_payoffs_reject_an_action_outside_the_box(paper_spec, effective, error, message):
+    with pytest.raises(error, match=message) as excinfo:
+        stage_payoffs(paper_spec, paper_spec.belief, np.ones(6), effective)
+    assert excinfo.type is error
 
 
 def test_caps_table_is_built_once_and_read_only(paper_spec):
@@ -213,6 +240,22 @@ def test_best_response_stationarity_and_finite_difference():
         cost = lambda z: scale * z ** (-beta2) + flow * z
         central = (cost(out + h) - cost(out - h)) / (2 * h)
         assert central == pytest.approx(derivative, abs=1e-5 * max(1.0, abs(central)))
+
+
+@pytest.mark.parametrize(
+    ("scale", "flow", "cap", "error", "message"),
+    [
+        # unchecked: NaN, NaN and an action of 1e-9, below the floor
+        (-1.0, 1.0, 5.0, ValidationError, "penalty scale and flow must be finite and >= 0"),
+        (1.0, np.nan, 5.0, ValidationError, "penalty scale and flow must be finite and >= 0"),
+        (1.0, 0.0, 1e-9, PerturbationBelowFloor, "caps must be >= the action floor"),
+        (1.0, 0.0, np.inf, ValidationError, "caps must be finite"),
+    ],
+)
+def test_minimize_node_cost_rejects_terms_it_cannot_minimize(scale, flow, cap, error, message):
+    with pytest.raises(error, match=message) as excinfo:
+        minimize_node_cost(scale, flow, 0.5, cap)
+    assert excinfo.type is error
 
 
 def test_best_response_convexity_of_node_cost():
@@ -496,7 +539,7 @@ def test_stage_payoffs_match_enumeration_and_the_per_edge_costs():
         spec = make_random_spec(rng, 3, 4)
         network, weights = spec.network, spec.weights
         plan = np.where(rng.random(network.n_edges) < 0.2, 0.0, rng.uniform(0, 2, network.n_edges))
-        effective = rng.uniform(PERTURBATION_FLOOR, 6.0, (4, 2))
+        effective = rng.uniform(PERTURBATION_FLOOR, spec.caps())  # an effective action is in the box
         minor = rng.uniform(0, 1, 4)
         belief = np.stack([minor, 1.0 - minor], axis=1)
         utility, *costs = stage_payoffs(spec, belief, plan, effective)

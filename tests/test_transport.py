@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advot import (
+    DimensionMismatch,
     NonFiniteIterate,
     SolverSettings,
     ValidationError,
@@ -213,6 +214,21 @@ def test_solve_refuses_non_finite_prices():
     assert excinfo.value.iteration == 1
 
 
+def test_solve_refuses_nan_prices_before_the_primal_update():
+    # m/lam overflows to inf, so the log-space prices are NaN: still the solve's own error
+    net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as excinfo:
+        solve_regularized_ot(net, np.array([3000.0, 2990.0]), SolverSettings(lam=1e-306))
+    assert excinfo.value.iteration == 1
+
+
+def test_primal_update_rejects_non_finite_prices():
+    # unchecked, NaN prices gave an all-NaN plan
+    net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
+    with pytest.raises(ValidationError, match="prices must be finite"):
+        primal_update(net, np.array([1.0, 2.0]), np.array([np.nan]), lam=3.0)
+
+
 def test_solve_overflow_input_converges_with_the_exact_price():
     # m/lam is about 1000: the unpriced plan exp(m/lam - 1) overflows
     net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
@@ -363,6 +379,21 @@ def test_objective_at_e():
     assert planner_objective(np.array([np.e]), np.array([0.0]), 1.0) == pytest.approx(
         -np.e, abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    ("plan", "error", "message"),
+    [
+        # unchecked, a NaN plan gave a NaN utility and a plan of 3 entries numpy's bare ValueError
+        ([np.nan, 1.0], ValidationError, "plans must be finite"),
+        ([1.0, 1.0, 1.0], DimensionMismatch, r"weights have shape \(2,\), expected \(3,\)"),
+        ([-1.0, 1.0], ValidationError, "plans must be elementwise nonnegative"),
+    ],
+)
+def test_objective_rejects_a_plan_it_cannot_score(plan, error, message):
+    with pytest.raises(error, match=message) as excinfo:
+        planner_objective(np.array(plan), np.array([1.0, 2.0]), 3.0)
+    assert excinfo.type is error
 
 
 def test_smoothing_spreads_allocations(paper_network, paper_edge_weights):
