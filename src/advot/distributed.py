@@ -32,9 +32,9 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import CorruptLog, NonFiniteIterate, ValidationError
-from .static_game import TYPE_VALUES, GameSpec, _aggregates, _anderson_step, _perceived
+from .static_game import GameSpec, _anderson_step, _cost_table, _perceived
 from .static_game import minimize_node_cost  # the benchmark's tracer wraps it by this name
-from .transport import SolveReport, _check_count, row_prices
+from .transport import SolveReport, _check_count, _plan, _slackness, row_prices
 
 logger = logging.getLogger(__name__)
 
@@ -491,7 +491,7 @@ class SourceAgent:
         self.inbox.clear()
         rows = np.zeros(len(self.weights), dtype=int)
         self.price = float(row_prices(self.weights, rows, np.array([self.capacity]), self.lam)[0])
-        self.rates = np.exp((self.weights - self.price) / self.lam - 1.0)
+        self.rates = _plan(self.weights, self.price, self.lam)
 
 
 def _active_agents(schedule: Schedule, tick: int, rng: np.random.Generator, n: int) -> list[int]:
@@ -545,10 +545,9 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
 
     # Edges are in row-major order: agent j's row is the block start[j]:start[j + 1].
     start = network.row_starts
-    capacities = network.capacities.tolist()
     agents = [
         SourceAgent(
-            capacity=capacities[j],
+            capacity=float(network.capacities[j]),
             lam=settings.lam,
             weights=spec.weights[start[j]:start[j + 1]].copy(),
             rates=np.zeros(start[j + 1] - start[j]),
@@ -589,18 +588,13 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
 
         if not np.all(np.isfinite(rates_seen)):
             raise NonFiniteIterate(tick, f"rates became non-finite at tick {tick}")
-        scale, flow = _aggregates(network, rates_seen, params)
-        g = minimize_node_cost(scale[:, None], flow[:, None] * TYPE_VALUES, params.beta2, caps)
+        g = minimize_node_cost(*_cost_table(network, rates_seen, params), params.beta2, caps)
         first = xi is None  # the loop's start: the best response to the adversary-free rates
         if first:
             xi = g
         else:
             f = g - xi
-            slackness = max(
-                abs(min(price, capacity - float(np.sum(rates_seen[a:b]))))
-                for price, capacity, a, b in zip(prices_seen.tolist(), capacities, start, start[1:])
-            )
-            residual = max(slackness, float(np.max(np.abs(f))))
+            residual = max(_slackness(network, prices_seen, rates_seen), float(np.max(np.abs(f))))
             stalled = np.array_equal(g, xi)
             xi = _anderson_step(history, g, f, caps)
         weights = _perceived(network, spec.weights, xi, spec.belief)

@@ -150,7 +150,11 @@ def build_network(
             if not isinstance(edge, (list, tuple)) or len(edge) != 2:
                 raise ValidationError("every edge must be a [source, target] pair") from None
             head, tail = edge
-            if head not in source_pos or tail not in target_pos:
+            try:
+                listed = head in source_pos and tail in target_pos
+            except TypeError:  # an unhashable end cannot be a listed id
+                listed = False
+            if not listed:
                 raise DanglingEdge(f"edge {tuple(edge)!r} references an unknown node id") from None
         raise
     # row-major order is the order of j * m + q, and a duplicate equals its neighbour
@@ -238,6 +242,12 @@ def check_strategy(
     return arr
 
 
+def check_betas(*betas) -> None:
+    """Reject a cost exponent outside ``[0, 1]``, or NaN, which fails every comparison."""
+    if not all(0.0 <= beta <= 1.0 for beta in betas):
+        raise ValidationError("beta exponents must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class AdversaryCostParams:
     """Per-edge punishment coefficients and the two cost exponents.
@@ -256,8 +266,7 @@ class AdversaryCostParams:
             raise ValidationError("punishment_coeff must be a flat per-edge vector")
         if not np.all(np.isfinite(coeff)) or np.any(coeff <= 0):
             raise ValidationError("punishment coefficients must be positive and finite")
-        if not (0.0 <= self.beta1 <= 1.0 and 0.0 <= self.beta2 <= 1.0):
-            raise ValidationError("beta exponents must lie in [0, 1]")
+        check_betas(self.beta1, self.beta2)
         object.__setattr__(self, "punishment_coeff", coeff)
 
     @classmethod

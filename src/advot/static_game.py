@@ -31,11 +31,12 @@ from .network import (
     BipartiteNetwork,
     _frozen,
     check_belief,
+    check_betas,
     check_edge_vector,
     check_plan,
     check_strategy,
 )
-from .transport import SolverSettings, planner_objective, solve_regularized_ot
+from .transport import SolverSettings, _entropy, _plan, _utility, solve_regularized_ot
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +44,7 @@ DEVIATION_TOL = 1e-4  # largest coordinate improvement a converged profile may l
 PROFILE_TOL = 1e-7  # largest round-to-round profile change that counts as settled
 MAX_ROUNDS = 500  # default round limit of the best-response loop
 ANDERSON_MEMORY = 5  # residual differences the accelerated step fits
+TYPE_VALUES = np.array([1.0, 2.0])  # minor and major: the type multiplies its action
 
 
 @dataclass(frozen=True)
@@ -111,25 +113,19 @@ def _perceived(network, weights, xi, belief) -> np.ndarray:
     The type multiplies its own action (major counts twice), so this is the
     expected per-edge coefficient the dispatcher actually optimizes against.
     """
-    node_term = belief[:, 0] * 1.0 * xi[:, 0] + belief[:, 1] * 2.0 * xi[:, 1]
-    return weights + node_term[network.edge_target]
-
-
-def _edge_cost(params, plan, powered, weights, theta_e, xi_e) -> float:
-    """Adversary cost ``sum coeff*xi_e**(-beta2)*powered + (m + theta_e*xi_e)*x``.
-
-    Per edge: expected punishment plus handed-over revenue, with ``powered =
-    x**beta1`` and ``theta_e``, ``xi_e`` the type and action at its target.
-    """
-    penalty = params.punishment_coeff * xi_e ** (-params.beta2) * powered
-    revenue = (weights + theta_e * xi_e) * plan
-    return float(np.sum(penalty + revenue))
+    return weights + (belief * TYPE_VALUES * xi).sum(axis=1)[network.edge_target]
 
 
 def _aggregates(network, plan, params) -> tuple[np.ndarray, np.ndarray]:
     """Per-target penalty scale ``A_q = sum coeff*x**beta1`` and flow ``S_q = sum x``."""
     penalty = params.punishment_coeff * plan ** params.beta1
     return tuple(np.bincount(network.edge_target, w, network.n_targets) for w in (penalty, plan))
+
+
+def _cost_table(network, plan, params) -> tuple[np.ndarray, np.ndarray]:
+    """The stage cost's terms per target and type: ``A``, one column, and ``B = type*S``, two."""
+    scale, flow = _aggregates(network, plan, params)
+    return scale[:, None], flow[:, None] * TYPE_VALUES
 
 
 def _check_caps(caps) -> np.ndarray:
@@ -168,13 +164,15 @@ def minimize_node_cost(
     stationary point ``(beta2*A/B)**(1/(1+beta2))``, clipped into the box.
     With no flow (``B == 0``) the objective only decays, so the cap is optimal.
     ``A``, ``B`` and the caps broadcast against each other.  ``A`` and ``B``
-    must be finite and nonnegative, and the caps finite and at least the floor.
+    must be finite and nonnegative, ``beta2`` in ``[0, 1]`` and the caps finite
+    and at least the floor.
     """
     scale = np.asarray(penalty_scale, dtype=float)
     flow = np.atleast_1d(np.asarray(flow_term, dtype=float))
     if not (np.isfinite(scale).all() and np.isfinite(flow).all()
             and (scale >= 0).all() and (flow >= 0).all()):
         raise ValidationError("penalty scale and flow must be finite and >= 0")
+    check_betas(beta2)
     return _node_minimizer(scale, flow, beta2, _check_caps(caps))
 
 
@@ -193,9 +191,6 @@ def threshold_phi(xi_t, xi_prev, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-TYPE_VALUES = np.array([1.0, 2.0])  # minor and major: the type multiplies its action
-
-
 def _stage_response(network, plan, params, caps, xi_prev, tau: float):
     """Per-target, per-type tables of the stage cost ``A*z**(-beta2) + B*z`` and its minimizer.
 
@@ -208,11 +203,16 @@ def _stage_response(network, plan, params, caps, xi_prev, tau: float):
     max(xi_prev, cap - tau)]`` raised to ``xi_prev``.
     """
     check_tau(tau)
-    scale, flow = _aggregates(network, check_plan(network, plan), params)
-    scale, flow_term = scale[:, None], flow[:, None] * TYPE_VALUES
+    scale, flow_term = _cost_table(network, check_plan(network, plan), params)
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
     z = np.maximum(_node_minimizer(scale, flow_term, params.beta2, z_hi), xi_prev)
     return scale, flow_term, z
+
+
+def _stage_action(network, plan, params, caps, xi_prev, tau: float) -> np.ndarray:
+    """The actions that play :func:`_stage_response`'s minimizers ``z``: ``z + tau``, or ``xi_prev``."""
+    z = _stage_response(network, plan, params, caps, xi_prev, tau)[2]
+    return np.where(z > xi_prev, z + tau, xi_prev)
 
 
 def stage_adversary_best_response(
@@ -236,8 +236,7 @@ def stage_adversary_best_response(
     if type_value not in (1, 2):
         raise ValidationError("type_value must be 1 (minor) or 2 (major)")
     caps, xi_prev = (np.reshape(np.asarray(a, dtype=float), (-1, 1)) for a in (caps, xi_prev))
-    _, _, z = _stage_response(network, plan, params, caps, xi_prev, tau)
-    return np.where(z > xi_prev, z + tau, xi_prev)[:, type_value - 1]
+    return _stage_action(network, plan, params, caps, xi_prev, tau)[:, type_value - 1]
 
 
 def best_response_strategy(
@@ -249,9 +248,7 @@ def best_response_strategy(
     type.  The defaults, previous action at the floor and ``tau = 0``, pose
     the static game.
     """
-    xi_prev = np.asarray(xi_prev, dtype=float)
-    _, _, z = _stage_response(spec.network, plan, spec.cost_params, spec.caps(), xi_prev, tau)
-    return np.where(z > xi_prev, z + tau, xi_prev)
+    return _stage_action(spec.network, plan, spec.cost_params, spec.caps(), xi_prev, tau)
 
 
 def _check_anchor(spec: GameSpec, xi_prev) -> np.ndarray:
@@ -301,15 +298,12 @@ def deviation_check(
     w_eff = _perceived(network, spec.weights, effective, belief)
     slack = network.capacities - network.row_sums(plan)
     hi = np.maximum(plan + slack[network.edge_source], 0.0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        best_y = np.minimum(hi, np.exp(w_eff / lam - 1.0))
-        best_utility, utility = (w_eff * y - lam * np.where(y > 0, y * np.log(y), 0.0)
-                                 for y in (best_y, plan))
-    gain = best_utility - utility
+    with np.errstate(over="ignore"):
+        best_y = np.minimum(hi, _plan(w_eff, 0.0, lam))  # the unpriced plan, clipped to the slack
+    gain = (w_eff * best_y - lam * _entropy(best_y)) - (w_eff * plan - lam * _entropy(plan))
 
-    scale, flow_term, best = _stage_response(
-        network, plan, spec.cost_params, spec.caps(), xi_prev, tau
-    )
+    scale, flow_term, best = _stage_response(network, plan, spec.cost_params, spec.caps(),
+                                             xi_prev, tau)
     beta2 = spec.cost_params.beta2
     cost, best_cost = (scale * z ** (-beta2) + flow_term * z for z in (effective, best))
     reduction = cost - best_cost
@@ -319,10 +313,12 @@ def deviation_check(
 def _payoffs(spec: GameSpec, belief, plan, effective) -> tuple[float, float, float]:
     """:func:`stage_payoffs` of a plan and belief already checked."""
     network, weights, params, lam = spec.network, spec.weights, spec.cost_params, spec.settings.lam
-    utility = planner_objective(plan, _perceived(network, weights, effective, belief), lam)
+    utility = _utility(plan, _perceived(network, weights, effective, belief), lam)
     powered = plan ** params.beta1
-    costs = (_edge_cost(params, plan, powered, weights, t, effective[network.edge_target, t - 1])
-             for t in (1, 2))
+    # per edge: expected punishment plus handed-over revenue, at the type's action on its target
+    costs = (float(np.sum(params.punishment_coeff * xi_e ** (-params.beta2) * powered
+                          + (weights + theta * xi_e) * plan))
+             for theta, xi_e in zip(TYPE_VALUES, effective[network.edge_target].T))
     return (utility, *costs)
 
 

@@ -68,6 +68,26 @@ class SolveReport:
     trace: list[dict] = field(default_factory=list)
 
 
+def _plan(weights, prices, lam: float) -> np.ndarray:
+    """The closed-form plan at given prices, ``exp((m - p)/lam - 1)``, each price at its edges."""
+    return np.exp((weights - prices) / lam - 1.0)
+
+
+def _entropy(plan) -> np.ndarray:
+    """``x*log x`` per entry, with ``0*log 0 = 0``: the log never sees a zero."""
+    return plan * np.log(np.where(plan > 0, plan, 1.0))
+
+
+def _utility(plan, weights, lam: float) -> float:
+    """:func:`planner_objective` of a plan and weights the caller has already checked."""
+    return float(np.dot(weights, plan)) - lam * float(_entropy(plan).sum())
+
+
+def _slackness(network: BipartiteNetwork, prices, plan) -> float:
+    """Worst complementary-slackness violation ``|min(p_j, c_j - row_sum_j)|`` over the sources."""
+    return float(np.abs(np.minimum(prices, network.capacities - network.row_sums(plan))).max())
+
+
 def planner_objective(plan: np.ndarray, weights: np.ndarray, lam: float) -> float:
     """Dispatcher utility ``sum(m*x) - lam*sum(x*log x)`` of a plan, with ``0*log 0 = 0``.
 
@@ -75,8 +95,7 @@ def planner_objective(plan: np.ndarray, weights: np.ndarray, lam: float) -> floa
     """
     weights = check_edge_vector(weights, np.size(plan), "weights")
     plan = check_edge_vector(plan, len(weights), "plans", nonnegative=True)
-    entropy = plan * np.log(np.where(plan > 0, plan, 1.0))  # 0 where x = 0
-    return float(np.dot(weights, plan)) - lam * float(entropy.sum())
+    return _utility(plan, weights, lam)
 
 
 def primal_update(
@@ -96,7 +115,7 @@ def primal_update(
         )
     if not np.isfinite(p).all():
         raise ValidationError("prices must be finite")
-    return np.exp((w - p[network.edge_source]) / lam - 1.0)
+    return _plan(w, p[network.edge_source], lam)
 
 
 def row_prices(weights, edge_source, capacities, lam: float) -> np.ndarray:
@@ -161,14 +180,13 @@ def solve_regularized_ot(
     if not (np.isfinite(prices).all()
             and np.isfinite(plan := primal_update(network, w, prices, settings.lam)).all()):
         raise NonFiniteIterate(1, "prices or plan became non-finite at iteration 1")
-    rows = network.row_sums(plan)
-    residual = float(np.abs(np.minimum(prices, network.capacities - rows)).max())
+    residual = _slackness(network, prices, plan)
     trace = [{
         "iteration": 1,
         "plan": plan,
         "prices": prices,
         "residual": residual,
-        "objective": planner_objective(plan, w, settings.lam),
+        "objective": _utility(plan, w, settings.lam),
     }] if record_trace else []
     converged = residual <= settings.tol
     if not converged:

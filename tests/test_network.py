@@ -47,6 +47,12 @@ def test_dangling_edge_rejected():
         build_network(["a"], ["b"], [("a", "zzz")], [1.0])
 
 
+def test_an_unhashable_endpoint_is_a_dangling_edge():
+    # a list id is no listed id; the lookup raised a bare TypeError: unhashable type: 'list'
+    with pytest.raises(DanglingEdge, match=r"edge \(\['a'\], 'b'\) references an unknown node id"):
+        build_network(["a"], ["b"], [(["a"], "b")], [1.0])
+
+
 def test_isolated_node_rejected():
     with pytest.raises(IsolatedNode):
         build_network(["a", "b"], ["c"], [("a", "c")], [1.0, 1.0])

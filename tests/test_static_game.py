@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from advot import (
     build_network,
     deviation_check,
     minimize_node_cost,
+    planner_objective,
     primal_update,
     solve_bayesian_equilibrium,
     solve_regularized_ot,
@@ -243,19 +245,34 @@ def test_best_response_stationarity_and_finite_difference():
 
 
 @pytest.mark.parametrize(
-    ("scale", "flow", "cap", "error", "message"),
+    ("scale", "flow", "cap", "error", "message", "beta2"),
     [
-        # unchecked: NaN, NaN and an action of 1e-9, below the floor
-        (-1.0, 1.0, 5.0, ValidationError, "penalty scale and flow must be finite and >= 0"),
-        (1.0, np.nan, 5.0, ValidationError, "penalty scale and flow must be finite and >= 0"),
-        (1.0, 0.0, 1e-9, PerturbationBelowFloor, "caps must be >= the action floor"),
-        (1.0, 0.0, np.inf, ValidationError, "caps must be finite"),
+        # unchecked: NaN, NaN, an action of 1e-9, below the floor, NaN and NaN
+        (-1.0, 1.0, 5.0, ValidationError, "penalty scale and flow must be finite and >= 0", 0.5),
+        (1.0, np.nan, 5.0, ValidationError, "penalty scale and flow must be finite and >= 0", 0.5),
+        (1.0, 0.0, 1e-9, PerturbationBelowFloor, "caps must be >= the action floor", 0.5),
+        (1.0, 0.0, np.inf, ValidationError, "caps must be finite", 0.5),
+        (1.0, 1.0, 5.0, ValidationError, r"beta exponents must lie in \[0, 1\]", np.nan),
+        (1.0, 1.0, 5.0, ValidationError, r"beta exponents must lie in \[0, 1\]", -3.0),
     ],
 )
-def test_minimize_node_cost_rejects_terms_it_cannot_minimize(scale, flow, cap, error, message):
+def test_minimize_node_cost_rejects_terms_it_cannot_minimize(scale, flow, cap, error, message,
+                                                             beta2):
     with pytest.raises(error, match=message) as excinfo:
-        minimize_node_cost(scale, flow, 0.5, cap)
+        minimize_node_cost(scale, flow, beta2, cap)
     assert excinfo.type is error
+
+
+def test_the_certificate_and_the_objective_warn_on_nothing_at_zero_plan_entries(paper_spec):
+    # x log x at x = 0 is 0 without a log of 0, so neither needs to silence a warning
+    plan = solve_regularized_ot(paper_spec.network, paper_spec.weights).plan
+    plan[::2] = 0.0
+    xi = best_response_strategy(paper_spec, plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = deviation_check(paper_spec, plan, xi)
+        utility = planner_objective(plan, paper_spec.weights, paper_spec.settings.lam)
+    assert np.isfinite(gap) and np.isfinite(utility)
 
 
 def test_best_response_convexity_of_node_cost():
