@@ -14,11 +14,10 @@ its latest weights (an event-triggered refresh), so each refresh sees the
 exact Jacobi iterate whatever the schedule.  The refreshes are the rounds of
 the static equilibrium loop at ``tau = 0``: the agents first price the
 adversary-free weights, the first refresh plays the targets' best response
-to those rates, where the loop starts, and every later refresh takes the
-loop's Anderson step.  The rates the hub sees at refresh ``k + 1`` are thus
-the loop's round-``k`` plan bit for bit, and the plan, the prices, the
-message count and every trace row apart from its tick are the same under
-every schedule.
+to those rates, where the loop starts, and every later one is a round of
+the loop, its stop rule included.  So refresh ``k + 1`` sees the loop's
+round-``k`` plan bit for bit, the run ends on the loop's profile, and every
+result apart from the ticks is the same under every schedule.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import CorruptLog, NonFiniteIterate, ValidationError
-from .static_game import GameSpec, _anderson_step, _cost_table, _perceived
+from .static_game import GameSpec, _cost_table, _next_trial, _perceived
 from .static_game import minimize_node_cost  # the benchmark's tracer wraps it by this name
 from .transport import SolveReport, _check_count, _plan, _slackness, row_prices
 
@@ -528,12 +527,12 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     each target takes its per-type best response ``g`` to the rates seen and
     mails the next action back as effective weights.  The first refresh mails
     ``g`` itself, the equilibrium loop's start, and logs no residual and no
-    trace row; every later one mails :func:`_anderson_step` of ``g`` and ``f
-    = g - xi``.  A later refresh ends the run converged once the residual,
-    the complementary slackness of the prices and rates received and
-    ``max|f|``, drops to ``spec.settings.tol``, and unconverged when ``g``
-    equals the action held bit for bit (every later tick would repeat the
-    state).  The run also ends unconverged at ``max_ticks``.  Raises
+    trace row.  Every later one mails the loop's next trial action,
+    ``_next_trial`` of the action held, ``g`` and the rates of this refresh
+    and the last; once that stop rule holds it mails ``g`` and ends the run,
+    converged if the residual, the complementary slackness of the prices and
+    rates received, is at most ``spec.settings.tol`` (else with a WARNING).
+    A run that never settles ends unconverged at ``max_ticks``.  Raises
     :class:`NonFiniteIterate` at a refresh whose rates are not finite.
     """
     network, settings, params, caps = spec.network, spec.settings, spec.cost_params, spec.caps()
@@ -563,7 +562,7 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
     prices_seen = np.zeros(n)  # latest price message per agent
     rng = np.random.default_rng(schedule.seed)
     history: list = []  # the hub's Anderson memory
-    xi = None  # the action held: none before the first refresh
+    xi = rates_before = None  # the action held and the rates the last refresh saw
     trace: list[dict] = []
     converged = False
     residual = float("inf")
@@ -593,10 +592,10 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         if first:
             xi = g
         else:
-            f = g - xi
-            residual = max(_slackness(network, prices_seen, rates_seen), float(np.max(np.abs(f))))
-            stalled = np.array_equal(g, xi)
-            xi = _anderson_step(history, g, f, caps)
+            residual = _slackness(network, prices_seen, rates_seen)
+            step = _next_trial(history, xi, g, rates_seen, rates_before, caps)
+            xi = g if step is None else step  # a settled refresh mails the profile's strategy
+        rates_before = rates_seen.copy()
         weights = _perceived(network, spec.weights, xi, spec.belief)
         mailed = weights.tolist()
         for q, (minor, major) in enumerate(xi.tolist()):
@@ -612,17 +611,11 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
         objective = float(np.dot(spec.weights, rates_seen))
         append(tick, TRACE, 0, residual, objective)
         trace.append(_snapshot_row(tick, rates_seen, prices_seen, xi, residual, objective))
-        if residual <= settings.tol:
-            converged = True
-            break
-        if stalled:
-            # f = 0 fits gamma = 0, so the mailed weights are the ones held and
-            # every later tick would repeat this state
-            logger.warning(
-                "distributed run stalled at tick %d: the targets' best response equals the "
-                "action held, with residual %.3e above tol %.3e",
-                tick, residual, settings.tol,
-            )
+        if step is None:
+            converged = residual <= settings.tol
+            if not converged:
+                logger.warning("distributed run settled at tick %d with slackness %.3e above tol %.3e",
+                               tick, residual, settings.tol)
             break
     else:
         logger.info("distributed run hit max_ticks=%d (residual %.3e)", schedule.max_ticks, residual)

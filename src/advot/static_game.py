@@ -361,6 +361,16 @@ def _anderson_step(history: list, g: np.ndarray, f: np.ndarray, caps) -> np.ndar
     return np.minimum(np.maximum(step, PERTURBATION_FLOOR), caps)
 
 
+def _next_trial(history: list, x, g, plan, plan_prev, caps) -> np.ndarray | None:
+    """None once a round that played ``x`` has settled, else the :func:`_anderson_step` after it.
+
+    Settled: neither the plan nor the residual ``g - x`` moved more than ``PROFILE_TOL``.
+    """
+    if max(float(np.abs(plan - plan_prev).max()), float(np.abs(g - x).max())) <= PROFILE_TOL:
+        return None
+    return _anderson_step(history, g, g - x, caps)
+
+
 def stage_equilibrium(
     spec: GameSpec,
     belief: np.ndarray,
@@ -377,12 +387,11 @@ def stage_equilibrium(
     dispatcher at ``plan``.  Each round solves the dispatcher's transport
     problem at ``x`` thresholded against ``xi_prev`` and weighed under
     ``belief``, then takes the adversary's best response ``g`` to that plan.
-    The loop stops when neither the plan nor the residual ``g - x`` moves
-    more than ``PROFILE_TOL``; otherwise the next ``x`` is
-    :func:`_anderson_step`.  The anchor ``xi_prev`` (:func:`_check_anchor`)
-    and the belief are checked once, on entry, and each round's plan by the
-    best response.  The profile is the last plan and ``g``, and a traced
-    round records them with the payoffs at ``phi(g)``, from the kernel that
+    :func:`_next_trial`, the hub's stop rule too, stops the loop or gives
+    the next ``x``.  The anchor ``xi_prev`` (:func:`_check_anchor`) and the
+    belief are checked once, on entry, and each round's plan by the best
+    response.  The profile is the last plan and ``g``, and a traced round
+    records them with the payoffs at ``phi(g)``, from the kernel that
     :func:`stage_payoffs` calls after its own checks.
     :func:`deviation_check` then certifies the profile; ``converged``
     requires the loop to settle, the last transport solve to converge and
@@ -399,20 +408,18 @@ def stage_equilibrium(
     for rounds in range(1, max_rounds + 1):
         w_eff = _perceived(network, weights, threshold_phi(x, xi_prev, tau), belief)
         report = solve_regularized_ot(network, w_eff, settings)
-        plan_new, inner_converged = report.plan, report.converged
-        xi = best_response_strategy(spec, plan_new, xi_prev, tau)
-        residual = xi - x
-        change = max(float(np.abs(plan_new - plan).max()), float(np.abs(residual).max()))
-        plan = plan_new
+        plan_prev, plan, inner_converged = plan, report.plan, report.converged
+        xi = best_response_strategy(spec, plan, xi_prev, tau)
+        step = _next_trial(history, x, xi, plan, plan_prev, caps)
         if record_trace:
             utility, minor, major = _payoffs(spec, belief, plan, threshold_phi(xi, xi_prev, tau))
             trace.append({"round": rounds, "plan": plan, "xi_minor": xi[:, 0], "xi_major": xi[:, 1],
                           "dispatcher_utility": utility, "adversary_cost_minor": minor,
                           "adversary_cost_major": major})
-        if change <= PROFILE_TOL:
+        if step is None:
             settled = True
             break
-        x = _anderson_step(history, xi, residual, caps)
+        x = step
     gap = deviation_check(spec, plan, xi, belief, xi_prev, tau)
     converged = settled and inner_converged and gap <= DEVIATION_TOL
     if not converged:

@@ -63,7 +63,7 @@ class SolveReport:
     plan: np.ndarray
     prices: np.ndarray
     iterations: int
-    residual: float
+    residual: float  # the worst complementary-slackness violation, also for a distributed run
     converged: bool
     trace: list[dict] = field(default_factory=list)
 

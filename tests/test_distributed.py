@@ -34,7 +34,7 @@ from advot import (
 )
 from advot import distributed
 from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPOLOGY, TRACE, WEIGHT
-from advot.static_game import DEVIATION_TOL
+from advot.static_game import DEVIATION_TOL, PROFILE_TOL
 from advot.transport import row_prices, solve_regularized_ot
 from conftest import load_perfbench, make_random_spec
 from oracles import agent_tick, edges_from, edges_into, reference_log_text
@@ -51,10 +51,10 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
     ``f = g - xi``, clipped into the caps.  The agents first price the
     adversary-free weights, and the first refresh holds ``xi = g`` with no
     step.  Sums add one term at a time in edge order, as ``np.bincount``
-    does.  The loop stops after the refresh at which ``g`` equals ``xi``;
-    with ``tol`` below every nonzero residual that is where the run stops
-    too.  Returns each tick's prices and rates and each refresh's mailed
-    action.
+    does.  The loop stops after the first refresh past the first at which
+    neither the rates nor ``g - xi`` moves more than 1e-7, and that refresh
+    mails ``g`` itself.  Returns each tick's prices and rates and each
+    refresh's mailed action.
     """
     network = spec.network
     lam = spec.settings.lam
@@ -72,6 +72,7 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
     plan = np.zeros(network.n_edges)
     best, residuals = [], []  # the Anderson memory, oldest first
     price_history, rate_history, actions = [], [], []
+    settled = False
     for _ in range(max_ticks):
         for j in range(network.n_sources):
             idx = edges_from(network, j)
@@ -102,7 +103,9 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
                     stationary = np.power(beta2 * scale / b, 1.0 / (1.0 + beta2))
                     g[q, t - 1] = min(max(stationary, PERTURBATION_FLOOR), caps[q, t - 1])
         if xi is None:
-            xi, stalled = g, False
+            xi = g
+        elif max(np.max(np.abs(plan - rate_history[-2])), np.max(np.abs(g - xi))) <= 1e-7:
+            xi, settled = g, True
         else:
             f = g - xi
             if residuals and np.linalg.norm(f) > np.linalg.norm(residuals[-1]):
@@ -117,11 +120,10 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
                 d_f = np.diff(np.array(residuals).T, axis=1)
                 gamma = np.linalg.lstsq(d_f, f.ravel(), rcond=None)[0]
                 step = g - (d_g @ gamma).reshape(g.shape)
-            stalled = np.array_equal(g, xi)
             xi = np.clip(step, PERTURBATION_FLOOR, caps)
         actions.append(xi.copy())
         weights = perceived(xi)
-        if stalled:
+        if settled:
             break
     return price_history, rate_history, actions
 
@@ -282,8 +284,9 @@ SYNC_MAX_TICKS = 200
 def assert_synchronous_run_matches_reference(spec: GameSpec):
     """A synchronous run, with a tolerance too tiny to meet, equals the reference bit for bit.
 
-    Both stop where the targets' best response equals the action held, or
-    at ``SYNC_MAX_TICKS``; every tick refreshes, so every tick sends.
+    Both stop after the refresh at which the equilibrium loop settles, one
+    past its last round, well before ``SYNC_MAX_TICKS``: ``tol`` does not
+    set the run's length.  Every tick refreshes, so every tick sends.
     """
     spec = dataclasses.replace(spec, settings=dataclasses.replace(spec.settings, tol=1e-300))
     schedule = Schedule(mode="synchronous", seed=0, max_ticks=SYNC_MAX_TICKS)
@@ -291,6 +294,7 @@ def assert_synchronous_run_matches_reference(spec: GameSpec):
     ref_prices, ref_rates, ref_actions = reference_sync_run(spec, SYNC_MAX_TICKS)
     ticks = report.iterations
     assert not report.converged and ticks == len(ref_prices)
+    assert ticks == solve_bayesian_equilibrium(spec).iterations + 1 < SYNC_MAX_TICKS
     prices, rates, sent = logged_iterates(spec, log, ticks)
     assert sent == list(range(1, ticks + 1))
     # the first refresh records no trace row
@@ -997,11 +1001,12 @@ def messages_at_each_refresh(spec: GameSpec, log: MessageLog):
 @pytest.mark.parametrize("mode", SCHEDULE_MODES)
 @pytest.mark.parametrize("game", ["paper", "uneven0", "uneven1", "uneven2", "large-capacity"])
 def test_residual_follows_from_the_logged_messages(paper_spec, game, mode):
-    """Each logged residual is the slackness of the logged prices and rates and max|g - xi|.
+    """Each logged residual is the complementary slackness of the logged prices and rates.
 
-    ``g`` is the targets' best response to the logged rates, so the stop
-    decision can be rechecked from the log and the spec alone.  On the
-    large-capacity input the slackness is the larger term.
+    The stop decision can be rechecked from the log and the spec alone: the
+    run ends at the first traced refresh where neither the rates nor ``g -
+    xi`` moved more than ``PROFILE_TOL``, ``g`` being the targets' best
+    response to the logged rates and ``xi`` the action held.
     """
     if game == "paper":
         spec = paper_spec
@@ -1013,13 +1018,18 @@ def test_residual_follows_from_the_logged_messages(paper_spec, game, mode):
     network = spec.network
     states = messages_at_each_refresh(spec, log)
     assert len(states) == len(report.trace) > 1
-    for rates, prices, held, logged in states:
+    seen = [rates for _, rates, _ in held_state_at_each_refresh(spec, log)]
+    settled = []
+    for (rates, prices, held, logged), before in zip(states, seen):
         slackness = max(
             abs(min(price, capacity - float(np.sum(rates[network.edge_source == j]))))
             for j, (price, capacity) in enumerate(zip(prices.tolist(), network.capacities.tolist()))
         )
-        action_change = float(np.max(np.abs(best_response_strategy(spec, rates) - held)))
-        assert max(slackness, action_change).hex() == logged.hex()
+        assert slackness.hex() == logged.hex()
+        change = max(float(np.max(np.abs(rates - before))),
+                     float(np.max(np.abs(best_response_strategy(spec, rates) - held))))
+        settled.append(change <= PROFILE_TOL)
+    assert settled == [False] * (len(states) - 1) + [True]
 
 
 def large_capacity_spec() -> GameSpec:
@@ -1036,21 +1046,27 @@ def large_capacity_spec() -> GameSpec:
 
 
 @pytest.mark.parametrize(
-    ("mode", "ticks"), [("synchronous", 6), ("random-subset", 23), ("round-robin", 30)]
+    ("mode", "ticks"), [("synchronous", 5), ("random-subset", 20), ("round-robin", 25)]
 )
 def test_a_run_whose_state_stops_changing_ends_unconverged(mode, ticks, caplog):
-    # it used to refresh until max_ticks (50,000 ticks) with the same residual
+    # it used to refresh until max_ticks (50,000 ticks) with the same residual;
+    # it now settles where the equilibrium loop does, with the slackness above tol
     spec = large_capacity_spec()
+    static = solve_bayesian_equilibrium(spec)
     with caplog.at_level("WARNING", logger="advot.distributed"):
         report, log = run_distributed(spec, Schedule(mode=mode, seed=3))
-    assert not report.converged
+    assert not report.converged and not static.converged
     assert spec.settings.tol < report.residual < 2e-6
-    last, before = report.trace[-1], report.trace[-2]
-    # the mailed action repeats the one held, so every later tick would repeat the state
-    assert (last["xi_minor"], last["xi_major"]) == (before["xi_minor"], before["xi_major"])
-    assert len(report.trace) == 5 and len(log) == 697
+    # the settled refresh mails the profile's strategy
+    last = report.trace[-1]
+    assert (last["xi_minor"], last["xi_major"]) == (
+        tuple(static.strategy[:, 0]), tuple(static.strategy[:, 1])
+    )
+    assert len(report.trace) == static.iterations == 4 and len(log) == 581
     assert report.iterations == ticks
-    assert any("stalled" in r.getMessage() and r.levelname == "WARNING" for r in caplog.records)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [f"distributed run settled at tick {ticks} with slackness "
+                        f"{report.residual:.3e} above tol {spec.settings.tol:.3e}"]
     assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
 
 
@@ -1071,6 +1087,11 @@ def test_non_finite_rates_raise_at_the_hub(paper_spec, mode):
     )
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate, match="rates"):
         run_distributed(spec, Schedule(mode=mode, seed=1))
+
+
+def refresh_count(log: MessageLog) -> int:
+    """The hub's refreshes: each logs one strategy record per target, first target first."""
+    return sum(kind == STRATEGY and i == 0 for kind, i in zip(log.kinds, log.index))
 
 
 def without_ticks(report) -> list:
@@ -1095,6 +1116,11 @@ def test_every_schedule_meets_the_same_iterates(n_sources, n_targets, seed, acti
     assert first.converged
     gap = deviation_check(spec, first.plan, best_response_strategy(spec, first.plan))
     assert gap <= DEVIATION_TOL
+    # the hub stops where the equilibrium loop does, on the loop's plan
+    static = solve_bayesian_equilibrium(spec)
+    assert refresh_count(first_log) == static.iterations + 1
+    assert_same_bits(first.plan, static.plan)
+    assert first.converged == static.converged
     for report, log in others:
         assert_same_bits(report.plan, first.plan)
         assert_same_bits(report.prices, first.prices)
@@ -1116,17 +1142,22 @@ def dense_pool_specs(n_sources: int, n_targets: int, seed: int, count: int) -> l
 
 
 @pytest.mark.parametrize("mode", SCHEDULE_MODES)
-@pytest.mark.parametrize("game", ["paper", "uneven0", "uneven1", "uneven2", "dense0", "dense1"])
+@pytest.mark.parametrize(
+    "game", ["paper", "uneven0", "uneven1", "uneven2", "dense0", "dense1", "dense20x50"]
+)
 def test_each_refresh_sees_the_plan_of_the_loop_round_before(paper_spec, game, mode):
     """Refresh ``k + 1`` sees the rates of the static loop's round ``k``, bit for bit.
 
     The first refresh sees the adversary-free plan the loop starts from, and
     mails the loop's first trial action, the targets' best response to it.
-    Every later refresh takes the loop's clipped Anderson step, so the two
-    meet the same iterates for every round both ran.
+    Every later refresh takes the loop's clipped Anderson step and stops by
+    the loop's rule, so the hub refreshes once per round and once more, ends
+    on the loop's plan and mails the profile's strategy last.
     """
     if game == "paper":
         spec = paper_spec
+    elif game == "dense20x50":
+        spec = dense_pool_specs(20, 50, 11, 2)[1]
     elif game.startswith("dense"):
         spec = dense_pool_specs(5, 10, 7, 2)[int(game[-1])]
     else:
@@ -1137,13 +1168,14 @@ def test_each_refresh_sees_the_plan_of_the_loop_round_before(paper_spec, game, m
     seen = [rates for _, rates, _ in held_state_at_each_refresh(spec, log)]
     base = solve_regularized_ot(spec.network, spec.weights, spec.settings).plan
     assert np.array_equal(seen[0], base)
-    first = [(m.payload["minor"], m.payload["major"]) for m in log if m.kind == "strategy"]
-    start = best_response_strategy(spec, base)
-    assert np.array_equal(first[: spec.network.n_targets], start)
-    rounds = min(len(seen) - 1, len(static.trace))
-    assert rounds >= 4
-    for k in range(1, rounds + 1):
+    mailed = [(m.payload["minor"], m.payload["major"]) for m in log if m.kind == "strategy"]
+    n_targets = spec.network.n_targets
+    assert np.array_equal(mailed[:n_targets], best_response_strategy(spec, base))
+    assert len(seen) == len(static.trace) + 1 == static.iterations + 1 >= 5
+    for k in range(1, len(seen)):
         assert np.array_equal(seen[k], static.trace[k - 1]["plan"]), f"refresh {k + 1}"
+    assert_same_bits(report.plan, static.plan)
+    assert_same_bits(mailed[-n_targets:], static.strategy)
 
 
 # refreshes per game of dense_pool(5, 10, 7, 4), the distributed-5x10 pool of
@@ -1158,7 +1190,6 @@ def test_benchmark_pool_refresh_counts_are_pinned(mode):
         report, log = run_distributed(spec, Schedule(mode=mode, seed=3))
         assert report.converged
         assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
-        # each refresh logs one strategy record per target, first target first
-        refreshes.append(sum(kind == STRATEGY and i == 0 for kind, i in zip(log.kinds, log.index)))
+        refreshes.append(refresh_count(log))
         assert refreshes[-1] == len(report.trace) + 1
     assert refreshes == DENSE_POOL_REFRESHES

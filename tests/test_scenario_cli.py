@@ -710,11 +710,11 @@ def test_cli_distributed_sim_log_bytes_are_pinned(tmp_path):
     out = tmp_path / "dist"
     assert run_cli("distributed-sim", "--config", PAPER, "--out", out, "--seed", 42) == 0
     data = (out / "messages.log").read_bytes()
-    assert len(data) == 14_380
+    assert len(data) == 14_361
     assert data.count(b"\n") == 109
     assert json.loads((out / "report.json").read_text())["messages"] == 109
     assert hashlib.sha256(data).hexdigest() == (
-        "9b0f369d2cdc5cf8414ac97f1764a43f8bf7a07056ce3cd96d27d877c3a4b980"
+        "2942d2f96d127e1d388afd6744db14efe3dd4508607676429bb8947f22245a44"
     )
 
 
@@ -733,8 +733,8 @@ OUTPUT_SHA256 = {
         "trace.csv": "527750575cbb8a02d2d477ca730c184d480774e40e285f7e0f8d7c3906f4cdcf",
     },
     "distributed-sim": {
-        "report.json": "8a7c616746e7dfae0d2ded5e7ac8d0c0fe72662a48be18a0f48bb17f5f25f2aa",
-        "trace.csv": "cbd126ba71afca9cb8c5e0ab29d71a000b37e74072c881840b8bbffea2695907",
+        "report.json": "0ef57e1905696c7991381656432f93a40df2198048f49f4602c62777acc8b331",
+        "trace.csv": "7b5b15db21b6da812167d1f8d81695000fa2b9ad573a8d7089ec406e126a2f8c",
     },
 }
 PAPER_ECHO_SHA256 = "19e2b3644e2d0704187f2224f83308709cd0ac90eb95c8965c748d014c560b35"
@@ -787,8 +787,8 @@ def _sha256_without_steps(path) -> str:
 # report.json fields other than ``ticks``, ``messages`` and ``deviation_gap``.
 # Every schedule meets the same iterates at each refresh, so all three share
 # one pin; the ticks they take differ.
-DENSE_TRACE_SHA256 = "904ef3f8884cd2db9da0a8a5e8a79e0bcb7e342fa16ec77ba9c0b07ea52eedf2"
-DENSE_RESULT_SHA256 = "8159bc8696270b9f77e656f74dc864357edc5cdec11926f4b3935381e0b0af19"
+DENSE_TRACE_SHA256 = "fe887254d92b1fefb0127e85826e1988c0211d43d691c516003a679275f9372d"
+DENSE_RESULT_SHA256 = "a54c265bbf3697055fe49f614a40968d4a60e053802ac4d33707a8dbc1ec0c72"
 DENSE_TICKS = {"sync": 7, "async --seed 42": 23, "roundrobin --seed 3": 35}
 
 
@@ -868,11 +868,11 @@ def uneven_5x10(tmp_path):
 # distributed-sim on uneven_5x10, per schedule.  Every schedule meets the same
 # iterates at each refresh (8 refreshes, 481 messages), so that part of the
 # trace is shared; the logs' ticks and orders differ.
-UNEVEN_TRACE_SHA256 = "1e70627a82beb05b780a9689972fb1b7278fbd63e72d458cd733ac27b82be2d2"
+UNEVEN_TRACE_SHA256 = "2f65e74fa1ce3a3047662eccf581778b39938ae086f7b99b310cb2a2fa58afc3"
 UNEVEN_LOG_SHA256 = {
-    "sync": "533ca602977ca6669a8680a0178ba696f8b4f0a6d4e361bb1e2a9bcf9fdbcc43",
-    "async --seed 42": "af9c93fd1e63f6610161018306e1c2c2b33be43498e0bcb8bd6497f6cbf6340f",
-    "roundrobin --seed 3": "e4ab5723a96b54a2fb931b389becbdcbe65a90c748294b38ded6437cba46cb72",
+    "sync": "d7e6f3d6b1e2267679c91fb41fe712d1c7ac019652fefbeab0775f797105dd39",
+    "async --seed 42": "d002f12cdb0e71475e3bc7a122b362fae8afea5dc6864a7e35823e1f4c54b354",
+    "roundrobin --seed 3": "fe570b783672bb8d83d86556de015db0800f297818c7116d2f0df0b51eddac9b",
 }
 
 
@@ -885,6 +885,28 @@ def test_cli_distributed_sim_bytes_on_uneven_source_degrees_are_pinned(tmp_path,
     ) == 0
     assert (_sha256_without_steps(out / "trace.csv"), _sha256(out / "messages.log")) == (
         UNEVEN_TRACE_SHA256, UNEVEN_LOG_SHA256[flags]
+    )
+
+
+def dense_20x50(tmp_path):
+    """The scenario file of ``dense_pool(20, 50, 11, 2)[1]``, a generated 20x50 game."""
+    path = tmp_path / "dense_20x50.json"
+    path.write_text(generate.scenario_text(generate.dense_pool(20, 50, 11, 2)[1]),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["paper", "dense-20x50"])
+def test_cli_distributed_sim_reports_the_static_equilibrium(tmp_path, dense):
+    # the hub stops by the equilibrium loop's rule, so it ends on the loop's plan
+    config = dense_20x50(tmp_path) if dense else PAPER
+    reports = []
+    for command in ("static-eq", "distributed-sim"):
+        assert run_cli(command, "--config", config, "--out", tmp_path / command) == 0
+        reports.append(json.loads((tmp_path / command / "report.json").read_text()))
+    static, distributed = reports
+    assert (distributed["plan"], distributed["deviation_gap"]) == (
+        static["plan"], static["deviation_gap"]
     )
 
 

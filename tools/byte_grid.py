@@ -13,9 +13,12 @@ tree in this process:
 The games are ``scenarios/paper_2x3.json``, ``scenarios/minimal_1x1.json`` and
 three drawn by the tree's ``perfbench/generate.py``: ``dense_pool(5, 10, 7,
 2)[0]``, ``dense_pool(20, 50, 11, 1)[0]`` and ``sparse_pool(11, 1)[0]``.  It
-prints the run count, the file count and one sha256 over, in run order, each
-run's name and exit status and the name and sha256 of each file it wrote.  Two
-trees that print the same digest write the same bytes on the whole grid.
+prints one line per run, its name, its exit status and one sha256 over the
+name and sha256 of each file it wrote, so two trees' lines show which runs
+differ.  Then it prints the run count, the file count and one sha256 over, in
+run order, each run's name and exit status and the name and sha256 of each
+file it wrote.  Two trees that print the same digest write the same bytes on
+the whole grid.
 """
 
 from __future__ import annotations
@@ -71,8 +74,11 @@ def _runs(games: dict[str, Path]):
                         "--schedule", schedule])
 
 
-def byte_grid(checkout: Path) -> tuple[int, int, str]:
-    """The run count, the file count and the grid's sha256 for the tree at ``checkout``."""
+def byte_grid(checkout: Path) -> tuple[list, int, str]:
+    """Each run's name, exit status and sha256, the file count and the grid's sha256.
+
+    The runs are those of the tree at ``checkout``, in run order.
+    """
     checkout = checkout.resolve()
     sys.path.insert(0, str(checkout / "src"))
     from advot import cli
@@ -81,7 +87,8 @@ def byte_grid(checkout: Path) -> tuple[int, int, str]:
         raise SystemExit(f"advot was imported from {cli.__file__}, not from {checkout}")
 
     digest = hashlib.sha256()
-    n_runs = n_files = 0
+    runs = []
+    n_files = 0
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         for k, (name, argv) in enumerate(_runs(_games(checkout, scratch))):
@@ -89,11 +96,14 @@ def byte_grid(checkout: Path) -> tuple[int, int, str]:
             with contextlib.redirect_stderr(io.StringIO()):
                 status = cli.main([*argv, "--out", str(out)])
             digest.update(f"{name}\0{status}\0".encode())
+            run_digest = hashlib.sha256()
             for path in sorted(out.iterdir()) if out.exists() else ():
-                digest.update(f"{path.name}\0{hashlib.sha256(path.read_bytes()).hexdigest()}\0".encode())
+                entry = f"{path.name}\0{hashlib.sha256(path.read_bytes()).hexdigest()}\0".encode()
+                digest.update(entry)
+                run_digest.update(entry)
                 n_files += 1
-            n_runs += 1
-    return n_runs, n_files, digest.hexdigest()
+            runs.append((name, status, run_digest.hexdigest()))
+    return runs, n_files, digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -102,7 +112,9 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     runs, files, sha = byte_grid(Path(args[0]))
-    print(f"runs {runs}\nfiles {files}\nsha256 {sha}")
+    for name, status, run_sha in runs:
+        print(f"{name} {status} {run_sha}")
+    print(f"runs {len(runs)}\nfiles {files}\nsha256 {sha}")
     return 0
 
 
