@@ -24,7 +24,7 @@ config = parse_scenario((Path(__file__).parents[1] / "scenarios" / "paper_2x3.js
 spec = config.game_spec()
 network = spec.network
 
-profile = solve_bayesian_equilibrium(spec, record_trace=True)
+profile = solve_bayesian_equilibrium(spec)
 print(f"converged: {profile.converged} after {profile.iterations} rounds")
 print(f"deviation gap: {profile.deviation_gap:.3e} (<= 1e-4 certifies: no profitable deviation)")
 

@@ -65,7 +65,6 @@ from .transport import (
     SolveReport,
     SolverSettings,
     planner_objective,
-    primal_update,
     solve_regularized_ot,
     unregularized_solve,
 )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain
 
 import numpy as np
@@ -461,10 +461,10 @@ def _check_spelling(log: MessageLog, start: int, texts: list, seconds: list, tex
 class SourceAgent:
     """One source node; reads and writes nothing but its own row and price.
 
-    Weights reach an agent through :meth:`deliver` and wait in its inbox
-    until its next :meth:`tick`, which applies each delivery as one
-    assignment in the order they came.  The hub sends the whole row at each
-    refresh, in one delivery.
+    The hub sends the whole weight row at each refresh, in one
+    :meth:`deliver`, and the agent ticks at most once between refreshes, so
+    a delivery is written into ``weights`` at once and the next
+    :meth:`tick` prices it.
     """
 
     capacity: float
@@ -472,22 +472,13 @@ class SourceAgent:
     weights: np.ndarray  # effective weights on this agent's edges
     rates: np.ndarray  # this agent's plan row, same edge order as weights
     price: float = 0.0
-    inbox: list[tuple] = field(default_factory=list)  # (slots, weights) not yet applied
 
-    def deliver(self, local_edge, weight) -> None:
-        """Queue new weights for the next tick.
-
-        ``local_edge`` is one slot of the row, with one weight, or any numpy
-        index of it, with an array: the hub sends ``slice(None)`` and the
-        whole row.
-        """
-        self.inbox.append((local_edge, weight))
+    def deliver(self, weights) -> None:
+        """Write a new weight row, in this agent's edge order, for the next tick to price."""
+        self.weights[:] = weights
 
     def tick(self) -> None:
-        """Apply pending weight updates, then set the exact price of this row and its rates."""
-        for local_edge, weight in self.inbox:
-            self.weights[local_edge] = weight
-        self.inbox.clear()
+        """Set the exact price of this row at its weights, and its rates."""
         rows = np.zeros(len(self.weights), dtype=int)
         self.price = float(row_prices(self.weights, rows, np.array([self.capacity]), self.lam)[0])
         self.rates = _plan(self.weights, self.price, self.lam)
@@ -603,7 +594,7 @@ def run_distributed(spec: GameSpec, schedule: Schedule) -> tuple[SolveReport, Me
             for e in inbound[q]:
                 append(tick, WEIGHT, e, mailed[e])
         for agent, a, b in zip(agents, start, start[1:]):
-            agent.deliver(slice(None), weights[a:b])  # the row its weight messages carry
+            agent.deliver(weights[a:b])  # the row its weight messages carry
         waiting.update(range(n))
         if first:
             continue

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import PerturbationBelowFloor, StageNotConverged, ValidationError
 from .network import PERTURBATION_FLOOR, check_belief
 from .static_game import (
-    MAX_ROUNDS,
     EquilibriumProfile,
     GameSpec,
     check_tau,
@@ -80,7 +79,6 @@ def run_dynamic_game(
     spec: GameSpec,
     stages: int,
     tau: float,
-    max_rounds: int = MAX_ROUNDS,
     abort_on_failure: bool = True,
 ) -> list[StageOutcome]:
     """Play the game for ``stages`` stages, updating beliefs between stages.
@@ -89,7 +87,8 @@ def run_dynamic_game(
     fixed point against the belief it inherited, starting from the previous
     stage's plan (stage 1 from the adversary-free plan) and the adversary's
     stage best response to it; the dispatcher's weights use the thresholded
-    action, the revealed (raw) action then drives the belief update.  A
+    action, the revealed (raw) action then drives the belief update.  Each
+    stage's loop stops after ``static_game.MAX_ROUNDS`` rounds.  A
     stage that fails to settle raises :class:`StageNotConverged`, which
     carries that stage's profile, unless ``abort_on_failure`` is False, in
     which case the stage is recorded as-is and play continues.
@@ -102,7 +101,7 @@ def run_dynamic_game(
     plan = solve_regularized_ot(spec.network, spec.weights, spec.settings).plan
     for stage in range(1, stages + 1):
         state = StageState(stage=stage, belief=belief)
-        profile = stage_equilibrium(spec, belief, xi_prev, tau, plan, max_rounds)
+        profile = stage_equilibrium(spec, belief, xi_prev, tau, plan)
         if not profile.converged:
             logger.warning("stage %d failed to converge (gap %.3e)", stage, profile.deviation_gap)
             if abort_on_failure:

@@ -30,7 +30,7 @@ class DimensionMismatch(ValidationError):
 
 
 class ZeroLambda(ValidationError):
-    """The exponential primal update is undefined at lam == 0."""
+    """The closed-form plan of the regularized solve is undefined at lam == 0."""
 
 
 class PerturbationBelowFloor(ValidationError):

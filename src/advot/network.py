@@ -129,7 +129,7 @@ def build_network(
 
     try:
         cap = np.asarray(list(capacities), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError("capacities must be numeric") from None
     if cap.shape != (n,):
         raise ValidationError(f"capacities has {cap.size} entries for {n} sources")

@@ -61,9 +61,11 @@ def _check_block(block: dict, allowed: set[str], required: set[str], where: str)
 
 
 def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """One JSON number as a float, by the rule of :func:`_as_array`."""
+    number = _as_array(value, where)
+    if number.ndim:
         raise ValidationError(f"'{where}' must be a number")
-    return float(value)
+    return float(number)
 
 
 def _as_int(value, where: str) -> int:
@@ -109,10 +111,20 @@ _RETIRED_FIELDS = {"solver": {"gamma", "max_iter"}}
 
 
 def _as_array(value, where: str) -> np.ndarray:
+    """A JSON number, or equal-length lists of them nested to any depth, as a float array.
+
+    The one rule for a JSON number: an integer or a float, not a boolean,
+    within a float's range.  Anything else raises :class:`ValidationError`
+    naming ``where``.
+    """
+    leaves = np.array(value, dtype=object)  # a ragged list keeps its rows whole, as leaves
+    if not all(issubclass(kind, (int, float)) and kind is not bool
+               for kind in set(map(type, leaves.ravel().tolist()))):
+        raise ValidationError(f"'{where}' must be numeric")
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"'{where}' must be numeric") from exc
+        return leaves.astype(float)
+    except OverflowError:
+        raise ValidationError(f"'{where}' holds a number too large for a float") from None
 
 
 def _edge_values(network: BipartiteNetwork, raw, where: str) -> np.ndarray:
@@ -526,12 +538,13 @@ def _escape_percent(text: str) -> str:
     return text.replace("%", "%%")
 
 
-def ot_trace_records(network: BipartiteNetwork, report: SolveReport) -> tuple[list[str], list]:
+def ot_trace_records(
+    network: BipartiteNetwork, report: SolveReport, objective: float
+) -> tuple[list[str], list]:
+    """A transport solve's one trace row, the report itself, at its step ``report.iterations``."""
     columns = _columns(network, ("p",), (), ("residual", "objective"))
     return columns, [
-        (row["iteration"],
-         np.hstack((row["plan"], row["prices"], row["residual"], row["objective"])))
-        for row in report.trace
+        (report.iterations, np.hstack((report.plan, report.prices, report.residual, objective)))
     ]
 
 
@@ -585,24 +598,23 @@ def _run_solve_ot(config: ScenarioConfig, spec: None, out_dir: Path):
     network, weights = config.network, config.weights
     settings = config.settings()
     if settings.lam == 0:
-        plan, prices = unregularized_solve(network, weights), np.zeros(network.n_sources)
-        row = {"iteration": 0, "plan": plan, "prices": prices, "residual": 0.0,
-               "objective": planner_objective(plan, weights, 0.0)}
-        report = SolveReport(plan, prices, 0, 0.0, True, [row])
+        report = SolveReport(unregularized_solve(network, weights), np.zeros(network.n_sources),
+                             0, 0.0, True)
     else:
-        report = solve_regularized_ot(network, weights, settings, record_trace=True)
-    return ot_trace_records(network, report), {
+        report = solve_regularized_ot(network, weights, settings)
+    objective = planner_objective(report.plan, weights, settings.lam)
+    return ot_trace_records(network, report, objective), {
         "converged": report.converged,
         "iterations": report.iterations,
         "residual": report.residual,
-        "objective": planner_objective(report.plan, weights, settings.lam),
+        "objective": objective,
         "plan": report.plan,
         "prices": report.prices,
     }
 
 
 def _run_static_eq(config: ScenarioConfig, spec: GameSpec, out_dir: Path):
-    profile = solve_bayesian_equilibrium(spec, record_trace=True)
+    profile = solve_bayesian_equilibrium(spec)
     return static_trace_records(spec.network, profile.trace), {
         "converged": profile.converged,
         "rounds": profile.iterations,

@@ -42,7 +42,7 @@ logger = logging.getLogger(__name__)
 
 DEVIATION_TOL = 1e-4  # largest coordinate improvement a converged profile may leave
 PROFILE_TOL = 1e-7  # largest round-to-round profile change that counts as settled
-MAX_ROUNDS = 500  # default round limit of the best-response loop
+MAX_ROUNDS = 500  # round limit of the best-response loop
 ANDERSON_MEMORY = 5  # residual differences the accelerated step fits
 TYPE_VALUES = np.array([1.0, 2.0])  # minor and major: the type multiplies its action
 
@@ -377,7 +377,6 @@ def stage_equilibrium(
     xi_prev,
     tau: float,
     plan: np.ndarray,
-    max_rounds: int = MAX_ROUNDS,
     record_trace: bool = False,
 ) -> EquilibriumProfile:
     """Iterate both best responses of one stage, Anderson-accelerated, until they settle.
@@ -388,9 +387,10 @@ def stage_equilibrium(
     problem at ``x`` thresholded against ``xi_prev`` and weighed under
     ``belief``, then takes the adversary's best response ``g`` to that plan.
     :func:`_next_trial`, the hub's stop rule too, stops the loop or gives
-    the next ``x``.  The anchor ``xi_prev`` (:func:`_check_anchor`) and the
-    belief are checked once, on entry, and each round's plan by the best
-    response.  The profile is the last plan and ``g``, and a traced round
+    the next ``x``; a loop that has not settled stops after ``MAX_ROUNDS``
+    rounds, read at call time.  The anchor ``xi_prev``
+    (:func:`_check_anchor`) and the belief are checked once, on entry, and
+    each round's plan by the best response.  The profile is the last plan and ``g``, and a traced round
     records them with the payoffs at ``phi(g)``, from the kernel that
     :func:`stage_payoffs` calls after its own checks.
     :func:`deviation_check` then certifies the profile; ``converged``
@@ -405,7 +405,7 @@ def stage_equilibrium(
     trace: list[dict] = []
     settled = inner_converged = False
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         w_eff = _perceived(network, weights, threshold_phi(x, xi_prev, tau), belief)
         report = solve_regularized_ot(network, w_eff, settings)
         plan_prev, plan, inner_converged = plan, report.plan, report.converged
@@ -438,14 +438,11 @@ def stage_equilibrium(
     )
 
 
-def solve_bayesian_equilibrium(
-    spec: GameSpec, record_trace: bool = False
-) -> EquilibriumProfile:
+def solve_bayesian_equilibrium(spec: GameSpec) -> EquilibriumProfile:
     """The static equilibrium: one stage with the previous action at the floor and ``tau = 0``.
 
-    The dispatcher starts from the adversary-free plan.
+    The dispatcher starts from the adversary-free plan, and the profile's
+    ``trace`` holds every round.
     """
     base = solve_regularized_ot(spec.network, spec.weights, spec.settings)
-    return stage_equilibrium(
-        spec, spec.belief, PERTURBATION_FLOOR, 0.0, base.plan, record_trace=record_trace
-    )
+    return stage_equilibrium(spec, spec.belief, PERTURBATION_FLOOR, 0.0, base.plan, record_trace=True)

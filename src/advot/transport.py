@@ -1,10 +1,10 @@
 """Entropic-regularized transport over a bipartite network.
 
 The dispatcher maximizes ``sum(m*x) - lam*sum(x*log x)`` subject to per-source
-capacities ``Bx <= c`` and ``x >= 0``.  With ``lam > 0`` the primal update has
-a closed form per edge.  The capacity constraints are per source, so the dual
-splits by source and each optimal price has a closed form too
-(:func:`row_prices`, one-marginal Sinkhorn scaling).
+capacities ``Bx <= c`` and ``x >= 0``.  With ``lam > 0`` the plan at given
+prices has a closed form per edge (:func:`_plan`).  The capacity constraints
+are per source, so the dual splits by source and each optimal price has a
+closed form too (:func:`row_prices`, one-marginal Sinkhorn scaling).
 :func:`solve_regularized_ot` is one pass: the plan at those prices, and the
 complementary-slackness residual that checks it against ``tol``.  ``lam == 0``
 degenerates to a linear program whose vertex solution is computed greedily.
@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteIterate, ValidationError, ZeroLambda
+from .errors import NonFiniteIterate, ValidationError, ZeroLambda
 from .network import BipartiteNetwork, check_edge_vector
 
 logger = logging.getLogger(__name__)
@@ -57,7 +57,8 @@ class SolveReport:
 
     ``converged`` implies ``residual <= tol``.  ``iterations`` is 1 for a
     transport solve and the tick count for a distributed run.  ``trace``
-    holds one record per step when tracing was requested, else stays empty.
+    holds a distributed run's refreshes, one record each; a transport solve,
+    one pass, leaves it empty, as its report is its one step.
     """
 
     plan: np.ndarray
@@ -98,26 +99,6 @@ def planner_objective(plan: np.ndarray, weights: np.ndarray, lam: float) -> floa
     return _utility(plan, weights, lam)
 
 
-def primal_update(
-    network: BipartiteNetwork, weights: np.ndarray, prices: np.ndarray, lam: float
-) -> np.ndarray:
-    """Closed-form plan given prices: ``x = exp((m - p_j)/lam - 1)`` per edge.
-
-    Always strictly positive; undefined at ``lam == 0``.  The prices must be finite.
-    """
-    if lam <= 0:
-        raise ZeroLambda("primal update needs lam > 0; use unregularized_solve")
-    w = check_edge_vector(weights, network.n_edges, "weights")
-    p = np.asarray(prices, dtype=float)
-    if p.shape != (network.n_sources,):
-        raise DimensionMismatch(
-            f"prices have shape {p.shape}, expected ({network.n_sources},)"
-        )
-    if not np.isfinite(p).all():
-        raise ValidationError("prices must be finite")
-    return _plan(w, p[network.edge_source], lam)
-
-
 def row_prices(weights, edge_source, capacities, lam: float) -> np.ndarray:
     """Optimal capacity prices: ``p_j = max(0, lam*(logsumexp_e(m_e/lam - 1) - log c_j))``.
 
@@ -139,13 +120,13 @@ def solve_regularized_ot(
     network: BipartiteNetwork,
     weights: np.ndarray,
     settings: SolverSettings = SolverSettings(),
-    record_trace: bool = False,
 ) -> SolveReport:
     """The plan at the exact capacity prices, checked against ``settings.tol``.
 
-    The prices are :func:`row_prices` of ``weights`` and the plan is
-    :func:`primal_update` at them, so stationarity holds by construction and
-    primal feasibility and complementary slackness hold up to rounding.  The
+    The prices are :func:`row_prices` of ``weights`` and the plan is the
+    closed form ``exp((m - p_j)/lam - 1)`` at them, so stationarity holds by
+    construction and primal feasibility and complementary slackness hold up
+    to rounding.  The
     solve reports how far: its residual is the worst complementary-slackness
     violation ``|min(p_j, c_j - row_sum_j)|``.
 
@@ -156,8 +137,6 @@ def solve_regularized_ot(
         Perceived intensity per edge (utility per resource unit).
     settings : SolverSettings
         Requires ``settings.lam > 0``.
-    record_trace : bool
-        Keep the one step's record in the report's ``trace``.
 
     Returns
     -------
@@ -176,22 +155,14 @@ def solve_regularized_ot(
         raise ZeroLambda("solve_regularized_ot needs lam > 0; use unregularized_solve")
     w = check_edge_vector(weights, network.n_edges, "weights")
     prices = row_prices(w, network.edge_source, network.capacities, settings.lam)
-    # the prices are tested first: primal_update rejects non-finite ones as bad input
     if not (np.isfinite(prices).all()
-            and np.isfinite(plan := primal_update(network, w, prices, settings.lam)).all()):
+            and np.isfinite(plan := _plan(w, prices[network.edge_source], settings.lam)).all()):
         raise NonFiniteIterate(1, "prices or plan became non-finite at iteration 1")
     residual = _slackness(network, prices, plan)
-    trace = [{
-        "iteration": 1,
-        "plan": plan,
-        "prices": prices,
-        "residual": residual,
-        "objective": _utility(plan, w, settings.lam),
-    }] if record_trace else []
     converged = residual <= settings.tol
     if not converged:
         logger.info("exact prices leave a residual of %.3e above tol", residual)
-    return SolveReport(plan, prices, 1, residual, converged, trace)
+    return SolveReport(plan, prices, 1, residual, converged)
 
 
 def unregularized_solve(network: BipartiteNetwork, weights: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from advot import (
     uniform_belief,
 )
 from advot.static_game import _perceived
+from advot.transport import _plan
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -39,6 +40,11 @@ PAPER_COEFF = np.array([1.0, 2.0, 3.0])
 
 def all_edges(sources, targets):
     return [(j, q) for j in sources for q in targets]
+
+
+def plan_at(network, weights, prices, lam):
+    """The closed-form plan ``exp((m - p_j)/lam - 1)`` at per-source prices, from the solve's kernel."""
+    return _plan(np.asarray(weights, dtype=float), np.asarray(prices, dtype=float)[network.edge_source], lam)
 
 
 @pytest.fixture(scope="session")

@@ -335,10 +335,9 @@ def adversary_best_response(network, plan, params, caps, type_value):
 
 
 def agent_tick(agent, weights=None):
-    """Run one local update of a source agent, optionally delivering fresh weights first."""
+    """Run one local update of a source agent, optionally delivering a fresh weight row first."""
     if weights is not None:
-        for local_edge, weight in enumerate(np.asarray(weights, dtype=float)):
-            agent.deliver(local_edge, float(weight))
+        agent.deliver(np.asarray(weights, dtype=float))
     agent.tick()
     return agent
 

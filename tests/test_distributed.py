@@ -210,9 +210,9 @@ def test_agent_applies_delivered_weights():
 
 def test_agent_state_is_strictly_local():
     # locality by interface: an agent carries nothing but its own row,
-    # price, capacity, smoothing weight and inbox -- no network, no peers
+    # price, capacity and smoothing weight -- no network, no peers
     field_names = {f.name for f in dataclasses.fields(SourceAgent)}
-    assert field_names == {"capacity", "lam", "weights", "rates", "price", "inbox"}
+    assert field_names == {"capacity", "lam", "weights", "rates", "price"}
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +706,39 @@ def test_reader_rejects_a_topology_edge_that_names_no_listed_id(edge):
         MessageLog.from_text(text.replace('[1,"q"]', edge))
 
 
+@pytest.mark.parametrize(
+    "line",
+    ['{"kind":"rate","payload":{"rate":0.5},"receiver":"hub","sender":"hub","tick":0}', "[1]"],
+    ids=["a-rate-record", "a-list"],
+)
+def test_reader_rejects_a_first_line_that_is_not_the_topology(line):
+    with pytest.raises(CorruptLog, match=r"^log line 1 is not a topology record$"):
+        MessageLog.from_text(line + "\n")
+
+
+# Edits of a final marker that the final-line pattern still matches.
+FINAL_EDITS = {
+    "ticks-not-its-tick": lambda line: re.sub(r'"ticks":(\d+)', lambda m: f'"ticks":{int(m[1]) + 1}', line),
+    "non-canonical-residual": lambda line: line.replace('"residual":', '"residual":0', 1),
+}
+
+
+@pytest.mark.parametrize("edit", FINAL_EDITS.values(), ids=FINAL_EDITS.keys())
+def test_reader_rejects_a_non_canonical_final_marker(paper_log_lines, edit):
+    lines = list(paper_log_lines)
+    assert lines[-1].startswith('{"kind":"final"') and edit(lines[-1]) != lines[-1]
+    lines[-1] = edit(lines[-1])
+    with pytest.raises(CorruptLog, match=rf"^log line {len(lines)} is not a canonical record of its topology$"):
+        MessageLog.from_text("\n".join(lines) + "\n")
+
+
+def test_an_empty_log_writes_no_text_and_equals_no_other_type():
+    log = MessageLog()
+    assert log.to_text() == ""
+    assert MessageLog.from_text("") == log
+    assert log.__eq__("") is NotImplemented and log != ""
+
+
 def test_reader_rejects_a_first_line_nested_past_the_decoder_depth():
     with pytest.raises(CorruptLog, match=r"line 1\b.*nests too deeply"):
         MessageLog.from_text("[" * 200_000 + "]" * 200_000 + "\n")
@@ -866,9 +899,9 @@ def test_hub_delivers_each_agent_one_row_per_refresh(monkeypatch):
     delivered = []
     deliver = SourceAgent.deliver
 
-    def recording(agent, local_edge, weight):
-        delivered.append((local_edge, np.array(weight, copy=True)))
-        deliver(agent, local_edge, weight)
+    def recording(agent, weights):
+        delivered.append(np.array(weights, copy=True))
+        deliver(agent, weights)
 
     monkeypatch.setattr(SourceAgent, "deliver", recording)
     report, log = run_distributed(spec, Schedule(mode="random-subset", seed=3))
@@ -883,8 +916,7 @@ def test_hub_delivers_each_agent_one_row_per_refresh(monkeypatch):
     start = network.row_starts
     for r, weights in enumerate(refreshes):
         for j in range(network.n_sources):
-            local_edge, row = delivered[r * network.n_sources + j]
-            assert local_edge == slice(None)
+            row = delivered[r * network.n_sources + j]
             assert row.tolist() == weights[start[j]:start[j + 1]]
 
 
@@ -1162,7 +1194,7 @@ def test_each_refresh_sees_the_plan_of_the_loop_round_before(paper_spec, game, m
         spec = dense_pool_specs(5, 10, 7, 2)[int(game[-1])]
     else:
         spec = uneven_spec(int(game[-1]))
-    static = solve_bayesian_equilibrium(spec, record_trace=True)
+    static = solve_bayesian_equilibrium(spec)
     report, log = run_distributed(spec, Schedule(mode=mode, seed=1))
     assert report.converged and static.converged
     seen = [rates for _, rates, _ in held_state_at_each_refresh(spec, log)]

@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import advot.static_game
 from advot import (
     PERTURBATION_FLOOR,
     AdversaryCostParams,
+    PerturbationBelowFloor,
     StageNotConverged,
     ValidationError,
     belief_update,
@@ -161,9 +163,18 @@ def test_belief_update_scale_invariant():
     np.testing.assert_allclose(a, b, atol=1e-14)
 
 
-def test_belief_update_rejects_bad_inputs():
-    with pytest.raises(Exception):
-        belief_update(uniform_belief(1), np.array([[0.0, 1.0]]))
+@pytest.mark.parametrize(
+    ("actions", "error", "message"),
+    [
+        ([[0.0, 1.0]], PerturbationBelowFloor, "belief update needs actions >= the floor"),
+        ([[1.0, 1.0], [1.0, 1.0]], ValidationError, "belief and action tables must have matching shape"),
+    ],
+    ids=["below-the-floor", "wrong-shape"],
+)
+def test_belief_update_rejects_bad_inputs(actions, error, message):
+    with pytest.raises(error, match=f"^{message}$") as excinfo:
+        belief_update(uniform_belief(1), np.array(actions))
+    assert excinfo.type is error
 
 
 @pytest.mark.parametrize("belief", [[[0.0, 1.0]], [[0.5, 0.5]]], ids=["degenerate", "uniform"])
@@ -248,9 +259,10 @@ def test_stage_actions_respect_interval_structure(paper_spec):
         prev = xi
 
 
-def test_stage_failure_raises_with_partial_outcomes(paper_spec):
+def test_stage_failure_raises_with_partial_outcomes(paper_spec, monkeypatch):
+    monkeypatch.setattr(advot.static_game, "MAX_ROUNDS", 2)
     with pytest.raises(StageNotConverged) as excinfo:
-        run_dynamic_game(paper_spec, stages=2, tau=0.5, max_rounds=2)
+        run_dynamic_game(paper_spec, stages=2, tau=0.5)
     assert excinfo.value.stage == 1
     assert excinfo.value.outcomes == []
     # the failed stage's own profile rides along, so a report can show it
@@ -259,12 +271,17 @@ def test_stage_failure_raises_with_partial_outcomes(paper_spec):
     assert profile.plan.shape == (paper_spec.network.n_edges,)
 
 
-def test_stage_failure_can_continue(paper_spec):
-    outcomes = run_dynamic_game(
-        paper_spec, stages=2, tau=0.5, max_rounds=1, abort_on_failure=False
-    )
+def test_stage_failure_can_continue(paper_spec, monkeypatch):
+    monkeypatch.setattr(advot.static_game, "MAX_ROUNDS", 1)
+    outcomes = run_dynamic_game(paper_spec, stages=2, tau=0.5, abort_on_failure=False)
     assert len(outcomes) == 2
     assert not any(o.profile.converged for o in outcomes)
+
+
+def test_stage_response_rejects_a_type_value_that_is_no_type():
+    net, params, plan = stage_setup()
+    with pytest.raises(ValidationError, match=r"^type_value must be 1 \(minor\) or 2 \(major\)$"):
+        stage_adversary_best_response(net, plan, params, np.array([3.0]), 3, np.array([1.0]), 0.5)
 
 
 def test_nan_tau_is_rejected(paper_spec):

@@ -30,7 +30,7 @@ from advot import (
     stage_adversary_best_response,
     threshold_phi,
 )
-from advot.static_game import DEVIATION_TOL, MAX_ROUNDS, _perceived, stage_equilibrium
+from advot.static_game import DEVIATION_TOL, _perceived, stage_equilibrium
 from conftest import SCENARIO_DIR, make_random_spec
 from oracles import (
     edges_from,
@@ -327,19 +327,19 @@ def test_caps_below_the_action_floor_are_rejected(paper_spec):
 
 
 @pytest.mark.parametrize(
-    ("anchor", "tau", "max_rounds", "error", "message"),
+    ("anchor", "tau", "error", "message"),
     [
-        (0.0, 0.5, MAX_ROUNDS, PerturbationBelowFloor, "actions must stay >= "),
-        (5e-7, 0.5, MAX_ROUNDS, PerturbationBelowFloor, "actions must stay >= "),
-        (5e-7, 0.0, MAX_ROUNDS, PerturbationBelowFloor, "actions must stay >= "),
-        (np.nan, 0.5, 0, ValidationError, "actions must be finite"),
-        (np.full((5, 2), 1.0), 0.5, MAX_ROUNDS, DimensionMismatch, r"shape \(5, 2\)"),
-        (9.0, 0.5, MAX_ROUNDS, ValidationError, "an action exceeds its per-type cap"),
+        (0.0, 0.5, PerturbationBelowFloor, "actions must stay >= "),
+        (5e-7, 0.5, PerturbationBelowFloor, "actions must stay >= "),
+        (5e-7, 0.0, PerturbationBelowFloor, "actions must stay >= "),
+        (np.nan, 0.5, ValidationError, "actions must be finite"),
+        (np.full((5, 2), 1.0), 0.5, DimensionMismatch, r"shape \(5, 2\)"),
+        (9.0, 0.5, ValidationError, "an action exceeds its per-type cap"),
     ],
     ids=["zero", "below-floor", "below-floor-static", "nan", "wrong-shape", "above-a-cap"],
 )
 def test_stage_rejects_an_anchor_outside_the_action_box(
-    paper_spec, anchor, tau, max_rounds, error, message
+    paper_spec, anchor, tau, error, message
 ):
     """The anchor ``xi_prev`` is checked on entry, before any round is played.
 
@@ -350,7 +350,7 @@ def test_stage_rejects_an_anchor_outside_the_action_box(
     """
     plan = _free_plan(paper_spec)
     with pytest.raises(error, match=message) as excinfo:
-        stage_equilibrium(paper_spec, paper_spec.belief, anchor, tau, plan, max_rounds)
+        stage_equilibrium(paper_spec, paper_spec.belief, anchor, tau, plan)
     assert excinfo.type is error
 
 

@@ -65,9 +65,9 @@ def test_capacity_length_mismatch_rejected():
         build_network(["a"], ["b"], [("a", "b")], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("capacities", [["x"], [[1.0, "x"]], 4.0])
+@pytest.mark.parametrize("capacities", [["x"], [[1.0, "x"]], 4.0, [10**400]])
 def test_non_numeric_capacities_rejected(capacities):
-    # ["x"] raised numpy's bare ValueError
+    # ["x"] raised numpy's bare ValueError, and an integer past a float's range a bare OverflowError
     with pytest.raises(ValidationError, match="capacities must be numeric"):
         build_network(["a"], ["b"], [("a", "b")], capacities)
 
@@ -77,6 +77,41 @@ def test_an_edge_that_is_not_a_pair_rejected(edge):
     # a 1- or 3-tuple raised a bare TypeError or ValueError, and "ab" read as the edge a -> b
     with pytest.raises(ValidationError, match=r"every edge must be a \[source, target\] pair"):
         build_network(["a"], ["b"], [("a", "b"), edge], [1.0])
+
+
+def _one_by_two():
+    return build_network(["a"], ["b", "c"], [("a", "b"), ("a", "c")], [1.0])
+
+
+# Inputs the network layer rejects: (call, error type, the whole message).
+NETWORK_FAULTS = {
+    "no-sources": (lambda: build_network([], ["b"], [("a", "b")], []), ValidationError,
+                   "source and target node sets must be nonempty"),
+    "no-targets": (lambda: build_network(["a"], [], [("a", "b")], [1.0]), ValidationError,
+                   "source and target node sets must be nonempty"),
+    "duplicate-source-ids": (lambda: build_network(["a", "a"], ["b"], [("a", "b")], [1.0, 1.0]),
+                             ValidationError, "duplicate source ids"),
+    "duplicate-target-ids": (lambda: build_network(["a"], ["b", "b"], [("a", "b")], [1.0]),
+                             ValidationError, "duplicate target ids"),
+    "edge-vector-of-a-wrong-shape": (lambda: _one_by_two().edge_vector(np.ones((2, 1))),
+                                     DimensionMismatch, "expected a 1x2 matrix, got (2, 1)"),
+    "belief-of-a-wrong-shape": (lambda: check_belief(uniform_belief(3), 2), DimensionMismatch,
+                                "belief has shape (3, 2), expected (2, 2)"),
+    "coefficients-in-2-d": (lambda: AdversaryCostParams(np.ones((1, 2)), 0.5, 0.5), ValidationError,
+                            "punishment_coeff must be a flat per-edge vector"),
+    "coefficients-of-no-known-shape": (
+        lambda: AdversaryCostParams.for_network(_one_by_two(), np.ones(3), 0.5, 0.5),
+        ValidationError, "cannot map punishment coefficients of shape (3,) onto edges",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_FAULTS))
+def test_network_inputs_are_rejected_typed(name):
+    call, error, message = NETWORK_FAULTS[name]
+    with pytest.raises(error) as excinfo:
+        call()
+    assert excinfo.type is error and str(excinfo.value) == message
 
 
 def test_canonical_order_is_input_independent():

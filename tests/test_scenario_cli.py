@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import re
 import tracemalloc
@@ -37,7 +38,7 @@ from advot.scenario import (
     _write_json,
     distributed_trace_records,
 )
-from advot.cli import main
+from advot.cli import _configure_logging, main
 from advot.static_game import DEVIATION_TOL
 from advot.transport import row_prices
 from conftest import SCENARIO_DIR, load_perfbench
@@ -131,6 +132,39 @@ def test_capacity_mismatch_names_the_field():
     raw["network"]["capacities"] = [4.0]
     with pytest.raises(ValidationError, match="capacities"):
         parse_scenario(json.dumps(raw))
+
+
+# Scenario trees the parser rejects, each an edit of the paper scenario's tree:
+# (edit, error type, the whole message).
+SCENARIO_FAULTS = {
+    "top-level-not-an-object": (lambda raw: [raw], ParseError, "scenario must be a key-value tree"),
+    "block-not-an-object": (lambda raw: {**raw, "solver": 5}, ValidationError,
+                            "'solver' must be a key-value block"),
+    "missing-field": (
+        lambda raw: {**raw, "network": {k: v for k, v in raw["network"].items() if k != "capacities"}},
+        ValidationError, "missing field 'capacities' in 'network'",
+    ),
+    "weights-not-numeric": (lambda raw: {**raw, "weights": [[1, 3, "x"], [2, 5, 1]]},
+                            ValidationError, "'weights' must be numeric"),
+    "weights-of-a-wrong-length": (
+        lambda raw: {**raw, "weights": [1, 2]}, ValidationError,
+        "'weights' must be a 2x3 matrix or a flat list of 6 per-edge values",
+    ),
+    "ids-not-a-list": (lambda raw: {**raw, "network": {**raw["network"], "targets": "q1"}},
+                       ValidationError, "'network.targets' must be a list of string or integer ids"),
+    "edges-not-a-list": (lambda raw: {**raw, "network": {**raw["network"], "edges": {"j1": "q1"}}},
+                         ValidationError, "'network.edges' must be a list of [source, target] pairs"),
+    "unknown-prior": (lambda raw: {**raw, "adversary": {**raw["adversary"], "prior": "flat"}},
+                      ValidationError, "prior must be 'uniform' or an explicit table"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_FAULTS))
+def test_parse_rejects_a_malformed_scenario_tree(name):
+    edit, error, message = SCENARIO_FAULTS[name]
+    with pytest.raises(error) as excinfo:
+        parse_scenario(json.dumps(edit(json.loads(PAPER.read_text()))))
+    assert excinfo.type is error and str(excinfo.value) == message
 
 
 def test_unknown_fields_rejected():
@@ -946,6 +980,19 @@ def test_cli_exit_code_on_input_errors(tmp_path, capsys):
     assert "advot:" in err
 
 
+@pytest.mark.parametrize(
+    ("name", "level"),
+    [("debug", logging.DEBUG), ("Error", logging.ERROR), ("loud", logging.WARNING),
+     ("basic_format", logging.WARNING)],  # logging.BASIC_FORMAT is a string, not a level
+)
+def test_advot_log_sets_the_level_and_an_unknown_name_falls_back_to_warning(monkeypatch, name, level):
+    configured = {}
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: configured.update(kwargs))
+    monkeypatch.setenv("ADVOT_LOG", name)
+    _configure_logging()
+    assert configured["level"] == level
+
+
 def test_cli_reports_a_config_that_is_not_utf8_as_unreadable(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'\xff\xfe{"a":1}')
@@ -1124,6 +1171,51 @@ def test_cli_rejects_invalid_values_before_writing(tmp_path, capsys, name):
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert run_cli(command, "--config", path, "--out", out, *flags) == 1
+    assert capsys.readouterr().err == f"advot: {message}\n"
+    assert list(out.glob("*")) == []
+
+
+# One rule for a JSON number in every numeric field: an integer or a float, never a
+# boolean, within a float's range.  The array fields read true and false as 1.0 and
+# 0.0, and an integer too large for a float raised a bare OverflowError.
+HUGE = 10**400
+JSON_NUMBER_PROBES = {
+    "capacities-boolean": ({"network": {"capacities": [True, 3]}},
+                           "'network.capacities' must be numeric"),
+    "weights-boolean": ({"weights": [[1, 3, 5], [2, False, 1]]}, "'weights' must be numeric"),
+    "caps-boolean": ({"adversary": {"upper_caps": [8, True, 10]}},
+                     "'adversary.upper_caps' must be numeric"),
+    "coeff-boolean": ({"adversary": {"punishment_coeff": True}},
+                      "'adversary.punishment_coeff' must be numeric"),
+    "capacities-huge": ({"network": {"capacities": [HUGE, 3]}},
+                        "'network.capacities' holds a number too large for a float"),
+    "weights-huge": ({"weights": [[1, 3, 5], [2, HUGE, 1]]},
+                     "'weights' holds a number too large for a float"),
+    "lambda-huge": ({"solver": {"lambda": HUGE}},
+                    "'solver.lambda' holds a number too large for a float"),
+    "caps-huge": ({"adversary": {"lower_caps": [6, 4, HUGE]}},
+                  "'adversary.lower_caps' holds a number too large for a float"),
+    "beta1-huge": ({"adversary": {"beta1": HUGE}},
+                   "'adversary.beta1' holds a number too large for a float"),
+    "prior-huge": ({"adversary": {"prior": [[0.5, 0.5], [HUGE, 0], [0.5, 0.5]]}},
+                   "'adversary.prior' holds a number too large for a float"),
+    "lambda-list": ({"solver": {"lambda": [3]}}, "'solver.lambda' must be a number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_NUMBER_PROBES))
+def test_cli_rejects_a_value_that_is_no_json_number_before_writing(tmp_path, capsys, name):
+    edits, message = JSON_NUMBER_PROBES[name]
+    config = json.loads(PAPER.read_text())
+    for block, value in edits.items():
+        if isinstance(config[block], dict):
+            config[block].update(value)
+        else:
+            config[block] = value
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("static-eq", "--config", path, "--out", out) == 1
     assert capsys.readouterr().err == f"advot: {message}\n"
     assert list(out.glob("*")) == []
 

@@ -20,13 +20,12 @@ from advot import (
     deviation_check,
     minimize_node_cost,
     planner_objective,
-    primal_update,
     solve_bayesian_equilibrium,
     solve_regularized_ot,
     uniform_belief,
 )
 from advot.static_game import _aggregates, _perceived, stage_payoffs
-from conftest import make_random_spec, perceived_solve
+from conftest import make_random_spec, perceived_solve, plan_at
 from oracles import (
     adversary_best_response,
     bisection_1x1_equilibrium,
@@ -126,6 +125,13 @@ def test_game_spec_validation(paper_spec):
         dataclasses.replace(paper_spec, weights=np.full(6, np.inf))
     with pytest.raises(Exception):
         dataclasses.replace(paper_spec, belief=np.tile([0.7, 0.7], (3, 1)))
+
+
+@pytest.mark.parametrize("field", ["lower_caps", "upper_caps"])
+def test_game_spec_rejects_caps_that_do_not_cover_every_target(paper_spec, field):
+    with pytest.raises(ValidationError, match="^caps must cover every target node$") as excinfo:
+        dataclasses.replace(paper_spec, **{field: np.full(2, 8.0)})
+    assert excinfo.type is ValidationError
 
 
 def test_game_spec_checks_per_edge_vectors_by_the_solves_rule(paper_spec):
@@ -283,11 +289,11 @@ def test_best_response_convexity_of_node_cost():
     assert np.all(second_diff > 0)
 
 
-def test_monotone_coupling_of_primal_update():
+def test_monotone_coupling_of_the_plan():
     net = build_network(["s"], ["t1", "t2"], [("s", "t1"), ("s", "t2")], [5.0])
     prices = np.array([0.7])
-    low = primal_update(net, np.array([1.0, 2.0]), prices, lam=3.0)
-    high = primal_update(net, np.array([1.5, 2.0]), prices, lam=3.0)
+    low = plan_at(net, np.array([1.0, 2.0]), prices, lam=3.0)
+    high = plan_at(net, np.array([1.5, 2.0]), prices, lam=3.0)
     assert high[0] > low[0]
     assert high[1] == low[1]
 

@@ -13,12 +13,11 @@ from advot import (
     ZeroLambda,
     build_network,
     planner_objective,
-    primal_update,
     solve_regularized_ot,
     unregularized_solve,
 )
 from advot.transport import row_prices
-from conftest import all_edges
+from conftest import all_edges, plan_at
 from oracles import edges_from, lp_plan, slsqp_regularized_plan
 
 E_INV = 0.36787944117144233  # exp(-1)
@@ -29,35 +28,29 @@ def one_edge_network(capacity=10.0):
 
 
 # ---------------------------------------------------------------------------
-# primal update
+# the plan at given prices
 
 
-def test_primal_update_stationary_point():
+def test_plan_stationary_point():
     net = one_edge_network()
-    x = primal_update(net, np.zeros(1), np.zeros(1), lam=1.0)
+    x = plan_at(net, np.zeros(1), np.zeros(1), lam=1.0)
     assert x[0] == pytest.approx(E_INV, abs=1e-12)
 
 
-def test_primal_update_cancellation():
+def test_plan_cancellation():
     net = one_edge_network()
-    x = primal_update(net, np.array([1.0]), np.array([1.0]), lam=3.0)
+    x = plan_at(net, np.array([1.0]), np.array([1.0]), lam=3.0)
     assert x[0] == pytest.approx(E_INV, abs=1e-12)
 
 
-def test_primal_update_paper_row():
+def test_plan_paper_row():
     # row weights (1, 3, 5) priced at 2 with lam=3; evaluated independently
     # at high precision beforehand
     net = build_network(["s"], ["a", "b", "c"], all_edges(["s"], ["a", "b", "c"]), [4.0])
-    x = primal_update(net, np.array([1.0, 3.0, 5.0]), np.array([2.0]), lam=3.0)
+    x = plan_at(net, np.array([1.0, 3.0, 5.0]), np.array([2.0]), lam=3.0)
     np.testing.assert_allclose(
         x, [0.263597138115727, 0.513417119032592, 1.0], atol=1e-12
     )
-
-
-def test_primal_update_rejects_zero_lambda():
-    net = one_edge_network()
-    with pytest.raises(ZeroLambda):
-        primal_update(net, np.zeros(1), np.zeros(1), lam=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +83,7 @@ def test_capacity_prices_satisfy_kkt(rows, spread, lam, seed):
     prices = row_prices(weights, net.edge_source, net.capacities, lam)
     assert np.all(np.isfinite(prices))
     assert np.all(prices >= 0)
-    plan = primal_update(net, weights, prices, lam)
+    plan = plan_at(net, weights, prices, lam)
     slack = net.capacities - net.row_sums(plan)
     assert np.all(slack >= -1e-12 * net.capacities)
     # complementary slackness: a priced source ships its whole capacity
@@ -160,15 +153,12 @@ def test_solve_kkt_conditions(paper_network, paper_edge_weights):
 
 
 def test_solve_objective_matches_oracle_in_one_iteration(paper_network, paper_edge_weights):
-    # started from the exact prices, the trace holds the one checking step
-    report = solve_regularized_ot(paper_network, paper_edge_weights, record_trace=True)
+    # started from the exact prices, the solve is the one checking step and its report is that step
+    report = solve_regularized_ot(paper_network, paper_edge_weights)
     assert report.iterations == 1
-    (row,) = report.trace
-    assert row["objective"] == pytest.approx(
-        planner_objective(report.plan, paper_edge_weights, 3.0), abs=1e-6
-    )
+    assert report.trace == []
     oracle = slsqp_regularized_plan(paper_network, paper_edge_weights, 3.0)
-    assert row["objective"] == pytest.approx(
+    assert planner_objective(report.plan, paper_edge_weights, 3.0) == pytest.approx(
         planner_objective(oracle, paper_edge_weights, 3.0), abs=1e-6
     )
 
@@ -195,12 +185,13 @@ def test_solve_computes_one_plan_per_iteration(
     import advot.transport
 
     calls = []
+    plan = advot.transport._plan
 
     def counting(*args):
         calls.append(1)
-        return primal_update(*args)
+        return plan(*args)
 
-    monkeypatch.setattr(advot.transport, "primal_update", counting)
+    monkeypatch.setattr(advot.transport, "_plan", counting)
     report = solve_regularized_ot(paper_network, paper_edge_weights, settings_)
     assert report.converged is converged
     assert len(calls) == report.iterations
@@ -214,19 +205,12 @@ def test_solve_refuses_non_finite_prices():
     assert excinfo.value.iteration == 1
 
 
-def test_solve_refuses_nan_prices_before_the_primal_update():
+def test_solve_refuses_nan_prices_before_the_plan():
     # m/lam overflows to inf, so the log-space prices are NaN: still the solve's own error
     net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as excinfo:
         solve_regularized_ot(net, np.array([3000.0, 2990.0]), SolverSettings(lam=1e-306))
     assert excinfo.value.iteration == 1
-
-
-def test_primal_update_rejects_non_finite_prices():
-    # unchecked, NaN prices gave an all-NaN plan
-    net = build_network(["j"], ["a", "b"], [("j", "a"), ("j", "b")], [1.0])
-    with pytest.raises(ValidationError, match="prices must be finite"):
-        primal_update(net, np.array([1.0, 2.0]), np.array([np.nan]), lam=3.0)
 
 
 def test_solve_overflow_input_converges_with_the_exact_price():
@@ -276,7 +260,7 @@ def test_solve_is_the_exact_price_plan_in_one_iteration(n_edges, top, lam, capac
     report = solve_regularized_ot(net, weights, SolverSettings(lam=lam))
     assert report.converged and report.iterations == 1
     prices = row_prices(weights, net.edge_source, net.capacities, lam)
-    exact = primal_update(net, weights, prices, lam)
+    exact = plan_at(net, weights, prices, lam)
     np.testing.assert_array_equal(report.plan, exact)
 
 
@@ -296,7 +280,7 @@ def test_solver_matches_oracle_on_random_instances():
             oracle = slsqp_regularized_plan(net, weights, lam)
             np.testing.assert_allclose(report.plan, oracle, atol=1e-4)
             prices = row_prices(weights, net.edge_source, net.capacities, lam)
-            exact = primal_update(net, weights, prices, lam)
+            exact = plan_at(net, weights, prices, lam)
             np.testing.assert_allclose(exact, oracle, atol=1e-4)
 
 

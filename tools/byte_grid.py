@@ -8,7 +8,11 @@ tree in this process:
 
 * the four subcommands x ``--emit csv/json`` over five games, 40 runs;
 * ``distributed-sim`` under ``--schedule sync`` and ``--schedule roundrobin``
-  over the same games and both emits, 20 runs.
+  over the same games and both emits, 20 runs;
+* four runs off the scenario's settings, over the paper and 1x1 games and
+  both emits, 16 runs: ``solve-ot --lambda 0`` (the greedy baseline),
+  ``static-eq --lambda 0.3`` (the paper game stops at the round cap),
+  ``dynamic-sim --lambda 0.3`` and ``dynamic-sim --lambda 0.1 --tau 0.2``.
 
 The games are ``scenarios/paper_2x3.json``, ``scenarios/minimal_1x1.json`` and
 three drawn by the tree's ``perfbench/generate.py``: ``dense_pool(5, 10, 7,
@@ -39,6 +43,14 @@ DRAWN = {
     "dense_20x50": ("dense_pool", (20, 50, 11, 1)),
     "sparse_10k": ("sparse_pool", (11, 1)),
 }
+#: Each command run off the scenario's settings, with its name's tag and flags.
+OVERRIDES = (
+    ("solve-ot", "lambda=0", ["--lambda", "0"]),
+    ("static-eq", "lambda=0.3", ["--lambda", "0.3"]),
+    ("dynamic-sim", "lambda=0.3", ["--lambda", "0.3"]),
+    ("dynamic-sim", "lambda=0.1,tau=0.2", ["--lambda", "0.1", "--tau", "0.2"]),
+)
+OVERRIDE_GAMES = ("paper", "minimal_1x1")
 
 
 def _load_generate(checkout: Path):
@@ -72,6 +84,11 @@ def _runs(games: dict[str, Path]):
                 yield (f"distributed-sim/{schedule}/{emit}/{game}",
                        ["distributed-sim", "--config", str(config), "--emit", emit,
                         "--schedule", schedule])
+    for game in OVERRIDE_GAMES:
+        for command, tag, flags in OVERRIDES:
+            for emit in EMITS:
+                yield (f"{command}/{tag}/{emit}/{game}",
+                       [command, "--config", str(games[game]), "--emit", emit, *flags])
 
 
 def byte_grid(checkout: Path) -> tuple[list, int, str]:
