@@ -19,11 +19,11 @@ from .network import PERTURBATION_FLOOR, check_belief
 from .static_game import (
     EquilibriumProfile,
     GameSpec,
+    _payoffs,
+    _phi,
     check_tau,
     stage_adversary_best_response,  # the benchmark's tracer wraps it by this name
     stage_equilibrium,
-    stage_payoffs,
-    threshold_phi,
 )
 from .transport import _check_count, solve_regularized_ot
 
@@ -106,8 +106,8 @@ def run_dynamic_game(
             logger.warning("stage %d failed to converge (gap %.3e)", stage, profile.deviation_gap)
             if abort_on_failure:
                 raise StageNotConverged(stage, outcomes=outcomes, profile=profile)
-        effective = threshold_phi(profile.strategy, xi_prev, tau)
-        utility, cost_minor, cost_major = stage_payoffs(spec, belief, profile.plan, effective)
+        effective = _phi(profile.strategy, xi_prev, tau)
+        utility, cost_minor, cost_major = _payoffs(spec, belief, profile.plan, effective)
         belief_after = belief_update(belief, profile.strategy)
         outcomes.append(
             StageOutcome(

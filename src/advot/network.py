@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -105,18 +105,18 @@ class BipartiteNetwork:
 def build_network(
     sources: Sequence[Hashable],
     targets: Sequence[Hashable],
-    edges: Sequence[tuple[Hashable, Hashable]],
+    edges: Iterable[tuple[Hashable, Hashable]],
     capacities: Sequence[float],
 ) -> BipartiteNetwork:
     """Validate the raw description and return a canonical network.
 
     Edges may arrive in any order; the result is always sorted row-major by
     (source index, target index), so identical inputs yield identical
-    networks regardless of input ordering.  Each edge is a list or tuple of
-    two ids, and the capacities are numbers; other input raises
-    :class:`ValidationError`.
+    networks regardless of input ordering.  The edges may be any iterable,
+    read once.  Each edge is a list or tuple of two ids, and the capacities
+    are numbers; other input raises :class:`ValidationError`.
     """
-    source_ids, target_ids = tuple(sources), tuple(targets)
+    source_ids, target_ids, edges = tuple(sources), tuple(targets), list(edges)
     n, m = len(source_ids), len(target_ids)
     if not source_ids or not target_ids:
         raise ValidationError("source and target node sets must be nonempty")

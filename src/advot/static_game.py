@@ -9,7 +9,8 @@ exact best deviation.
 
 One pass over the plan, :func:`_stage_response`, gives both types' cost
 tables and thresholded minimizers; the loop's adversary best response and
-the certificate's adversary half both read it.
+the certificate's adversary half both read it.  Public functions check their
+inputs, and the private kernels they call check nothing.
 
 One engine, :func:`stage_equilibrium`, serves both the static game and every
 stage of the multistage game: the static game is the stage game whose
@@ -185,6 +186,11 @@ def threshold_phi(xi_t, xi_prev, tau: float):
     ``tau`` must be >= 0 (:func:`check_tau`).
     """
     check_tau(tau)
+    return _phi(xi_t, xi_prev, tau)
+
+
+def _phi(xi_t, xi_prev, tau: float):
+    """:func:`threshold_phi` of a ``tau`` the caller has already checked."""
     xi_t = np.asarray(xi_t, dtype=float)
     xi_prev = np.asarray(xi_prev, dtype=float)
     out = np.where(xi_t < xi_prev + tau, xi_prev, xi_t - tau)
@@ -200,10 +206,9 @@ def _stage_response(network, plan, params, caps, xi_prev, tau: float):
     thresholded actions ``z = phi(xi)``: as ``xi`` ranges over ``[floor,
     cap]``, ``phi(xi)`` covers exactly ``[xi_prev, max(xi_prev, cap - tau)]``,
     and by convexity the minimizer there is the static one on ``[floor,
-    max(xi_prev, cap - tau)]`` raised to ``xi_prev``.
+    max(xi_prev, cap - tau)]`` raised to ``xi_prev``.  The caller checks the plan and ``tau``.
     """
-    check_tau(tau)
-    scale, flow_term = _cost_table(network, check_plan(network, plan), params)
+    scale, flow_term = _cost_table(network, plan, params)
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
     z = np.maximum(_node_minimizer(scale, flow_term, params.beta2, z_hi), xi_prev)
     return scale, flow_term, z
@@ -235,6 +240,8 @@ def stage_adversary_best_response(
     """
     if type_value not in (1, 2):
         raise ValidationError("type_value must be 1 (minor) or 2 (major)")
+    check_tau(tau)
+    plan = check_plan(network, plan)
     caps, xi_prev = (np.reshape(np.asarray(a, dtype=float), (-1, 1)) for a in (caps, xi_prev))
     return _stage_action(network, plan, params, caps, xi_prev, tau)[:, type_value - 1]
 
@@ -246,8 +253,10 @@ def best_response_strategy(
 
     Each column is what :func:`stage_adversary_best_response` plays for its
     type.  The defaults, previous action at the floor and ``tau = 0``, pose
-    the static game.
+    the static game.  ``tau`` and the plan are checked here.
     """
+    check_tau(tau)
+    plan = check_plan(spec.network, plan)
     return _stage_action(spec.network, plan, spec.cost_params, spec.caps(), xi_prev, tau)
 
 
@@ -311,7 +320,7 @@ def deviation_check(
 
 
 def _payoffs(spec: GameSpec, belief, plan, effective) -> tuple[float, float, float]:
-    """:func:`stage_payoffs` of a plan and belief already checked."""
+    """Dispatcher utility and both types' costs at an effective action, from inputs already checked."""
     network, weights, params, lam = spec.network, spec.weights, spec.cost_params, spec.settings.lam
     utility = _utility(plan, _perceived(network, weights, effective, belief), lam)
     powered = plan ** params.beta1
@@ -320,21 +329,6 @@ def _payoffs(spec: GameSpec, belief, plan, effective) -> tuple[float, float, flo
                           + (weights + theta * xi_e) * plan))
              for theta, xi_e in zip(TYPE_VALUES, effective[network.edge_target].T))
     return (utility, *costs)
-
-
-def stage_payoffs(
-    spec: GameSpec, belief: np.ndarray, plan: np.ndarray, effective: np.ndarray
-) -> tuple[float, float, float]:
-    """Dispatcher utility and the minor and major types' costs against the effective action.
-
-    The plan, the belief and the effective action, which lies in ``[floor,
-    caps]``, are checked here; the payoffs themselves come from the kernel
-    the equilibrium loop's traced rounds call directly.
-    """
-    plan = check_plan(spec.network, plan)
-    belief = check_belief(belief, spec.network.n_targets)
-    effective = check_strategy(effective, spec.lower_caps, spec.upper_caps)
-    return _payoffs(spec, belief, plan, effective)
 
 
 def _anderson_step(history: list, g: np.ndarray, f: np.ndarray, caps) -> np.ndarray:
@@ -388,11 +382,11 @@ def stage_equilibrium(
     ``belief``, then takes the adversary's best response ``g`` to that plan.
     :func:`_next_trial`, the hub's stop rule too, stops the loop or gives
     the next ``x``; a loop that has not settled stops after ``MAX_ROUNDS``
-    rounds, read at call time.  The anchor ``xi_prev``
-    (:func:`_check_anchor`) and the belief are checked once, on entry, and
-    each round's plan by the best response.  The profile is the last plan and ``g``, and a traced round
-    records them with the payoffs at ``phi(g)``, from the kernel that
-    :func:`stage_payoffs` calls after its own checks.
+    rounds, read at call time.  The anchor ``xi_prev`` (:func:`_check_anchor`)
+    and the belief are checked once, on entry; each best response, the
+    start's included, checks ``tau`` and its plan.  The profile is the last
+    plan and ``g``, and a traced round records them with :func:`_payoffs`
+    at ``phi(g)``.
     :func:`deviation_check` then certifies the profile; ``converged``
     requires the loop to settle, the last transport solve to converge and
     the deviation gap to be within tolerance.
@@ -406,13 +400,13 @@ def stage_equilibrium(
     settled = inner_converged = False
     rounds = 0
     for rounds in range(1, MAX_ROUNDS + 1):
-        w_eff = _perceived(network, weights, threshold_phi(x, xi_prev, tau), belief)
+        w_eff = _perceived(network, weights, _phi(x, xi_prev, tau), belief)
         report = solve_regularized_ot(network, w_eff, settings)
         plan_prev, plan, inner_converged = plan, report.plan, report.converged
         xi = best_response_strategy(spec, plan, xi_prev, tau)
         step = _next_trial(history, x, xi, plan, plan_prev, caps)
         if record_trace:
-            utility, minor, major = _payoffs(spec, belief, plan, threshold_phi(xi, xi_prev, tau))
+            utility, minor, major = _payoffs(spec, belief, plan, _phi(xi, xi_prev, tau))
             trace.append({"round": rounds, "plan": plan, "xi_minor": xi[:, 0], "xi_major": xi[:, 1],
                           "dispatcher_utility": utility, "adversary_cost_minor": minor,
                           "adversary_cost_major": major})

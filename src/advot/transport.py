@@ -32,6 +32,12 @@ def _check_count(value, name: str, minimum: int) -> None:
         raise ValidationError(f"{name} must be >= {minimum}")
 
 
+def _check_lam(lam) -> None:
+    """Reject a smoothing weight that is not finite and >= 0; NaN fails every comparison."""
+    if not 0 <= lam < np.inf:
+        raise ValidationError("lam must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Settings of a transport solve.
@@ -44,9 +50,7 @@ class SolverSettings:
     tol: float = 1e-8
 
     def __post_init__(self):
-        # Written so that NaN, which fails every comparison, is rejected too.
-        if not 0 <= self.lam < np.inf:
-            raise ValidationError("lam must be finite and >= 0")
+        _check_lam(self.lam)
         if not 0 < self.tol < np.inf:
             raise ValidationError("tol must be finite and > 0")
 
@@ -92,10 +96,11 @@ def _slackness(network: BipartiteNetwork, prices, plan) -> float:
 def planner_objective(plan: np.ndarray, weights: np.ndarray, lam: float) -> float:
     """Dispatcher utility ``sum(m*x) - lam*sum(x*log x)`` of a plan, with ``0*log 0 = 0``.
 
-    The weights and the plan must be finite vectors of one length, the plan nonnegative.
+    The weights and the plan must be finite vectors of one length, the plan nonnegative; ``lam`` >= 0.
     """
     weights = check_edge_vector(weights, np.size(plan), "weights")
     plan = check_edge_vector(plan, len(weights), "plans", nonnegative=True)
+    _check_lam(lam)
     return _utility(plan, weights, lam)
 
 

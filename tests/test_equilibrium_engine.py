@@ -229,12 +229,14 @@ def test_safeguards_keep_the_accelerated_loop_in_the_box(seed, monkeypatch):
     some residual grows, which leaves the history with the current round
     alone and the plain step ``x = g``.  The loop converges all the same,
     and every action it plays stays in the box.  The extrapolation before
-    the step's clip is refitted here from the history the step kept.
+    the step's clip is refitted here from the history the step kept.  The
+    loop thresholds its trial action through ``_phi`` once per round, and
+    the certificate once more, through ``threshold_phi``.
     """
     spec, belief, xi_prev, tau = _random_stage(seed, staged=True)
     caps = spec.caps()
     steps, restarts, played = [], [], []
-    step, phi = advot.static_game._anderson_step, advot.static_game.threshold_phi
+    step, phi = advot.static_game._anderson_step, advot.static_game._phi
 
     def recording_step(history, g, f, caps):
         had_history = bool(history)
@@ -253,11 +255,12 @@ def test_safeguards_keep_the_accelerated_loop_in_the_box(seed, monkeypatch):
         return phi(xi, *args)
 
     monkeypatch.setattr(advot.static_game, "_anderson_step", recording_step)
-    monkeypatch.setattr(advot.static_game, "threshold_phi", recording_phi)
+    monkeypatch.setattr(advot.static_game, "_phi", recording_phi)
     profile = stage_equilibrium(spec, belief, xi_prev, tau, _free_plan(spec))
     assert any(np.any((x < PERTURBATION_FLOOR) | (x > caps)) for x in steps)
     assert restarts and all(restarts)
     assert profile.converged and profile.deviation_gap <= DEVIATION_TOL
+    assert len(played) == profile.iterations + 1
     for xi in played:
         assert np.all(xi >= PERTURBATION_FLOOR) and np.all(xi <= caps)
 

@@ -79,6 +79,23 @@ def test_an_edge_that_is_not_a_pair_rejected(edge):
         build_network(["a"], ["b"], [("a", "b"), edge], [1.0])
 
 
+def test_edges_may_arrive_as_a_generator():
+    # the pair check used up a generator, which then raised a bare TypeError: an edge is not a pair
+    edges = [("a", "c"), ("b", "c"), ("a", "d")]
+    expected = build_network(["a", "b"], ["c", "d"], edges, [1.0, 2.0])
+    network = build_network(["a", "b"], ["c", "d"], (edge for edge in edges), [1.0, 2.0])
+    assert network.edges == expected.edges
+    np.testing.assert_array_equal(network.edge_source, expected.edge_source)
+    np.testing.assert_array_equal(network.edge_target, expected.edge_target)
+    np.testing.assert_array_equal(network.capacities, expected.capacities)
+
+
+def test_a_generator_with_a_dangling_edge_names_it():
+    edges = (edge for edge in [("a", "b"), ("a", "zzz")])
+    with pytest.raises(DanglingEdge, match=r"edge \('a', 'zzz'\) references an unknown node id"):
+        build_network(["a"], ["b"], edges, [1.0])
+
+
 def _one_by_two():
     return build_network(["a"], ["b", "c"], [("a", "b"), ("a", "c")], [1.0])
 

@@ -22,9 +22,10 @@ from advot import (
     planner_objective,
     solve_bayesian_equilibrium,
     solve_regularized_ot,
+    stage_adversary_best_response,
     uniform_belief,
 )
-from advot.static_game import _aggregates, _perceived, stage_payoffs
+from advot.static_game import _aggregates, _payoffs, _perceived
 from conftest import make_random_spec, perceived_solve, plan_at
 from oracles import (
     adversary_best_response,
@@ -80,14 +81,14 @@ def test_effective_weights_degenerate_belief():
 
 def test_expected_utility_zero_plan(paper_spec):
     xi = paper_spec.caps()
-    value = stage_payoffs(paper_spec, paper_spec.belief, np.zeros(6), xi)[0]
+    value = _payoffs(paper_spec, paper_spec.belief, np.zeros(6), xi)[0]
     assert value == 0.0
 
 
 def test_expected_utility_single_edge_log_one():
     spec = one_edge_game(m=1.0, c=2.0, lower=2.0)  # the minor action 2.0 within its cap
     xi = np.array([[2.0, 4.0]])
-    value = stage_payoffs(spec, spec.belief, np.array([1.0]), xi)[0]
+    value = _payoffs(spec, spec.belief, np.array([1.0]), xi)[0]
     assert value == pytest.approx(6.0)
 
 
@@ -99,7 +100,7 @@ def test_expected_utility_matches_type_enumeration(paper_spec):
             [rng.uniform(1e-6, paper_spec.lower_caps), rng.uniform(1e-6, paper_spec.upper_caps)],
             axis=1,
         )
-        direct = stage_payoffs(paper_spec, paper_spec.belief, plan, xi)[0]
+        direct = _payoffs(paper_spec, paper_spec.belief, plan, xi)[0]
         enumerated = enumerated_expected_utility(
             paper_spec.network, plan, paper_spec.weights, xi, paper_spec.belief, 3.0
         )
@@ -108,7 +109,7 @@ def test_expected_utility_matches_type_enumeration(paper_spec):
 
 def test_expected_utility_at_equilibrium_matches_enumeration(paper_spec):
     profile = solve_bayesian_equilibrium(paper_spec)
-    direct = stage_payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[0]
+    direct = _payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[0]
     enumerated = enumerated_expected_utility(
         paper_spec.network, profile.plan, paper_spec.weights,
         profile.strategy, paper_spec.belief, 3.0,
@@ -145,22 +146,6 @@ def test_game_spec_checks_per_edge_vectors_by_the_solves_rule(paper_spec):
         dataclasses.replace(paper_spec, cost_params=AdversaryCostParams(np.ones(5), 0.5, 0.5))
 
 
-@pytest.mark.parametrize(
-    ("effective", "error", "message"),
-    [
-        # unchecked: (inf, inf, inf), a division by zero and a bare broadcast ValueError
-        (np.full((3, 2), np.inf), ValidationError, "exceeds its per-type cap"),
-        (np.zeros((3, 2)), PerturbationBelowFloor, "actions must stay >="),
-        (np.ones((2, 2)), DimensionMismatch, r"strategy has shape \(2, 2\)"),
-        (np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]]), ValidationError, "actions must be finite"),
-    ],
-)
-def test_stage_payoffs_reject_an_action_outside_the_box(paper_spec, effective, error, message):
-    with pytest.raises(error, match=message) as excinfo:
-        stage_payoffs(paper_spec, paper_spec.belief, np.ones(6), effective)
-    assert excinfo.type is error
-
-
 def test_caps_table_is_built_once_and_read_only(paper_spec):
     caps = paper_spec.caps()
     np.testing.assert_array_equal(
@@ -182,13 +167,13 @@ def test_caps_table_is_built_once_and_read_only(paper_spec):
 
 def test_adversary_cost_zero_plan(paper_spec):
     xi = paper_spec.caps()
-    _, minor, major = stage_payoffs(paper_spec, paper_spec.belief, np.zeros(6), xi)
+    _, minor, major = _payoffs(paper_spec, paper_spec.belief, np.zeros(6), xi)
     assert minor == major == 0.0
 
 
 def test_adversary_cost_unit_case():
     spec = one_edge_game(m=1.0, c=2.0, coeff=1.0)
-    _, minor, major = stage_payoffs(spec, spec.belief, np.array([1.0]), np.array([[1.0, 1.0]]))
+    _, minor, major = _payoffs(spec, spec.belief, np.array([1.0]), np.array([[1.0, 1.0]]))
     assert minor == pytest.approx(3.0)
     assert major == pytest.approx(4.0)
 
@@ -200,7 +185,7 @@ def test_adversary_cost_matches_independent_evaluation(paper_spec):
         [rng.uniform(0.5, paper_spec.lower_caps), rng.uniform(0.5, paper_spec.upper_caps)],
         axis=1,
     )
-    _, *costs = stage_payoffs(paper_spec, paper_spec.belief, plan, xi)
+    _, *costs = _payoffs(paper_spec, paper_spec.belief, plan, xi)
     for t, got in zip((1, 2), costs):
         expected = per_edge_adversary_cost(
             paper_spec.network, plan, paper_spec.weights, xi, np.full(3, t), paper_spec.cost_params
@@ -393,7 +378,7 @@ def test_equilibrium_on_random_small_instances():
 
 def test_deviation_plan_perturbation_lowers_utility(paper_spec):
     profile = solve_bayesian_equilibrium(paper_spec)
-    base = stage_payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[0]
+    base = _payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[0]
     bumped = profile.plan.copy()
     bumped[0] *= 1.1
     # rescale the touched row back into feasibility
@@ -401,17 +386,17 @@ def test_deviation_plan_perturbation_lowers_utility(paper_spec):
     idx = edges_from(paper_spec.network, j)
     row_sum = bumped[idx].sum()
     bumped[idx] *= paper_spec.network.capacities[j] / row_sum
-    perturbed = stage_payoffs(paper_spec, paper_spec.belief, bumped, profile.strategy)[0]
+    perturbed = _payoffs(paper_spec, paper_spec.belief, bumped, profile.strategy)[0]
     assert perturbed < base
 
 
 def test_deviation_action_perturbation_raises_cost(paper_spec):
     profile = solve_bayesian_equilibrium(paper_spec)
-    base = stage_payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[1]
+    base = _payoffs(paper_spec, paper_spec.belief, profile.plan, profile.strategy)[1]
     for delta in (0.1, -0.1):
         shifted = profile.strategy.copy()
         shifted[:, 0] += delta
-        cost = stage_payoffs(paper_spec, paper_spec.belief, profile.plan, shifted)[1]
+        cost = _payoffs(paper_spec, paper_spec.belief, profile.plan, shifted)[1]
         assert cost > base
 
 
@@ -464,7 +449,9 @@ def test_deviation_check_rejects_non_finite_actions(paper_spec, value, error, me
 PLAN_CALLS = {
     "best_response_strategy": lambda spec, plan, xi: best_response_strategy(spec, plan),
     "deviation_check": lambda spec, plan, xi: deviation_check(spec, plan, xi),
-    "stage_payoffs": lambda spec, plan, xi: stage_payoffs(spec, spec.belief, plan, xi),
+    "stage_adversary_best_response": lambda spec, plan, xi: stage_adversary_best_response(
+        spec.network, plan, spec.cost_params, spec.upper_caps, 2, PERTURBATION_FLOOR, 0.0
+    ),
 }
 
 
@@ -565,7 +552,7 @@ def test_stage_payoffs_match_enumeration_and_the_per_edge_costs():
         effective = rng.uniform(PERTURBATION_FLOOR, spec.caps())  # an effective action is in the box
         minor = rng.uniform(0, 1, 4)
         belief = np.stack([minor, 1.0 - minor], axis=1)
-        utility, *costs = stage_payoffs(spec, belief, plan, effective)
+        utility, *costs = _payoffs(spec, belief, plan, effective)
         assert utility == pytest.approx(
             enumerated_expected_utility(network, plan, weights, effective, belief, spec.settings.lam),
             rel=1e-12, abs=1e-12,

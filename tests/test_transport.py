@@ -380,6 +380,19 @@ def test_objective_rejects_a_plan_it_cannot_score(plan, error, message):
     assert excinfo.type is error
 
 
+@pytest.mark.parametrize("lam", [-1.0, -np.inf, np.inf, np.nan])
+def test_objective_rejects_a_lam_that_is_not_finite_and_nonnegative(lam):
+    # unchecked, lam = -1 scored the plan of ones at 2.0 and a NaN lam gave nan
+    with pytest.raises(ValidationError, match="lam must be finite and >= 0") as excinfo:
+        planner_objective(np.ones(2), np.ones(2), lam)
+    assert excinfo.type is ValidationError
+
+
+def test_objective_at_lam_zero_is_the_linear_utility():
+    # solve-ot --lambda 0 reports the greedy plan's objective through this function
+    assert planner_objective(np.array([2.0, 0.0]), np.array([1.5, 4.0]), 0.0) == 3.0
+
+
 def test_smoothing_spreads_allocations(paper_network, paper_edge_weights):
     sparse = unregularized_solve(paper_network, paper_edge_weights)
     assert np.count_nonzero(paper_network.plan_matrix(sparse), axis=1).tolist() == [1, 1]
