@@ -335,15 +335,13 @@ def _anderson_step(history: list, g: np.ndarray, f: np.ndarray, caps) -> np.ndar
     """Next trial action of type-II Anderson mixing (Walker & Ni 2011), in ``[floor, caps]``.
 
     ``history`` holds the last rounds' ``(g, f)``: the best response and its
-    residual ``f = g - x``.  A residual larger than the last one clears it,
-    and with no earlier round left the step is the plain ``x = g``, with
-    nothing to fit.  Otherwise ``dG`` and ``dF`` are the differences of the
+    residual ``f = g - x``.  ``dG`` and ``dF`` are the differences of the
     last ``ANDERSON_MEMORY + 1`` entries, and the step is ``g - dG @ gamma``
-    with ``gamma`` the least-squares fit of ``dF @ gamma`` to ``f``.  Either
-    step is clipped into the box.
+    with ``gamma`` the least-squares fit of ``dF @ gamma`` to ``f``; on the
+    first round there is nothing to fit, and the step is the plain ``x = g``.
+    The history is kept whether the residual grows or shrinks.  Either step
+    is clipped into the box.
     """
-    if history and np.linalg.norm(f) > np.linalg.norm(history[-1][1]):
-        history.clear()
     history.append((g.ravel(), f.ravel()))
     del history[:-(ANDERSON_MEMORY + 1)]
     step = g

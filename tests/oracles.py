@@ -59,6 +59,9 @@ def slsqp_regularized_plan(network, weights, lam, x0=None):
         xs = np.clip(x, 1e-300, None)
         return -(w @ x - lam * np.sum(x * np.log(xs)))
 
+    def neg_grad(x):
+        return -(w - lam * (np.log(np.clip(x, 1e-300, None)) + 1.0))
+
     constraints = []
     for j in range(network.n_sources):
         idx = edges_from(network, j)
@@ -77,6 +80,7 @@ def slsqp_regularized_plan(network, weights, lam, x0=None):
             res = optimize.minimize(
                 neg_obj,
                 start,
+                jac=neg_grad,
                 method="SLSQP",
                 bounds=[(1e-12, None)] * network.n_edges,
                 constraints=constraints,
@@ -90,6 +94,7 @@ def slsqp_regularized_plan(network, weights, lam, x0=None):
         res = optimize.minimize(
             neg_obj,
             starts[-1],
+            jac=neg_grad,
             method="trust-constr",
             bounds=optimize.Bounds(np.full(network.n_edges, 1e-12), np.inf),
             constraints=[optimize.LinearConstraint(incidence, -np.inf, network.capacities)],
@@ -254,6 +259,43 @@ def per_type_stage_response(network, plan, params, caps, type_value, xi_prev, ta
     z_hi = np.maximum(xi_prev, np.asarray(caps, dtype=float) - tau)
     z = np.maximum(minimize_node_cost(scale, type_value * flow, params.beta2, z_hi), xi_prev)
     return np.where(z > xi_prev, z + tau, xi_prev)
+
+
+def exact_nash_gap(spec, plan, xi, belief, xi_prev, tau):
+    """Both halves of a stage profile's exact Nash gap, neither from ``deviation_check``.
+
+    The dispatcher's half is ``U(x*) - U(plan)``, with ``U(x) = w.x -
+    lam*sum(x log x)`` at the weights the thresholded actions give under
+    ``belief``, and ``x*`` the SLSQP optimum of
+    :func:`slsqp_regularized_plan` over the whole capacity polytope.  The
+    adversary's half is the larger of the two types' cost reductions, each
+    summed over the targets, from moving every action of the type to
+    :func:`per_type_stage_response`.  Returns ``(dispatcher, adversary)``.
+    """
+    network, lam, params, caps = spec.network, spec.settings.lam, spec.cost_params, spec.caps()
+    plan = np.asarray(plan, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    xi_prev = np.broadcast_to(np.asarray(xi_prev, dtype=float), caps.shape)
+    belief = check_belief(belief, network.n_targets)
+    w_eff = _perceived(network, spec.weights, threshold_phi(xi, xi_prev, tau), belief)
+
+    def utility(x):
+        positive = x[x > 0]
+        return float(w_eff @ x) - lam * float(np.sum(positive * np.log(positive)))
+
+    dispatcher = utility(slsqp_regularized_plan(network, w_eff, lam, x0=plan)) - utility(plan)
+    scale, flow = _aggregates(network, plan, params)
+    reductions = []
+    for t in (1, 2):
+        anchor = xi_prev[:, t - 1]
+
+        def cost(action):
+            z = threshold_phi(action, anchor, tau)
+            return scale * z ** (-params.beta2) + t * flow * z
+
+        best = per_type_stage_response(network, plan, params, caps[:, t - 1], t, anchor, tau)
+        reductions.append(float(np.sum(cost(xi[:, t - 1]) - cost(best))))
+    return dispatcher, max(reductions)
 
 
 def plain_best_response_iteration(spec, belief, xi_prev, tau, plan, tol=PROFILE_TOL):

@@ -37,7 +37,7 @@ from advot.distributed import FINAL, PRICE, RATE, SCHEDULE_MODES, STRATEGY, TOPO
 from advot.static_game import DEVIATION_TOL, PROFILE_TOL
 from advot.transport import row_prices, solve_regularized_ot
 from conftest import load_perfbench, make_random_spec
-from oracles import agent_tick, edges_from, edges_into, reference_log_text
+from oracles import agent_tick, edges_from, edges_into, exact_nash_gap, reference_log_text
 
 
 def reference_sync_run(spec: GameSpec, max_ticks: int):
@@ -47,14 +47,14 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
     explicit per-row and per-target updates.  Under the synchronous schedule
     every agent prices its weights at each tick, so the hub refreshes after
     every tick: each target's best response ``g`` to the rates, then a
-    type-II Anderson step (memory 5, history cleared when ``|f|`` grows) on
-    ``f = g - xi``, clipped into the caps.  The agents first price the
-    adversary-free weights, and the first refresh holds ``xi = g`` with no
-    step.  Sums add one term at a time in edge order, as ``np.bincount``
-    does.  The loop stops after the first refresh past the first at which
-    neither the rates nor ``g - xi`` moves more than 1e-7, and that refresh
-    mails ``g`` itself.  Returns each tick's prices and rates and each
-    refresh's mailed action.
+    type-II Anderson step (memory 5, the history kept whether ``|f|`` grows
+    or not) on ``f = g - xi``, clipped into the caps.  The agents first
+    price the adversary-free weights, and the first refresh holds ``xi = g``
+    with no step.  Sums add one term at a time in edge order, as
+    ``np.bincount`` does.  The loop stops after the first refresh past the
+    first at which neither the rates nor ``g - xi`` moves more than 1e-7,
+    and that refresh mails ``g`` itself.  Returns each tick's prices and
+    rates and each refresh's mailed action.
     """
     network = spec.network
     lam = spec.settings.lam
@@ -108,9 +108,6 @@ def reference_sync_run(spec: GameSpec, max_ticks: int):
             xi, settled = g, True
         else:
             f = g - xi
-            if residuals and np.linalg.norm(f) > np.linalg.norm(residuals[-1]):
-                best.clear()
-                residuals.clear()
             best.append(g.ravel())
             residuals.append(f.ravel())
             del best[:-6], residuals[:-6]
@@ -315,8 +312,12 @@ def assert_synchronous_run_matches_reference(spec: GameSpec):
     assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
 
 
-def test_synchronous_run_matches_reference_tick_for_tick(paper_spec):
-    assert_synchronous_run_matches_reference(paper_spec)
+@pytest.mark.parametrize("lam", [3.0, 0.3])
+def test_synchronous_run_matches_reference_tick_for_tick(paper_spec, lam):
+    # at 0.3 the residual grows on some refreshes, and both keep their Anderson history
+    assert_synchronous_run_matches_reference(
+        dataclasses.replace(paper_spec, settings=SolverSettings(lam=lam))
+    )
 
 
 def test_synchronous_run_on_wide_targets_matches_reference():
@@ -370,6 +371,26 @@ def test_single_source_network_matches_centralized():
         report, _ = run_distributed(spec, Schedule(mode=mode, seed=1))
         assert report.converged
         assert np.max(np.abs(report.plan - central.plan)) <= 1e-6
+
+
+@pytest.mark.parametrize("mode", SCHEDULE_MODES)
+def test_paper_game_at_small_lam_settles_under_every_schedule(paper_spec, mode):
+    """At ``lam`` 0.3 the hub settles on the loop's profile in 1,099 messages, far below the cap.
+
+    The cap of 3,000 ticks ends a run that cycles after at most 54,001
+    messages, so a regression fails fast.
+    """
+    spec = dataclasses.replace(paper_spec, settings=SolverSettings(lam=0.3))
+    report, log = run_distributed(spec, Schedule(mode, max_ticks=3000))
+    assert report.converged and len(log) == 1099
+    central = solve_bayesian_equilibrium(spec)
+    assert np.array_equal(report.plan, central.plan)
+    last = report.trace[-1]
+    xi = np.column_stack([last["xi_minor"], last["xi_major"]])
+    assert np.array_equal(xi, central.strategy)
+    gap = exact_nash_gap(spec, report.plan, xi, spec.belief, PERTURBATION_FLOOR, 0.0)
+    assert max(gap) <= DEVIATION_TOL
+    assert_replays_exactly(MessageLog.from_text(log.to_text()), report)
 
 
 def first_activations(schedule: Schedule, n: int) -> list[int]:

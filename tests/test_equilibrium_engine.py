@@ -19,6 +19,7 @@ from advot import (
     AdversaryCostParams,
     DimensionMismatch,
     PerturbationBelowFloor,
+    SolverSettings,
     StageNotConverged,
     ValidationError,
     best_response_strategy,
@@ -34,6 +35,7 @@ from advot.static_game import DEVIATION_TOL, _perceived, stage_equilibrium
 from conftest import SCENARIO_DIR, make_random_spec
 from oracles import (
     edges_from,
+    exact_nash_gap,
     loop_deviation_gap,
     per_type_stage_response,
     plain_best_response_iteration,
@@ -223,26 +225,26 @@ def test_sparse_static_game_takes_at_most_two_thirds_of_the_plain_rounds():
 
 @pytest.mark.parametrize("seed", [2158, 4630])
 def test_safeguards_keep_the_accelerated_loop_in_the_box(seed, monkeypatch):
-    """Steps that leave ``[floor, caps]`` are clipped, and a growing residual restarts.
+    """Steps that leave ``[floor, caps]`` are clipped, and a growing residual keeps the history.
 
     On these stages both happen: some extrapolated step leaves the box, and
-    some residual grows, which leaves the history with the current round
-    alone and the plain step ``x = g``.  The loop converges all the same,
-    and every action it plays stays in the box.  The extrapolation before
-    the step's clip is refitted here from the history the step kept.  The
-    loop thresholds its trial action through ``_phi`` once per round, and
-    the certificate once more, through ``threshold_phi``.
+    some residual grows, after which the step still fits the earlier rounds'
+    differences rather than falling back to the plain ``x = g``.  The loop
+    converges all the same, and every action it plays stays in the box.  The
+    extrapolation before the step's clip is refitted here from the history
+    the step kept.  The loop thresholds its trial action through ``_phi``
+    once per round, and the certificate once more, through ``threshold_phi``.
     """
     spec, belief, xi_prev, tau = _random_stage(seed, staged=True)
     caps = spec.caps()
-    steps, restarts, played = [], [], []
+    steps, kept_after_growth, played = [], [], []
     step, phi = advot.static_game._anderson_step, advot.static_game._phi
 
     def recording_step(history, g, f, caps):
-        had_history = bool(history)
+        grew = bool(history) and np.linalg.norm(f) > np.linalg.norm(history[-1][1])
         x = step(history, g, f, caps)
-        if had_history and len(history) == 1:
-            restarts.append(np.array_equal(x, g))
+        if grew:
+            kept_after_growth.append(len(history))
         g_hist, f_hist = (np.array(column).T for column in zip(*history))
         gamma = np.linalg.lstsq(np.diff(f_hist, axis=1), f.ravel(), rcond=None)[0]
         extrapolated = g - (np.diff(g_hist, axis=1) @ gamma).reshape(g.shape)
@@ -258,7 +260,7 @@ def test_safeguards_keep_the_accelerated_loop_in_the_box(seed, monkeypatch):
     monkeypatch.setattr(advot.static_game, "_phi", recording_phi)
     profile = stage_equilibrium(spec, belief, xi_prev, tau, _free_plan(spec))
     assert any(np.any((x < PERTURBATION_FLOOR) | (x > caps)) for x in steps)
-    assert restarts and all(restarts)
+    assert kept_after_growth and min(kept_after_growth) >= 2
     assert profile.converged and profile.deviation_gap <= DEVIATION_TOL
     assert len(played) == profile.iterations + 1
     for xi in played:
@@ -284,6 +286,70 @@ def test_loop_first_plays_the_best_response_to_the_handed_plan(staged, monkeypat
     np.testing.assert_array_equal(
         solved[0], _perceived(spec.network, spec.weights, first, belief)
     )
+
+
+# ---------------------------------------------------------------------------
+# small lam: the loop settles through a flip, on the exact Nash gap
+
+
+def _assert_exact_equilibrium(spec, plan, xi, belief, xi_prev, tau):
+    dispatcher, adversary = exact_nash_gap(spec, plan, xi, belief, xi_prev, tau)
+    assert dispatcher <= DEVIATION_TOL and adversary <= DEVIATION_TOL, (dispatcher, adversary)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3, 0.1])
+def test_paper_static_game_settles_at_small_lam(paper_spec, lam):
+    spec = dataclasses.replace(paper_spec, settings=SolverSettings(lam=lam))
+    profile = solve_bayesian_equilibrium(spec)
+    assert profile.converged
+    _assert_exact_equilibrium(spec, profile.plan, profile.strategy, spec.belief,
+                              PERTURBATION_FLOOR, 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3])
+def test_paper_dynamic_game_settles_every_stage_at_small_lam(paper_spec, lam):
+    spec = dataclasses.replace(paper_spec, settings=SolverSettings(lam=lam))
+    xi_prev = PERTURBATION_FLOOR
+    for outcome in run_dynamic_game(spec, 5, 0.5):  # a stage that does not settle raises
+        profile = outcome.profile
+        _assert_exact_equilibrium(spec, profile.plan, profile.strategy, outcome.state.belief,
+                                  xi_prev, 0.5)
+        xi_prev = profile.strategy
+
+
+def _sweep_game(seed):
+    """A random static game of up to 4x4 with ``lam`` log-uniform on [1e-3, 10)."""
+    rng = np.random.default_rng(seed)
+    n_sources, n_targets = rng.integers(1, 5, size=2)
+    lam = 10 ** rng.uniform(-3, 1)
+    return make_random_spec(rng, int(n_sources), int(n_targets), lam)
+
+
+def test_seeded_sweep_settles_every_game_with_lam_from_a_tenth_to_one():
+    """Seeds 10,000-10,399 draw 103 games with ``lam`` in [0.1, 1); each one settles."""
+    specs = [spec for spec in map(_sweep_game, range(10_000, 10_400))
+             if 0.1 <= spec.settings.lam < 1.0]
+    assert len(specs) == 103
+    for spec in specs:
+        profile = solve_bayesian_equilibrium(spec)
+        assert profile.converged, spec.settings.lam
+        _assert_exact_equilibrium(spec, profile.plan, profile.strategy, spec.belief,
+                                  PERTURBATION_FLOOR, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 4),
+    n_targets=st.integers(1, 4),
+    lam=st.floats(0.1, 1.0),
+)
+def test_a_converged_profile_has_an_exact_gap_within_tolerance(seed, n_sources, n_targets, lam):
+    spec = make_random_spec(np.random.default_rng(seed), n_sources, n_targets, lam)
+    profile = solve_bayesian_equilibrium(spec)
+    if profile.converged:
+        _assert_exact_equilibrium(spec, profile.plan, profile.strategy, spec.belief,
+                                  PERTURBATION_FLOOR, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ tree in this process:
 * the four subcommands x ``--emit csv/json`` over five games, 40 runs;
 * ``distributed-sim`` under ``--schedule sync`` and ``--schedule roundrobin``
   over the same games and both emits, 20 runs;
-* four runs off the scenario's settings, over the paper and 1x1 games and
-  both emits, 16 runs: ``solve-ot --lambda 0`` (the greedy baseline),
-  ``static-eq --lambda 0.3`` (the paper game stops at the round cap),
-  ``dynamic-sim --lambda 0.3`` and ``dynamic-sim --lambda 0.1 --tau 0.2``.
+* five runs off the scenario's settings, over the paper and 1x1 games and
+  both emits, 20 runs: ``solve-ot --lambda 0`` (the greedy baseline),
+  ``static-eq --lambda 0.3``, ``static-eq --lambda 0.03`` (the paper game
+  stops at the round cap), ``dynamic-sim --lambda 0.3`` and ``dynamic-sim
+  --lambda 0.1 --tau 0.2`` (the paper game's second stage stops at the
+  round cap).
 
 The games are ``scenarios/paper_2x3.json``, ``scenarios/minimal_1x1.json`` and
 three drawn by the tree's ``perfbench/generate.py``: ``dense_pool(5, 10, 7,
@@ -47,6 +49,7 @@ DRAWN = {
 OVERRIDES = (
     ("solve-ot", "lambda=0", ["--lambda", "0"]),
     ("static-eq", "lambda=0.3", ["--lambda", "0.3"]),
+    ("static-eq", "lambda=0.03", ["--lambda", "0.03"]),
     ("dynamic-sim", "lambda=0.3", ["--lambda", "0.3"]),
     ("dynamic-sim", "lambda=0.1,tau=0.2", ["--lambda", "0.1", "--tau", "0.2"]),
 )
