@@ -2,8 +2,9 @@
 
 Iterates the dispatcher's expected-utility best response and the
 adversary's per-node closed form, Anderson-accelerated, until neither side
-moves, then certifies the profile with each coordinate's exact best
-deviation.  Also compares the
+moves, then certifies the profile with its exact Nash gap: the larger of
+the dispatcher's and the adversary's gain from an exact best response.
+Also compares the
 dispatcher's utility (measured against the unperturbed perception weights)
 across three worlds: no adversary, the equilibrium adversary, and an
 adversary pinned at its action caps.

@@ -235,8 +235,8 @@ class MessageLog:
     major; price; rate; weight; residual and objective; a one-value kind
     leaves ``value2`` at 0.0).  The final marker is ``final = (ticks,
     residual, converged)``.  Sender, receiver and payload keys follow from
-    kind and index; iterating a log builds :class:`Message` views of its
-    records.
+    kind and index; iterating a log reads its :meth:`to_text` records back
+    as :class:`Message` values.
     """
 
     def __init__(self):
@@ -282,36 +282,7 @@ class MessageLog:
         return len(self.ticks) + (self.topology is not None) + (self.final is not None)
 
     def __iter__(self):
-        if self.topology is not None:
-            yield _topology_message(self.topology)
-        sources, targets, edges = self.topology or ((), (), ())
-        for tick, kind, i, value, value2 in zip(
-            self.ticks, self.kinds, self.index, self.value, self.value2
-        ):
-            if kind == RATE:
-                s, t = edges[i]
-                yield Message(
-                    tick, f"src:{s}", f"tgt:{t}", "rate", {"source": s, "target": t, "rate": value}
-                )
-            elif kind == WEIGHT:
-                s, t = edges[i]
-                yield Message(
-                    tick, f"tgt:{t}", f"src:{s}", "weight",
-                    {"source": s, "target": t, "weight": value},
-                )
-            elif kind == PRICE:
-                s = sources[i]
-                yield Message(tick, f"src:{s}", "hub", "price", {"source": s, "price": value})
-            elif kind == STRATEGY:
-                t = targets[i]
-                yield Message(
-                    tick, f"tgt:{t}", "hub", "strategy",
-                    {"target": t, "minor": value, "major": value2},
-                )
-            else:
-                yield Message(tick, "hub", "hub", "trace", {"residual": value, "objective": value2})
-        if self.final is not None:
-            yield _final_message(self.final)
+        return (Message(**json.loads(line)) for line in self.to_text().splitlines())
 
     def to_text(self) -> str:
         """Newline-delimited canonical JSON records; floats round-trip exactly.

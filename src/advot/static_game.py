@@ -4,12 +4,14 @@ The dispatcher maximizes expected utility under a per-target belief over the
 adversary's binary type; each adversary type minimizes its own cost, which is
 separable across target nodes and admits a closed-form per-node minimizer.
 The equilibrium is the fixed point of the two best responses in turn, found
-by Anderson-accelerated iteration and then certified with each coordinate's
-exact best deviation.
+by Anderson-accelerated iteration and then certified with its exact Nash
+gap: each player's best unilateral improvement, from the same closed-form
+best responses the loop plays.
 
 One pass over the plan, :func:`_stage_response`, gives both types' cost
 tables and thresholded minimizers; the loop's adversary best response and
-the certificate's adversary half both read it.  Public functions check their
+the certificate's adversary half both read it, as its dispatcher half
+reads the transport solve's closed form.  Public functions check their
 inputs, and the private kernels they call check nothing.
 
 One engine, :func:`stage_equilibrium`, serves both the static game and every
@@ -37,11 +39,11 @@ from .network import (
     check_plan,
     check_strategy,
 )
-from .transport import SolverSettings, _entropy, _plan, _utility, solve_regularized_ot
+from .transport import SolverSettings, _plan, _utility, row_prices, solve_regularized_ot
 
 logger = logging.getLogger(__name__)
 
-DEVIATION_TOL = 1e-4  # largest coordinate improvement a converged profile may leave
+DEVIATION_TOL = 1e-4  # largest Nash gap a converged profile may leave
 PROFILE_TOL = 1e-7  # largest round-to-round profile change that counts as settled
 MAX_ROUNDS = 500  # round limit of the best-response loop
 ANDERSON_MEMORY = 5  # residual differences the accelerated step fits
@@ -94,10 +96,11 @@ class GameSpec:
 class EquilibriumProfile:
     """Fixed point of the two best responses in turn, with its certificate.
 
-    ``deviation_gap`` is the largest improvement either player gains by
-    moving one coordinate to its best value; it is >= 0 up to rounding, and
-    values at or below the certification tolerance mean neither player has
-    a profitable coordinate deviation.
+    ``deviation_gap`` is the exact Nash gap: the larger of the dispatcher's
+    and the adversary's best improvement from a unilateral deviation to
+    any plan within capacity or any actions.  It is >= 0 up to rounding,
+    and values at or below the certification tolerance mean neither player
+    has a profitable deviation.
     """
 
     plan: np.ndarray
@@ -283,19 +286,20 @@ def deviation_check(
     xi_prev=PERTURBATION_FLOOR,
     tau: float = 0.0,
 ) -> float:
-    """Largest unilateral improvement from moving one coordinate to its best value.
+    """The exact Nash gap: the larger of the two players' best unilateral improvements.
 
-    For the dispatcher, one plan coordinate moves inside its row's remaining
-    slack, over ``[0, hi]`` with ``hi = max(plan_e + slack_j, 0)``; the
-    utility ``w*y - lam*y*log(y)`` is concave, so the best point is
-    ``min(hi, exp(w/lam - 1))``.  For the adversary, one per-node action per
-    type moves over ``[floor, cap]``, and its best thresholded action is the
-    one :func:`best_response_strategy` plays.  Payoffs are the
-    stage's: both players see the action thresholded against ``xi_prev``,
-    and the dispatcher weighs it under ``belief`` (default: the spec's
-    prior).  The defaults pose the static game.  The anchor is checked as
-    :func:`stage_equilibrium` checks it.  The result is >= 0 up to
-    rounding; a value <= ``DEVIATION_TOL`` certifies the profile.
+    The dispatcher's improvement is ``U(x*) - U(plan)``, with ``U`` the
+    utility at the perceived weights and ``x*`` its exact optimum over the
+    capacity polytope, the closed-form plan at :func:`row_prices`.  Each
+    adversary type's improvement is its cost reduction from moving every
+    action to :func:`_stage_response`'s minimizer, summed over the targets
+    (the cost is separable), and the adversary's is the larger type's.
+    Payoffs are the stage's: both players see the action thresholded
+    against ``xi_prev``, and the dispatcher weighs it under ``belief``
+    (default: the spec's prior).  The defaults pose the static game.  The
+    anchor is checked as :func:`stage_equilibrium` checks it.  For a plan
+    within capacity the result is >= 0 up to rounding; a value <=
+    ``DEVIATION_TOL`` certifies the profile.
     """
     network, lam = spec.network, spec.settings.lam
     plan = check_plan(network, plan)
@@ -305,18 +309,16 @@ def deviation_check(
     effective = threshold_phi(xi, xi_prev, tau)
 
     w_eff = _perceived(network, spec.weights, effective, belief)
-    slack = network.capacities - network.row_sums(plan)
-    hi = np.maximum(plan + slack[network.edge_source], 0.0)
-    with np.errstate(over="ignore"):
-        best_y = np.minimum(hi, _plan(w_eff, 0.0, lam))  # the unpriced plan, clipped to the slack
-    gain = (w_eff * best_y - lam * _entropy(best_y)) - (w_eff * plan - lam * _entropy(plan))
+    prices = row_prices(w_eff, network.edge_source, network.capacities, lam)
+    best_plan = _plan(w_eff, prices[network.edge_source], lam)
+    gain = _utility(best_plan, w_eff, lam) - _utility(plan, w_eff, lam)
 
     scale, flow_term, best = _stage_response(network, plan, spec.cost_params, spec.caps(),
                                              xi_prev, tau)
     beta2 = spec.cost_params.beta2
     cost, best_cost = (scale * z ** (-beta2) + flow_term * z for z in (effective, best))
-    reduction = cost - best_cost
-    return max(float(gain.max()), float(reduction.max()))
+    reduction = (cost - best_cost).sum(axis=0)
+    return max(gain, float(reduction.max()))
 
 
 def _payoffs(spec: GameSpec, belief, plan, effective) -> tuple[float, float, float]:

@@ -212,11 +212,12 @@ def per_edge_adversary_cost(network, plan, weights, xi, theta, params):
 def loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=21):
     """Coordinate-wise grid certificate, one ``np.linspace`` row at a time.
 
-    A reference for ``deviation_check``: the same stage payoffs, sampled on
-    ``grid_points`` values per coordinate, looping in Python over every
-    edge and every (target, type) pair.  Each grid is a subset of the
-    coordinate's range, so the result bounds the exact gap from below and
-    approaches it as the grid is refined.
+    A lower bound for ``deviation_check``: the same stage payoffs, sampled
+    on ``grid_points`` values per coordinate, looping in Python over every
+    edge and every (target, type) pair.  Each plan coordinate moves inside
+    its row's slack, so for a plan within capacity every grid point is a
+    feasible unilateral deviation and the result bounds the exact Nash gap
+    from below; for a plan over capacity it is no bound.
     """
     effective = threshold_phi(xi, xi_prev, tau)
     belief = check_belief(belief, spec.network.n_targets)

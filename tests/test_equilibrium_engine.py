@@ -101,7 +101,18 @@ def test_adversary_response_equals_the_per_type_reference(
 
 
 # ---------------------------------------------------------------------------
-# exact certificate against the per-coordinate grid loops
+# the certificate against the exact Nash gap's oracle and a coarse grid
+
+
+def _assert_matches_exact_gap(gap, spec, plan, xi, belief, xi_prev, tau):
+    """``gap`` is the larger of the oracle's halves: the adversary's to 1e-12, the dispatcher's to 1e-5.
+
+    Both tolerances are relative to the gap once it exceeds 1.
+    """
+    dispatcher, adversary = exact_nash_gap(spec, plan, xi, belief, xi_prev, tau)
+    tol_adversary, tol_dispatcher = (tol * max(1.0, abs(gap)) for tol in (1e-12, 1e-5))
+    assert gap >= adversary - tol_adversary and gap >= dispatcher - tol_dispatcher
+    assert gap <= max(adversary + tol_adversary, dispatcher + tol_dispatcher)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,13 +128,14 @@ def test_adversary_response_equals_the_per_type_reference(
 def test_certificate_bounds_and_matches_grid_references(
     seed, n_sources, n_targets, tau, staged, saturated, decided_by
 ):
-    """The exact gap is never below the 21-point grid's and meets a fine grid's.
+    """The gap meets the exact Nash gap's oracle and, within capacity, bounds the 21-point grid's.
 
     The gap is the larger of the two players' improvements, so an error on
     one side shows only where that side decides it: a player that best
-    responds to the other has improvements of about 0.  The fine grid's
-    step is at most 2.5e-5, which leaves it below the exact optimum by
-    well under 1e-8 on these games.
+    responds to the other has improvements of about 0.  The grid moves one
+    coordinate at a time inside its row's slack; for a plan over capacity
+    that reaches points outside the capacity polytope, which are not
+    deviations, so the bound holds only for a plan within capacity.
     """
     rng = np.random.default_rng(seed)
     spec = make_random_spec(rng, n_sources, n_targets)
@@ -155,10 +167,53 @@ def test_certificate_bounds_and_matches_grid_references(
         if decided_by in ("dispatcher", "neither"):
             xi = best_response_strategy(spec, plan, xi_prev, tau)
         exact = deviation_check(spec, plan, xi, belief, xi_prev, tau)
-        coarse = loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau)
-        assert exact >= coarse - 1e-12 * max(1.0, abs(coarse))
-        fine = loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau, grid_points=400_001)
-        assert abs(exact - fine) <= 1e-8
+        _assert_matches_exact_gap(exact, spec, plan, xi, belief, xi_prev, tau)
+        if np.all(network.row_sums(plan) <= network.capacities):
+            coarse = loop_deviation_gap(spec, plan, xi, belief, xi_prev, tau)
+            assert exact >= coarse - 1e-12 * max(1.0, abs(coarse))
+
+
+def test_certificate_rejects_mass_on_the_wrong_edge_of_a_full_row(paper_spec):
+    """0.01 moved from each row's second edge to its first is a misallocation the gap sees.
+
+    Both rows of the paper profile are full, so no single plan coordinate
+    can move: the dispatcher gains only by moving mass back between edges.
+    """
+    profile = solve_bayesian_equilibrium(paper_spec)
+    network = paper_spec.network
+    plan = profile.plan.copy()
+    for j in range(network.n_sources):
+        first, second = edges_from(network, j)[:2]
+        plan[first] += 0.01
+        plan[second] -= 0.01
+    gap = deviation_check(paper_spec, plan, profile.strategy)
+    assert gap >= 7.2e-4 > DEVIATION_TOL
+    _assert_matches_exact_gap(gap, paper_spec, plan, profile.strategy, paper_spec.belief,
+                              PERTURBATION_FLOOR, 0.0)
+
+
+def test_unsettled_static_game_reports_its_exact_gap(paper_spec):
+    """At ``lam`` 0.03 the paper game stops at the round cap, and its gap says how far off it is."""
+    spec = dataclasses.replace(paper_spec, settings=SolverSettings(lam=0.03))
+    profile = solve_bayesian_equilibrium(spec)
+    assert not profile.converged
+    assert profile.deviation_gap == pytest.approx(45.92, abs=5e-3)
+    _assert_matches_exact_gap(profile.deviation_gap, spec, profile.plan, profile.strategy,
+                              spec.belief, PERTURBATION_FLOOR, 0.0)
+
+
+def test_unsettled_dynamic_stage_reports_its_exact_gap(paper_spec):
+    """At ``lam`` 0.1 and ``tau`` 0.2 stage 2 alone stops at the round cap, with its exact gap."""
+    spec = dataclasses.replace(paper_spec, settings=SolverSettings(lam=0.1))
+    outcomes = run_dynamic_game(spec, 5, 0.2, abort_on_failure=False)
+    assert [o.profile.converged for o in outcomes] == [True, False, True, True, True]
+    xi_prev = PERTURBATION_FLOOR
+    for outcome in outcomes:
+        profile = outcome.profile
+        _assert_matches_exact_gap(profile.deviation_gap, spec, profile.plan, profile.strategy,
+                                  outcome.state.belief, xi_prev, 0.2)
+        xi_prev = profile.strategy
+    assert outcomes[1].profile.deviation_gap == pytest.approx(0.0694, abs=5e-5)
 
 
 def test_certificate_defaults_pose_the_static_game(paper_spec):

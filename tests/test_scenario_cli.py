@@ -759,15 +759,15 @@ OUTPUT_SHA256 = {
         "trace.csv": "6f0db6a3b535dbf6c55989740dbbd27e485b45ed7ac69afa8695ba7afcfe9376",
     },
     "static-eq": {
-        "report.json": "7cb1818a768e4457992645fca610b86c01eba7d1b70336d1f4da437f95c43939",
+        "report.json": "49c0deb9c546b63780b545dfbca62d17d83f2821cff63b65b6bb4e1f5a9eaba8",
         "trace.csv": "97718259daf5330aa3ccbb107938c28212476a384f47101c01a3d00e6f489ba7",
     },
     "dynamic-sim": {
-        "report.json": "cf36ef5cd0abe04872303c3cd5a29c1a11d66da2bc79d0a49856afcac6580db0",
+        "report.json": "3535be701a59a5665d7d358ba9d46f7faf1d4a8d224a279196f426fec3cffc90",
         "trace.csv": "527750575cbb8a02d2d477ca730c184d480774e40e285f7e0f8d7c3906f4cdcf",
     },
     "distributed-sim": {
-        "report.json": "0ef57e1905696c7991381656432f93a40df2198048f49f4602c62777acc8b331",
+        "report.json": "a7a9b35c372ca75815807385a1df5c94e2f040ef48242857f02eb6b2cc4f9124",
         "trace.csv": "7b5b15db21b6da812167d1f8d81695000fa2b9ad573a8d7089ec406e126a2f8c",
     },
 }
@@ -863,11 +863,11 @@ DENSE_OUTPUT_SHA256 = {
         "trace.jsonl": "41d4f6fe61eeccb13826892276b56dd72f6eb5956221b632452d2f1e8b1c0abd",
     },
     ("dynamic-sim", "csv"): {
-        "report.json": "6206ac9c085503f760d8801f458564c921e313e1121624e15db4da550d646213",
+        "report.json": "9348aaf9e393eb1b77ace85ef3daec4e669deb645e7b91a4ab79ebdbf7901b3a",
         "trace.csv": "372d9bd04048c3e9b1ec7d01da6216d4b7d227eec15a5348141c55742c7f9ca4",
     },
     ("dynamic-sim", "json"): {
-        "report.json": "6206ac9c085503f760d8801f458564c921e313e1121624e15db4da550d646213",
+        "report.json": "9348aaf9e393eb1b77ace85ef3daec4e669deb645e7b91a4ab79ebdbf7901b3a",
         "trace.jsonl": "199059b3e2f6e3e4c9b14e4f9bd0f3fdd34aa21d1ecf1f2d665231f8d71baf87",
     },
 }

@@ -20,11 +20,12 @@ The games are ``scenarios/paper_2x3.json``, ``scenarios/minimal_1x1.json`` and
 three drawn by the tree's ``perfbench/generate.py``: ``dense_pool(5, 10, 7,
 2)[0]``, ``dense_pool(20, 50, 11, 1)[0]`` and ``sparse_pool(11, 1)[0]``.  It
 prints one line per run, its name, its exit status and one sha256 over the
-name and sha256 of each file it wrote, so two trees' lines show which runs
-differ.  Then it prints the run count, the file count and one sha256 over, in
-run order, each run's name and exit status and the name and sha256 of each
-file it wrote.  Two trees that print the same digest write the same bytes on
-the whole grid.
+name and sha256 of each file it wrote, and under it one indented line per
+file the run wrote, its name and sha256, so two trees' lines show which runs
+differ and which of their files.  Then it prints the run count, the file
+count and one sha256 over, in run order, each run's name and exit status and
+the name and sha256 of each file it wrote.  Two trees that print the same
+digest write the same bytes on the whole grid.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ def _runs(games: dict[str, Path]):
 
 
 def byte_grid(checkout: Path) -> tuple[list, int, str]:
-    """Each run's name, exit status and sha256, the file count and the grid's sha256.
+    """Each run's name, exit status, sha256 and files, the file count and the grid's sha256.
 
-    The runs are those of the tree at ``checkout``, in run order.
+    The runs are those of the tree at ``checkout``, in run order; a run's
+    files are the name and sha256 of each file it wrote, in name order.
     """
     checkout = checkout.resolve()
     sys.path.insert(0, str(checkout / "src"))
@@ -117,12 +119,14 @@ def byte_grid(checkout: Path) -> tuple[list, int, str]:
                 status = cli.main([*argv, "--out", str(out)])
             digest.update(f"{name}\0{status}\0".encode())
             run_digest = hashlib.sha256()
-            for path in sorted(out.iterdir()) if out.exists() else ():
-                entry = f"{path.name}\0{hashlib.sha256(path.read_bytes()).hexdigest()}\0".encode()
+            files = [(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+                     for path in (sorted(out.iterdir()) if out.exists() else ())]
+            for file_name, file_sha in files:
+                entry = f"{file_name}\0{file_sha}\0".encode()
                 digest.update(entry)
                 run_digest.update(entry)
-                n_files += 1
-            runs.append((name, status, run_digest.hexdigest()))
+            n_files += len(files)
+            runs.append((name, status, run_digest.hexdigest(), files))
     return runs, n_files, digest.hexdigest()
 
 
@@ -132,8 +136,10 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     runs, files, sha = byte_grid(Path(args[0]))
-    for name, status, run_sha in runs:
+    for name, status, run_sha, written in runs:
         print(f"{name} {status} {run_sha}")
+        for file_name, file_sha in written:
+            print(f"  {file_name} {file_sha}")
     print(f"runs {len(runs)}\nfiles {files}\nsha256 {sha}")
     return 0
 
